@@ -11,18 +11,13 @@
 // LegacyEventQueue — the same pattern sweep_scaling uses for LegacyTraceLog,
 // so the ratio is measured against the real baseline rather than remembered.
 //
-// Three claims:
+// Two claims:
 //  (1) identical semantics: both implementations fire the same events in the
 //      same (time, insertion) order on every workload — asserted via
 //      order-sensitive checksums, fatal on divergence;
 //  (2) >=2x schedule+drain throughput on the mixed periodic workload
 //      (C&C-beacon-style series + one-shot churn), the shape the campaign
-//      scenarios actually generate;
-//  (3) >=2x on the *dense* periodic regime (10⁴ concurrent minute-scale
-//      beacon series) for the calendar-wheel backend over the 4-ary heap,
-//      with the same bit-identical firing order — the heap's O(log n) sift
-//      is pure overhead there, the wheel inserts in O(1). Exported as the
-//      `calendar_speedup` floor and `calendar_event_ns` ceiling.
+//      scenarios actually generate.
 
 #include "bench_util.hpp"
 #include "sim/event_queue.hpp"
@@ -231,37 +226,6 @@ std::uint64_t cancel_drain(std::size_t events) {
   return h;
 }
 
-/// The dense periodic regime the calendar backend targets: `series`
-/// concurrent minute-scale beacons (60–120s periods, phase-staggered), the
-/// shape of a fleet-wide C&C check-in schedule. The pending set stays at
-/// `series` events for the whole run, so the 4-ary heap pays an
-/// O(log series) sift per firing while the wheel inserts in O(1) and pops
-/// from its lazily-sorted cursor bucket.
-std::uint64_t dense_periodic(sim::EventQueue::Backend backend,
-                             std::size_t series, sim::Duration horizon,
-                             std::uint64_t* executed = nullptr) {
-  // 2^12 32-ms buckets: a 131s window that keeps every re-arm of a <=120s
-  // period on the wheel (no overflow traffic), at a few keys per bucket.
-  sim::EventQueue q(backend, sim::CalendarConfig{/*bucket_bits=*/12,
-                                                 /*width_shift=*/5});
-  q.reserve(series);
-  std::uint64_t h = 14695981039346656037ull;
-  auto* qp = &q;
-  for (std::size_t i = 0; i < series; ++i) {
-    const auto period =
-        static_cast<sim::Duration>(60'000 + (i * 2654435761ull) % 60'000);
-    const auto first = static_cast<sim::TimePoint>(
-        1 + (i * 40503ull) % static_cast<std::uint64_t>(period));
-    q.schedule_every(
-        period,
-        [qp, &h, i] { mix(h, static_cast<std::uint64_t>(qp->now()) * 31 + i); },
-        first);
-  }
-  q.run_until(horizon);
-  if (executed) *executed = q.stats().executed;
-  return h;
-}
-
 // ---------------------------------------------------------------------------
 // Reproduction pass: identity proof + throughput table.
 
@@ -308,16 +272,6 @@ constexpr sim::Duration kReproHorizon = 240'000;
 // ~64 series over periods 3..19ms for the horizon plus 1/8 one-shot
 // follow-ups; approximate, used only for the ev/s display column.
 constexpr std::size_t kMixedEvents = 2'150'000;
-// Dense regime: 10^4 concurrent beacon series — a fleet-sized check-in
-// schedule whose working set (slab + heap/wheel) is cache-resident, so the
-// measured gap is the queue structures themselves, not shared slab misses —
-// over 100 simulated minutes (~693k firings).
-constexpr std::size_t kDenseSeries = 10'000;
-constexpr sim::Duration kDenseHorizon = 6'000'000;
-// Shorter horizon for the regression-tracked benchmark case (it runs both
-// backends per iteration; ~231k firings keeps one iteration under 50ms).
-constexpr std::size_t kDenseBenchSeries = 10'000;
-constexpr sim::Duration kDenseBenchHorizon = 2'000'000;
 
 void reproduce_scaling() {
   benchutil::section(
@@ -358,45 +312,6 @@ void reproduce_scaling() {
               static_cast<unsigned long long>(stats.executed),
               static_cast<unsigned long long>(stats.cancelled),
               stats.peak_pending);
-}
-
-void reproduce_dense_periodic() {
-  benchutil::section("dense periodic regime: calendar wheel vs 4-ary heap");
-  std::printf("%zu beacon series, 60-120s periods, %llds simulated horizon\n",
-              kDenseSeries,
-              static_cast<long long>(kDenseHorizon / 1000));
-
-  std::uint64_t heap_sum = 0;
-  std::uint64_t cal_sum = 0;
-  std::uint64_t heap_exec = 0;
-  std::uint64_t cal_exec = 0;
-  const double heap_ms = time_ms([&] {
-    heap_sum = dense_periodic(sim::EventQueue::Backend::kHeap, kDenseSeries,
-                              kDenseHorizon, &heap_exec);
-  });
-  const double cal_ms = time_ms([&] {
-    cal_sum = dense_periodic(sim::EventQueue::Backend::kCalendar, kDenseSeries,
-                             kDenseHorizon, &cal_exec);
-  });
-  if (heap_sum != cal_sum || heap_exec != cal_exec) {
-    std::printf("FATAL: dense periodic diverged between backends "
-                "(%016llx/%llu vs %016llx/%llu)\n",
-                static_cast<unsigned long long>(heap_sum),
-                static_cast<unsigned long long>(heap_exec),
-                static_cast<unsigned long long>(cal_sum),
-                static_cast<unsigned long long>(cal_exec));
-    std::exit(1);
-  }
-
-  const auto events = static_cast<double>(cal_exec);
-  std::printf("%-18s %-12s %-14s %s\n", "backend", "ms", "ev/s", "ns/event");
-  std::printf("%-18s %-12.1f %-14.2fM %.0f\n", "4-ary heap", heap_ms,
-              events / heap_ms / 1000.0, heap_ms * 1e6 / events);
-  std::printf("%-18s %-12.1f %-14.2fM %.0f\n", "calendar wheel", cal_ms,
-              events / cal_ms / 1000.0, cal_ms * 1e6 / events);
-  std::printf("\ncalendar speedup: %.1fx over %llu events "
-              "(target: >=2x, order bit-identical)\n",
-              heap_ms / cal_ms, static_cast<unsigned long long>(cal_exec));
 }
 
 // ---------------------------------------------------------------------------
@@ -454,47 +369,6 @@ void BM_CancelDrainSlab(benchmark::State& state) {
 }
 BENCHMARK(BM_CancelDrainSlab)->Arg(50'000)->Unit(benchmark::kMillisecond);
 
-/// Runs the dense periodic workload under BOTH backends each iteration:
-/// asserts order identity (fatal on divergence, same as the repro pass) and
-/// exports the CI-gated counters — `calendar_speedup` (floored) and
-/// `calendar_event_ns`, the calendar backend's per-event overhead (ceilinged).
-void BM_DensePeriodicCalendar(benchmark::State& state) {
-  // Best-of-N per backend: the workload is deterministic, so the minimum
-  // observed time is the noise-robust estimator — scheduler preemption on a
-  // loaded CI box only ever inflates a run, never deflates it. Three pairs
-  // per iteration so even a single-iteration smoke pass gets a stable ratio.
-  double heap_best = 1e300;
-  double cal_best = 1e300;
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    for (int rep = 0; rep < 3; ++rep) {
-      std::uint64_t heap_sum = 0;
-      std::uint64_t cal_sum = 0;
-      heap_best = std::min(heap_best, time_ms([&] {
-        heap_sum = dense_periodic(sim::EventQueue::Backend::kHeap,
-                                  kDenseBenchSeries, kDenseBenchHorizon);
-      }));
-      cal_best = std::min(cal_best, time_ms([&] {
-        cal_sum = dense_periodic(sim::EventQueue::Backend::kCalendar,
-                                 kDenseBenchSeries, kDenseBenchHorizon,
-                                 &events);
-      }));
-      if (heap_sum != cal_sum) {
-        std::printf("FATAL: dense periodic diverged between backends "
-                    "(%016llx vs %016llx)\n",
-                    static_cast<unsigned long long>(heap_sum),
-                    static_cast<unsigned long long>(cal_sum));
-        std::exit(1);
-      }
-      benchmark::DoNotOptimize(cal_sum);
-    }
-  }
-  state.counters["calendar_speedup"] = heap_best / cal_best;
-  state.counters["calendar_event_ns"] =
-      cal_best * 1e6 / static_cast<double>(events);
-}
-BENCHMARK(BM_DensePeriodicCalendar)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -502,7 +376,6 @@ int main(int argc, char** argv) {
                     "framework performance, not a paper figure");
   if (!benchutil::has_flag(argc, argv, "--no-repro")) {
     reproduce_scaling();
-    reproduce_dense_periodic();
   }
   return benchutil::run_benchmarks(argc, argv);
 }

@@ -161,7 +161,7 @@ struct ModeResult {
   double run_ms = 0.0;
 };
 
-/// Runs one mode/backend over an already-built world. Identity across runs
+/// Runs one mode over an already-built world. Identity across runs
 /// on the *same* world is sound because the workload is deterministic: two
 /// identical runs infect the same host set and write the same marker files
 /// (same path, content, timestamps), so even the COW deltas a previous run
@@ -169,12 +169,12 @@ struct ModeResult {
 ModeResult run_epidemic_in(core::World& world,
                            const std::vector<core::FleetHandle>& fleets,
                            const EpidemicConfig& cfg,
-                           sim::ShardedScheduler::Mode mode, unsigned workers,
-                           sim::EventQueue::Backend backend) {
+                           sim::ShardedScheduler::Mode mode,
+                           unsigned workers) {
   ModeResult result;
   const sim::ShardPlan plan = world.shard_plan();
-  sim::ShardedScheduler sched(
-      plan, sim::ShardedScheduler::Options{mode, workers, backend});
+  sim::ShardedScheduler sched(plan,
+                              sim::ShardedScheduler::Options{mode, workers});
 
   std::vector<SiteState> sites(cfg.sites);
   for (std::size_t s = 0; s < cfg.sites; ++s) {
@@ -222,9 +222,7 @@ ModeResult run_epidemic_in(core::World& world,
 }
 
 ModeResult run_epidemic(const EpidemicConfig& cfg,
-                        sim::ShardedScheduler::Mode mode, unsigned workers,
-                        sim::EventQueue::Backend backend =
-                            sim::EventQueue::Backend::kHeap) {
+                        sim::ShardedScheduler::Mode mode, unsigned workers) {
   core::World world(0x5eed);
   std::vector<core::FleetHandle> fleets;
   // The trend-b hub-spoke shape, shared with epidemic_scaling via the
@@ -234,8 +232,7 @@ ModeResult run_epidemic(const EpidemicConfig& cfg,
                                               cfg.hosts_per_site)
                  .fleets;
   });
-  ModeResult result =
-      run_epidemic_in(world, fleets, cfg, mode, workers, backend);
+  ModeResult result = run_epidemic_in(world, fleets, cfg, mode, workers);
   result.build_ms = build_ms;
   return result;
 }
@@ -290,28 +287,22 @@ void reproduce_sharded_epidemic() {
   std::vector<unsigned> worker_counts{1, 2};
   if (hw > 2) worker_counts.push_back(hw);
 
-  std::printf("\n%-10s %-10s %-10s %-12s %-10s %-16s\n", "backend", "workers",
-              "rounds", "wall-ms", "speedup", "checksum-match");
+  std::printf("\n%-10s %-10s %-12s %-10s %-16s\n", "workers", "rounds",
+              "wall-ms", "speedup", "checksum-match");
   double best_speedup = 0.0;
-  for (const auto backend : {sim::EventQueue::Backend::kHeap,
-                             sim::EventQueue::Backend::kCalendar}) {
-    const char* name =
-        backend == sim::EventQueue::Backend::kHeap ? "heap" : "calendar";
-    for (const unsigned workers : worker_counts) {
-      const auto sharded = run_epidemic(
-          cfg, sim::ShardedScheduler::Mode::kSharded, workers, backend);
-      check_identity(reference, sharded);
-      const double speedup = reference.run_ms / sharded.run_ms;
-      best_speedup = std::max(best_speedup, speedup);
-      std::printf("%-10s %-10u %-10zu %-12.0f %-10.2f %-16s\n", name, workers,
-                  sharded.rounds, sharded.run_ms, speedup,
-                  "yes (bit-identical)");
-    }
+  for (const unsigned workers : worker_counts) {
+    const auto sharded =
+        run_epidemic(cfg, sim::ShardedScheduler::Mode::kSharded, workers);
+    check_identity(reference, sharded);
+    const double speedup = reference.run_ms / sharded.run_ms;
+    best_speedup = std::max(best_speedup, speedup);
+    std::printf("%-10u %-10zu %-12.0f %-10.2f %-16s\n", workers,
+                sharded.rounds, sharded.run_ms, speedup,
+                "yes (bit-identical)");
   }
 
-  std::printf("\nevery sharded schedule — heap and calendar backends alike — "
-              "reproduced the single-queue trace and world state "
-              "bit-for-bit.\n");
+  std::printf("\nevery sharded schedule reproduced the single-queue trace and "
+              "world state bit-for-bit.\n");
   if (hw >= 4) {
     std::printf("best speedup %.2fx on %u cores (target: >=2x)\n",
                 best_speedup, hw);
@@ -369,7 +360,7 @@ MegaWorld& mega_world() {
 }
 
 void reproduce_mega_epidemic() {
-  benchutil::section("mega: 1,048,576 hosts / 1,024 shards, heap vs calendar");
+  benchutil::section("mega: 1,048,576 hosts / 1,024 shards");
   const EpidemicConfig cfg = mega_config();
   MegaWorld& mega = mega_world();
   std::printf("%zu sites x %zu hosts = %zu image-backed hosts "
@@ -379,9 +370,8 @@ void reproduce_mega_epidemic() {
 
   const auto reference =
       run_epidemic_in(mega.world, mega.fleets, cfg,
-                      sim::ShardedScheduler::Mode::kSingleQueue, 1,
-                      sim::EventQueue::Backend::kHeap);
-  std::printf("\nsingle-queue heap reference: %zu events, %zu cross-site "
+                      sim::ShardedScheduler::Mode::kSingleQueue, 1);
+  std::printf("\nsingle-queue reference: %zu events, %zu cross-site "
               "hops, %zu infected, checksum %016llx (run %.0f ms)\n",
               reference.executed, reference.cross, reference.infected,
               static_cast<unsigned long long>(reference.trace_checksum),
@@ -395,23 +385,18 @@ void reproduce_mega_epidemic() {
   std::vector<unsigned> worker_counts{1, 2};
   if (hw > 2) worker_counts.push_back(hw);
 
-  std::printf("\n%-10s %-10s %-10s %-12s %-16s\n", "backend", "workers",
-              "rounds", "wall-ms", "checksum-match");
-  for (const auto backend : {sim::EventQueue::Backend::kHeap,
-                             sim::EventQueue::Backend::kCalendar}) {
-    const char* name =
-        backend == sim::EventQueue::Backend::kHeap ? "heap" : "calendar";
-    for (const unsigned workers : worker_counts) {
-      const auto sharded = run_epidemic_in(
-          mega.world, mega.fleets, cfg, sim::ShardedScheduler::Mode::kSharded,
-          workers, backend);
-      check_identity(reference, sharded);
-      std::printf("%-10s %-10u %-10zu %-12.0f %-16s\n", name, workers,
-                  sharded.rounds, sharded.run_ms, "yes (bit-identical)");
-    }
+  std::printf("\n%-10s %-10s %-12s %-16s\n", "workers", "rounds", "wall-ms",
+              "checksum-match");
+  for (const unsigned workers : worker_counts) {
+    const auto sharded =
+        run_epidemic_in(mega.world, mega.fleets, cfg,
+                        sim::ShardedScheduler::Mode::kSharded, workers);
+    check_identity(reference, sharded);
+    std::printf("%-10u %-10zu %-12.0f %-16s\n", workers, sharded.rounds,
+                sharded.run_ms, "yes (bit-identical)");
   }
   std::printf("\nthe million-host sharded run reproduces the single-queue "
-              "trace bit-for-bit under both backends.\n");
+              "trace bit-for-bit.\n");
 }
 
 // ---------------------------------------------------------------------------
@@ -433,10 +418,6 @@ void BM_ShardedIdentity(benchmark::State& state) {
     const auto sharded =
         run_epidemic(cfg, sim::ShardedScheduler::Mode::kSharded, 2);
     check_identity(reference, sharded);  // exits on divergence
-    const auto calendar =
-        run_epidemic(cfg, sim::ShardedScheduler::Mode::kSharded, 2,
-                     sim::EventQueue::Backend::kCalendar);
-    check_identity(reference, calendar);  // backend knob is trace-invisible
     benchmark::DoNotOptimize(sharded.trace_checksum);
   }
   // A hard bench_diff floor: 1.0 means every checksum matched (the process
@@ -446,8 +427,7 @@ void BM_ShardedIdentity(benchmark::State& state) {
 BENCHMARK(BM_ShardedIdentity)->Unit(benchmark::kMillisecond);
 
 void BM_MegaShardedIdentity(benchmark::State& state) {
-  // The 10⁶-host identity gate: single-queue heap reference vs. the
-  // sharded calendar run — crossing mode AND backend in one comparison —
+  // The 10⁶-host identity gate: single-queue reference vs. the sharded run
   // over the shared mega world. Pinned to one iteration: a single pass is
   // already a million-host end-to-end run, and the counter (not the wall
   // time) is what CI gates.
@@ -456,11 +436,10 @@ void BM_MegaShardedIdentity(benchmark::State& state) {
   for (auto _ : state) {
     const auto reference =
         run_epidemic_in(mega.world, mega.fleets, cfg,
-                        sim::ShardedScheduler::Mode::kSingleQueue, 1,
-                        sim::EventQueue::Backend::kHeap);
-    const auto sharded = run_epidemic_in(
-        mega.world, mega.fleets, cfg, sim::ShardedScheduler::Mode::kSharded,
-        2, sim::EventQueue::Backend::kCalendar);
+                        sim::ShardedScheduler::Mode::kSingleQueue, 1);
+    const auto sharded =
+        run_epidemic_in(mega.world, mega.fleets, cfg,
+                        sim::ShardedScheduler::Mode::kSharded, 2);
     check_identity(reference, sharded);  // exits on divergence
     benchmark::DoNotOptimize(sharded.trace_checksum);
   }

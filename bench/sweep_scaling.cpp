@@ -190,8 +190,8 @@ std::size_t exercise_log(Log& log, std::size_t events) {
   }
   // The analysis pass: count the hot actions, walk one of them — what the
   // sandbox distillation + campaign summaries do per run. Uses only the
-  // count_*/for_each_* surface; the deprecated copying queries stay inside
-  // LegacyTraceLog where they are the thing being measured.
+  // count_*/for_each_* surface; the scan-and-copy query lives only inside
+  // LegacyTraceLog, where it is the thing being measured.
   std::size_t checksum = 0;
   for (std::size_t q = 0; q < kActionCount; ++q) {
     checksum += log.count_action(kActions[q]);

@@ -1,48 +1,10 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 #include <utility>
 
 namespace cyd::sim {
-
-void EventQueue::set_backend(Backend backend, CalendarConfig config) {
-  if (!heap_.empty() || cal_count_ != 0) {
-    throw std::logic_error(
-        "EventQueue::set_backend: backend can only change while no key is "
-        "stored");
-  }
-  if (backend == Backend::kCalendar) {
-    // Validate before mutating anything, so a throw leaves the queue usable.
-    if (config.bucket_bits < 6 || config.bucket_bits > 22) {
-      throw std::invalid_argument(
-          "EventQueue: calendar bucket_bits outside [6, 22]");
-    }
-    if (config.width_shift > 40) {
-      throw std::invalid_argument(
-          "EventQueue: calendar width_shift outside [0, 40]");
-    }
-  }
-  backend_ = backend;
-  cal_front_valid_ = false;
-  if (backend == Backend::kCalendar) {
-    cal_width_shift_ = config.width_shift;
-    cal_bucket_mask_ = (std::uint64_t{1} << config.bucket_bits) - 1;
-    cal_buckets_.assign(cal_bucket_mask_ + 1, {});
-    cal_occupancy_.assign((cal_bucket_mask_ + 1) >> 6, 0);
-    cal_day_ = static_cast<std::uint64_t>(now_) >> cal_width_shift_;
-  } else {
-    cal_buckets_.clear();
-    cal_buckets_.shrink_to_fit();
-    cal_occupancy_.clear();
-    cal_occupancy_.shrink_to_fit();
-    cal_bucket_mask_ = 0;
-    cal_width_shift_ = 0;
-    cal_day_ = 0;
-  }
-  cal_sorted_bucket_ = kNullIndex;
-}
 
 void EventQueue::reserve(std::size_t events) {
   const std::size_t slots =
@@ -52,25 +14,9 @@ void EventQueue::reserve(std::size_t events) {
   while (chunks_.size() < chunks) {
     chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
   }
-  // The heap may hold every key (kHeap) or only the overflow (kCalendar);
-  // reserving for the worst case keeps the zero-allocation pin unconditional.
   // `slots`, not `events`: concurrently stored keys cannot exceed the 2^24
   // slot ceiling, so the unclamped count would just over-allocate.
   heap_.reserve(slots);
-  if (backend_ == Backend::kCalendar && slots > cal_bucket_mask_) {
-    // Pre-size each bucket for its uniform share. Two deliberate limits:
-    // when events < bucket count the per-bucket share rounds up from zero
-    // and the loop would pay O(bucket_count) one-element reservations (up
-    // to ~4.2M at bucket_bits=22) for a storm the slab absorbs anyway, so
-    // it is skipped; and a storm skewed into few buckets can still grow
-    // those vectors past their uniform share — the zero-allocation
-    // guarantee assumes a roughly even spread across the wheel.
-    const std::size_t per_bucket =
-        (slots + cal_bucket_mask_) / (cal_bucket_mask_ + 1);
-    for (auto& bucket : cal_buckets_) {
-      if (bucket.capacity() < per_bucket) bucket.reserve(per_bucket);
-    }
-  }
 }
 
 std::uint32_t EventQueue::allocate_slot() {
@@ -116,12 +62,8 @@ void EventQueue::push_key(TimePoint time, std::uint32_t slot) {
 }
 
 void EventQueue::push_order(TimePoint time, std::uint64_t order) {
-  if (backend_ == Backend::kHeap) {
-    heap_.emplace_back();  // opens a hole at the tail for sift_up to fill
-    sift_up(heap_.size() - 1, HeapKey{time, order});
-  } else {
-    cal_insert(time, order);
-  }
+  heap_.emplace_back();  // opens a hole at the tail for sift_up to fill
+  sift_up(heap_.size() - 1, HeapKey{time, order});
   ++live_;
   ++stats_.scheduled;
   if (live_ > stats_.peak_pending) stats_.peak_pending = live_;
@@ -178,13 +120,12 @@ void EventQueue::sift_down(std::size_t index, HeapKey key) {
   sift_up(index, key);
 }
 
-std::uint32_t EventQueue::pop_front() {
-  const auto index = static_cast<std::uint32_t>(heap_.front().order & kSlotMask);
-  slot(index).heap_index = kNullIndex;
+void EventQueue::pop_front() {
+  slot(static_cast<std::uint32_t>(heap_.front().order & kSlotMask)).heap_index =
+      kNullIndex;
   const HeapKey last = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) sift_down(0, last);
-  return index;
 }
 
 void EventQueue::remove_heap_index(std::size_t index) {
@@ -196,185 +137,6 @@ void EventQueue::remove_heap_index(std::size_t index) {
     sift_up(index, last);
   } else {
     sift_down(index, last);
-  }
-}
-
-void EventQueue::cal_insert(TimePoint time, std::uint64_t order) {
-  // Callers clamp `time` to now_, but the cursor can sit *past* now_'s day:
-  // next_time() pruning a tombstone advances cal_day_ to the tombstone's day
-  // without moving the clock. A key due before the cursor then has
-  // day < cal_day_, and the unsigned subtraction wraps to a huge distance —
-  // which routes it to the overflow heap, exactly where it belongs: it pops
-  // from there via the exact min comparison in cal_scan_front, and the
-  // monotone cursor (cal_remove_front) never rewinds for it.
-  const std::uint64_t day = static_cast<std::uint64_t>(time) >> cal_width_shift_;
-  if (day - cal_day_ > cal_bucket_mask_) {
-    // Beyond the wheel window: park in the overflow heap. The key pops from
-    // there directly once it becomes the global minimum — by then the cursor
-    // has advanced past every earlier wheel key, so the min comparison in
-    // cal_scan_front is exact and no migration is needed.
-    heap_.emplace_back();
-    sift_up(heap_.size() - 1, HeapKey{time, order});
-  } else {
-    const auto b = static_cast<std::uint32_t>(day & cal_bucket_mask_);
-    cal_buckets_[b].push_back(HeapKey{time, order});
-    cal_occupancy_[b >> 6] |= std::uint64_t{1} << (b & 63);
-    if (b == cal_sorted_bucket_) cal_sorted_bucket_ = kNullIndex;
-    slot(static_cast<std::uint32_t>(order & kSlotMask)).heap_index =
-        kWheelTag | b;
-    ++cal_count_;
-  }
-  if (cal_front_valid_ && earlier(HeapKey{time, order}, cal_front_key_)) {
-    cal_front_valid_ = false;
-  }
-}
-
-bool EventQueue::cal_scan_front(HeapKey& out) {
-  bool have = false;
-  HeapKey best{};
-  std::uint32_t best_bucket = kNullIndex;
-  std::uint32_t best_pos = 0;
-  if (!heap_.empty()) {
-    best = heap_.front();
-    have = true;
-  }
-  if (cal_count_ > 0) {
-    // Circular first-set-bit scan from the cursor's bucket: the first
-    // occupied bucket holds the wheel minimum's time-day (bucket order is
-    // time order within the window), and the earliest key inside it — an
-    // unsorted O(occupancy) scan — is the wheel minimum.
-    const auto start = static_cast<std::uint32_t>(cal_day_ & cal_bucket_mask_);
-    const auto words = static_cast<std::uint32_t>((cal_bucket_mask_ + 1) >> 6);
-    std::uint32_t w = start >> 6;
-    std::uint64_t bits = cal_occupancy_[w] & (~std::uint64_t{0} << (start & 63));
-    while (bits == 0) {  // cal_count_ > 0 guarantees a set bit exists
-      w = (w + 1 == words) ? 0 : w + 1;
-      bits = cal_occupancy_[w];
-    }
-    const std::uint32_t b =
-        (w << 6) + static_cast<std::uint32_t>(std::countr_zero(bits));
-    auto& bucket = cal_buckets_[b];
-    HeapKey wheel_min;
-    std::uint32_t pos;
-    if (b == cal_sorted_bucket_) {
-      // Already latest-first from a previous scan: the minimum is the back.
-      wheel_min = bucket.back();
-      pos = static_cast<std::uint32_t>(bucket.size() - 1);
-      ++stats_.front_scan_keys;
-    } else if (bucket.size() > kSortCutoff) {
-      // Sort the cursor's bucket latest-first exactly once: the wheel
-      // minimum is then bucket.back(), and every subsequent pop from this
-      // bucket is a pop_back() instead of an O(occupancy) rescan. All keys
-      // in the bucket share one day (the window invariant), so sorting by
-      // (time, order) is the pop order within it.
-      std::sort(bucket.begin(), bucket.end(),
-                [](const HeapKey& a, const HeapKey& c) { return earlier(c, a); });
-      cal_sorted_bucket_ = b;
-      wheel_min = bucket.back();
-      pos = static_cast<std::uint32_t>(bucket.size() - 1);
-      stats_.front_scan_keys += bucket.size();
-    } else {
-      // Tiny bucket: a linear min-scan is cheaper than sorting it.
-      pos = 0;
-      wheel_min = bucket[0];
-      for (std::uint32_t i = 1; i < bucket.size(); ++i) {
-        if (earlier(bucket[i], wheel_min)) {
-          wheel_min = bucket[i];
-          pos = i;
-        }
-      }
-      stats_.front_scan_keys += bucket.size();
-    }
-    if (!have || earlier(wheel_min, best)) {
-      best = wheel_min;
-      best_bucket = b;
-      best_pos = pos;
-    }
-    have = true;
-  }
-  if (!have) return false;
-  cal_front_valid_ = true;
-  cal_front_key_ = best;
-  cal_front_bucket_ = best_bucket;
-  cal_front_pos_ = best_pos;
-  out = best;
-  return true;
-}
-
-void EventQueue::cal_remove_front() {
-  // front_key() ran just before, so the cache names the global minimum.
-  const HeapKey front = cal_front_key_;
-  if (cal_front_bucket_ == kNullIndex) {
-    pop_front();  // overflow root won the min comparison
-  } else {
-    auto& bucket = cal_buckets_[cal_front_bucket_];
-    slot(static_cast<std::uint32_t>(front.order & kSlotMask)).heap_index =
-        kNullIndex;
-    // Sorted (latest-first) buckets pop from the back; unsorted tiny
-    // buckets swap-remove the scanned position.
-    if (cal_front_bucket_ != cal_sorted_bucket_) {
-      bucket[cal_front_pos_] = bucket.back();
-    }
-    bucket.pop_back();
-    if (bucket.empty()) {
-      cal_occupancy_[cal_front_bucket_ >> 6] &=
-          ~(std::uint64_t{1} << (cal_front_bucket_ & 63));
-      cal_sorted_bucket_ = kNullIndex;
-    }
-    --cal_count_;
-  }
-  // Advance the cursor to the popped minimum's day: every remaining key is
-  // >= it, so the wheel invariant (stored days in [cal_day_, cal_day_ + B))
-  // is preserved and freed buckets become addressable a full window ahead.
-  // Monotone max, never an assignment: a tombstone pruned via next_time()
-  // can advance the cursor past now_, after which an event scheduled near
-  // now_ parks in the overflow heap with a day *below* cal_day_. Rewinding
-  // the cursor when that key pops would strand previously-inserted wheel
-  // keys beyond the window, wrapping their ring offsets so the circular
-  // scan visits a later day before an earlier one — time running backwards.
-  cal_day_ = std::max(
-      cal_day_, static_cast<std::uint64_t>(front.time) >> cal_width_shift_);
-  cal_front_valid_ = false;
-}
-
-void EventQueue::cal_remove_slot(std::uint32_t index,
-                                 std::uint32_t bucket_index) {
-  auto& bucket = cal_buckets_[bucket_index];
-  for (std::size_t i = 0; i < bucket.size(); ++i) {
-    if (static_cast<std::uint32_t>(bucket[i].order & kSlotMask) != index) {
-      continue;
-    }
-    bucket[i] = bucket.back();
-    bucket.pop_back();
-    if (bucket.empty()) {
-      cal_occupancy_[bucket_index >> 6] &=
-          ~(std::uint64_t{1} << (bucket_index & 63));
-    }
-    // The swap-remove broke any latest-first order in this bucket.
-    if (bucket_index == cal_sorted_bucket_) cal_sorted_bucket_ = kNullIndex;
-    --cal_count_;
-    return;
-  }
-}
-
-bool EventQueue::front_key(HeapKey& out) {
-  if (backend_ == Backend::kHeap) {
-    if (heap_.empty()) return false;
-    out = heap_.front();
-    return true;
-  }
-  if (cal_front_valid_) {
-    out = cal_front_key_;
-    return true;
-  }
-  return cal_scan_front(out);
-}
-
-void EventQueue::remove_front() {
-  if (backend_ == Backend::kHeap) {
-    pop_front();
-  } else {
-    cal_remove_front();
   }
 }
 
@@ -437,26 +199,18 @@ void EventQueue::cancel_now(EventHandle handle) {
     ++stats_.cancelled;
     --live_;
   }
-  if (s.heap_index >= kWheelTag) {
-    cal_remove_slot(handle.slot_, s.heap_index & ~kWheelTag);
-  } else {
-    remove_heap_index(s.heap_index);
-  }
-  // The removed key may have been the cached calendar front (or may have
-  // re-seated the overflow root under it); rescan lazily.
-  cal_front_valid_ = false;
+  remove_heap_index(s.heap_index);
   free_slot(handle.slot_);
 }
 
 std::size_t EventQueue::step_front() {
-  HeapKey front;
-  front_key(front);  // callers guarantee a stored key
+  const HeapKey front = heap_.front();  // callers guarantee a stored key
   const auto index = static_cast<std::uint32_t>(front.order & kSlotMask);
   Slot& s = slot(index);
   if (s.cancelled) {
     // Tombstone left by a lazy cancel; its live_ decrement already happened.
     ++stats_.pruned;
-    remove_front();
+    pop_front();
     free_slot(index);
     return 0;
   }
@@ -469,58 +223,34 @@ std::size_t EventQueue::step_front() {
     observer_(observer_ctx_, front.time, front.order >> kSlotBits, s.tag);
   }
   if (s.period > 0) {
-    if (backend_ == Backend::kHeap) {
-      // Chunk storage is pointer-stable, so the closure fires in place even
-      // if the callback grows the slab — no per-firing relocation. The spent
-      // key stays parked at the root while the callback runs: nothing can
-      // sift above it (new events are clamped to now_ with a later seq, so
-      // the root stays the global minimum), and heap_index == kNullIndex
-      // marks the slot mid-firing so cancel() from inside the callback skips
-      // the re-arm. The payoff is one sift_down per firing instead of a
-      // pop + push pair.
-      s.heap_index = kNullIndex;
-      s.fn();
-      if (s.cancelled) {
-        const HeapKey tail = heap_.back();
-        heap_.pop_back();
-        if (!heap_.empty()) sift_down(0, tail);
-        s.fn.reset();
-        ++s.generation;
-        release_slot(s, index);
-      } else {
-        if (next_seq_ >> 40u) {
-          throw std::length_error("EventQueue: event sequence space exhausted");
-        }
-        const std::uint64_t order = (next_seq_++ << kSlotBits) | index;
-        sift_down(0, HeapKey{now_ + s.period, order});
-        ++live_;
-        ++stats_.scheduled;
-        if (live_ > stats_.peak_pending) stats_.peak_pending = live_;
-      }
+    // Chunk storage is pointer-stable, so the closure fires in place even if
+    // the callback grows the slab — no per-firing relocation. The spent key
+    // stays parked at the root while the callback runs: nothing can sift
+    // above it (new events are clamped to now_ with a later seq, so the root
+    // stays the global minimum), and heap_index == kNullIndex marks the slot
+    // mid-firing so cancel() from inside the callback skips the re-arm. The
+    // payoff is one sift_down per firing instead of a pop + push pair.
+    s.heap_index = kNullIndex;
+    s.fn();
+    if (s.cancelled) {
+      const HeapKey tail = heap_.back();
+      heap_.pop_back();
+      if (!heap_.empty()) sift_down(0, tail);
+      s.fn.reset();
+      ++s.generation;
+      release_slot(s, index);
     } else {
-      // Calendar path: no parked-root trick (bucket inserts are O(1), so a
-      // remove + insert pair is already cheap). The re-arm sequence number
-      // is drawn *after* the callback, exactly as in the heap path, so the
-      // two backends assign identical seqs to identical firing histories.
-      cal_remove_front();
-      s.fn();
-      if (s.cancelled) {
-        s.fn.reset();
-        ++s.generation;
-        release_slot(s, index);
-      } else {
-        if (next_seq_ >> 40u) {
-          throw std::length_error("EventQueue: event sequence space exhausted");
-        }
-        const std::uint64_t order = (next_seq_++ << kSlotBits) | index;
-        cal_insert(now_ + s.period, order);
-        ++live_;
-        ++stats_.scheduled;
-        if (live_ > stats_.peak_pending) stats_.peak_pending = live_;
+      if (next_seq_ >> 40u) {
+        throw std::length_error("EventQueue: event sequence space exhausted");
       }
+      const std::uint64_t order = (next_seq_++ << kSlotBits) | index;
+      sift_down(0, HeapKey{now_ + s.period, order});
+      ++live_;
+      ++stats_.scheduled;
+      if (live_ > stats_.peak_pending) stats_.peak_pending = live_;
     }
   } else {
-    remove_front();
+    pop_front();
     // Bump the generation before firing: the callback's own handle (and any
     // copy) goes inert, so self-cancellation is a no-op. The slot joins the
     // free list only after the closure returns — a callback that schedules
@@ -534,20 +264,19 @@ std::size_t EventQueue::step_front() {
 }
 
 bool EventQueue::step() {
-  HeapKey front;
-  while (front_key(front)) {
+  while (!heap_.empty()) {
     if (step_front() != 0) return true;
   }
   return false;
 }
 
 bool EventQueue::prune_cancelled() {
-  HeapKey front;
-  while (front_key(front)) {
-    const auto index = static_cast<std::uint32_t>(front.order & kSlotMask);
+  while (!heap_.empty()) {
+    const auto index =
+        static_cast<std::uint32_t>(heap_.front().order & kSlotMask);
     if (!slot(index).cancelled) return true;
     ++stats_.pruned;
-    remove_front();
+    pop_front();
     free_slot(index);
   }
   return false;
@@ -555,15 +284,12 @@ bool EventQueue::prune_cancelled() {
 
 TimePoint EventQueue::next_time() {
   if (!prune_cancelled()) return kNoEventTime;
-  HeapKey front;
-  front_key(front);  // cached under kCalendar, O(1) under kHeap
-  return front.time;
+  return heap_.front().time;
 }
 
 std::size_t EventQueue::run_until(TimePoint deadline) {
   std::size_t executed = 0;
-  HeapKey front;
-  while (front_key(front) && front.time <= deadline) {
+  while (!heap_.empty() && heap_.front().time <= deadline) {
     executed += step_front();
   }
   now_ = std::max(now_, deadline);

@@ -20,12 +20,10 @@
 //  - the pending set is a 4-ary min-heap over compact 16-byte
 //    {time, seq|slot} keys — sift operations move 16 bytes, payloads never
 //    move — with the slot's heap index maintained so cancel_now() can do an
-//    eager O(log n) removal next to the default lazy cancellation;
-//  - for the dense periodic regime (C&C check-in cadences, rotor-physics
-//    ticks) a calendar-queue backend replaces the heap's O(log n) sifts with
-//    O(1) bucket inserts on a time wheel, falling back to the same 4-ary
-//    heap only for events parked beyond the wheel's window. Pop order is
-//    bit-identical to the heap backend (see DESIGN §11).
+//    eager O(log n) removal next to the default lazy cancellation.
+//
+// The heap is the only pending set; DESIGN §9 records why there is no
+// second one.
 
 #include <cstddef>
 #include <cstdint>
@@ -41,26 +39,13 @@ namespace cyd::sim {
 
 class EventQueue;
 
-/// Shape of the calendar wheel: 2^bucket_bits buckets, each spanning
-/// 2^width_shift milliseconds, for a total window of
-/// 2^(bucket_bits + width_shift) ms ahead of the cursor. Defaults give
-/// 4096 buckets x ~8.2s ≈ 9.3h — wide enough that hour-scale WAN hops
-/// stay on the wheel while minute-scale beacon cadences spread across
-/// many buckets. Choose width_shift so the typical inter-event gap spans
-/// a few buckets (bucket occupancy stays O(1)); see DESIGN §11.
-/// (Namespace-scope rather than nested so `= {}` default arguments can use
-/// the member initializers before EventQueue is complete.)
-struct CalendarConfig {
-  std::uint32_t bucket_bits = 12;  // 4096 buckets (6..22 accepted)
-  std::uint32_t width_shift = 13;  // 8192 ms per bucket (0..40 accepted)
-};
-
 /// Cancellation handle for scheduled events. Trivially copyable; cancelling
 /// any copy cancels the event (or the whole periodic series). A handle is
 /// pinned to one (slot, generation) pair, so a handle whose event already
 /// fired is inert — cancel() is a no-op and cancelled() reports false —
-/// even after the slot is recycled for a new event. Handles must not outlive
-/// their EventQueue.
+/// even after the slot is recycled for a new event. A handle only acts on the
+/// queue that issued it: passed to another queue's cancel_now() it is inert,
+/// like a stale one. Handles must not outlive their EventQueue.
 class EventHandle {
  public:
   EventHandle() noexcept = default;
@@ -85,43 +70,14 @@ static_assert(std::is_trivially_copyable_v<EventHandle>);
 
 class EventQueue {
  public:
-  /// Pending-set backend. Both produce the exact same pop order — the
-  /// (time, seq|key) contract is backend-independent — so the choice is
-  /// purely a performance knob:
-  ///  - kHeap: 4-ary min-heap, O(log n) insert/pop, best for sparse or
-  ///    irregular schedules;
-  ///  - kCalendar: bucket wheel over time, O(1) insert and amortised O(1)
-  ///    pop while events land inside the wheel's window, best for the dense
-  ///    periodic regime where most events recur on short cadences. Events
-  ///    beyond the window park in the heap and pop from there directly —
-  ///    no migration pass ever runs.
-  enum class Backend : std::uint8_t { kHeap, kCalendar };
-  using CalendarConfig = cyd::sim::CalendarConfig;
-
   EventQueue() = default;
-  explicit EventQueue(Backend backend, CalendarConfig config = {}) {
-    set_backend(backend, config);
-  }
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Switches the pending-set backend. Only legal while no key is stored
-  /// (empty queue, or everything cancelled *and* pruned); throws
-  /// std::logic_error otherwise. Typically called once, right after
-  /// construction, before any scheduling.
-  void set_backend(Backend backend, CalendarConfig config = {});
-  Backend backend() const { return backend_; }
-
   /// Pre-sizes internal storage for `events` concurrently pending events:
-  /// slab chunks are allocated up front and the heap / wheel buckets
-  /// reserve capacity, so a storm of schedule calls performs zero heap
-  /// allocations. Counts above the 2^24 concurrent-slot ceiling clamp.
-  /// Wheel-bucket pre-sizing assumes the storm spreads roughly uniformly
-  /// across buckets (each gets its events/buckets share); a storm skewed
-  /// into few buckets can still grow those vectors. When events < bucket
-  /// count the per-bucket pass is skipped entirely — reserving one element
-  /// in millions of buckets costs far more than the handful of lazy
-  /// push_back growths it would avoid.
+  /// slab chunks are allocated up front and the heap reserves capacity, so
+  /// a storm of schedule calls performs zero heap allocations. Counts above
+  /// the 2^24 concurrent-slot ceiling clamp.
   void reserve(std::size_t events);
 
   /// Absolute-time scheduling. Events scheduled in the past run at the
@@ -152,7 +108,8 @@ class EventQueue {
   /// Eagerly removes a pending event from the heap, O(log n), freeing its
   /// slot immediately. Equivalent to handle.cancel() (which marks the entry
   /// and lets the pop path discard it) but reclaims slab+heap space now —
-  /// use it when cancelling large batches long before their due time.
+  /// use it when cancelling large batches long before their due time. A
+  /// handle issued by another queue is ignored.
   void cancel_now(EventHandle handle);
 
   TimePoint now() const { return now_; }
@@ -212,16 +169,12 @@ class EventQueue {
   /// effective cancellations (one per event or series, not per cancel()
   /// call); `peak_pending` is the high-water mark of live events;
   /// `pruned` counts lazy-cancel tombstones discarded off the front (each
-  /// one is front-scan work that cancel_now would have avoided);
-  /// `front_scan_keys` counts keys examined by calendar front scans — the
-  /// wheel's analogue of sift work, pinned by tests so a workload that
-  /// degrades bucket occupancy regresses loudly. Zero under kHeap.
+  /// one is front-scan work that cancel_now would have avoided).
   struct Stats {
     std::uint64_t scheduled = 0;
     std::uint64_t executed = 0;
     std::uint64_t cancelled = 0;
     std::uint64_t pruned = 0;
-    std::uint64_t front_scan_keys = 0;
     std::size_t peak_pending = 0;
   };
   const Stats& stats() const { return stats_; }
@@ -236,13 +189,6 @@ class EventQueue {
   static constexpr std::uint32_t kSlotBits = 24;
   static constexpr std::uint32_t kSlotMask = (1u << kSlotBits) - 1;
   static constexpr std::uint32_t kNullIndex = 0xffffffffu;
-
-  // Slot::heap_index encodes where the slot's key lives: plain values are
-  // 4-ary heap positions (the heap can hold at most 2^24 keys, far below the
-  // tag bit), kWheelTag | bucket marks a calendar bucket, and kNullIndex
-  // marks a slot that is free or mid-firing. cancel_now() dispatches on the
-  // tag to find the key without a search.
-  static constexpr std::uint32_t kWheelTag = 0x80000000u;
 
   struct HeapKey {
     TimePoint time;
@@ -290,27 +236,7 @@ class EventQueue {
   void sift_up(std::size_t index, HeapKey key);
   void sift_down(std::size_t index, HeapKey key);
   void remove_heap_index(std::size_t index);
-  std::uint32_t pop_front();
-
-  /// Backend dispatch: the minimum pending key (false when none is stored),
-  /// and removal of exactly that key. Calendar scans are cached, so the
-  /// front_key → step_front → remove_front sequence costs one scan.
-  bool front_key(HeapKey& out);
-  void remove_front();
-
-  // Calendar backend internals. The wheel is a ring of 2^bucket_bits
-  // unsorted buckets, each spanning 2^width_shift ms; the cursor `cal_day_`
-  // (a bucket-width-granular timestamp) only advances, and every stored
-  // wheel key falls in [cal_day_, cal_day_ + buckets), which makes
-  // bucket index <-> due "day" bijective — a circular scan from the cursor
-  // visits buckets in nondecreasing time order. Keys due beyond the window
-  // go to heap_ (the overflow) and pop from there when they win the min
-  // comparison; the cursor's advance past their park time is what makes
-  // that comparison correct, so no migration pass is ever needed.
-  void cal_insert(TimePoint time, std::uint64_t order);
-  bool cal_scan_front(HeapKey& out);
-  void cal_remove_front();
-  void cal_remove_slot(std::uint32_t index, std::uint32_t bucket_index);
+  void pop_front();
 
   /// Pops the front key and runs or discards it: returns 1 when the event
   /// executed, 0 when the front was a cancelled tombstone (slot recycled,
@@ -323,7 +249,7 @@ class EventQueue {
   bool prune_cancelled();
 
   bool handle_live(const EventHandle& h) const {
-    return h.queue_ != nullptr && h.slot_ < slot_count_ &&
+    return h.queue_ == this && h.slot_ < slot_count_ &&
            slot(h.slot_).generation == h.generation_;
   }
   void handle_cancel(const EventHandle& h);
@@ -337,8 +263,6 @@ class EventQueue {
   ExecuteObserver observer_ = nullptr;
   void* observer_ctx_ = nullptr;
 
-  // Under kHeap this is the whole pending set; under kCalendar it holds only
-  // the overflow keys parked beyond the wheel window.
   std::vector<HeapKey> heap_;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t slot_count_ = 0;
@@ -347,29 +271,6 @@ class EventQueue {
   TimePoint now_ = 0;
   std::uint64_t next_seq_ = 0;
   Stats stats_;
-
-  Backend backend_ = Backend::kHeap;
-  std::vector<std::vector<HeapKey>> cal_buckets_;
-  std::vector<std::uint64_t> cal_occupancy_;  // one bit per bucket
-  std::uint64_t cal_bucket_mask_ = 0;
-  std::uint32_t cal_width_shift_ = 0;
-  std::uint64_t cal_day_ = 0;      // wheel cursor, in bucket-width units
-  std::size_t cal_count_ = 0;      // keys on the wheel (excludes overflow)
-  // Cached result of the last cal_scan_front, so the per-round
-  // next_time() + run_until() + step_front() sequence in the sharded
-  // scheduler pays for one scan. bucket == kNullIndex means the cached
-  // front is the overflow heap root.
-  bool cal_front_valid_ = false;
-  HeapKey cal_front_key_{};
-  std::uint32_t cal_front_bucket_ = kNullIndex;
-  std::uint32_t cal_front_pos_ = 0;
-  // The bucket the cursor is draining, lazily sorted latest-first by the
-  // front scan so successive pops are pop_back() instead of O(occupancy)
-  // rescans. Inserts into or eager cancels from this bucket reset it to
-  // kNullIndex (the next scan re-sorts). Buckets at or below kSortCutoff
-  // keys stay unsorted — a linear min-scan beats sorting there.
-  static constexpr std::size_t kSortCutoff = 8;
-  std::uint32_t cal_sorted_bucket_ = kNullIndex;
 };
 
 inline void EventHandle::cancel() {

@@ -10,14 +10,11 @@
 // funnels through record(). Events therefore store interned 32-bit string
 // ids (see StringPool) instead of owning strings, free-form detail bytes go
 // into one shared arena, and per-category / per-action / per-actor posting
-// lists are maintained incrementally so the analysis queries never scan.
-// The by_* methods that *copy* matching events into fresh vectors are kept
-// for compatibility but deprecated — new code should use the count_* /
-// for_each_* / *_index APIs, which do not allocate.
+// lists are maintained incrementally so the analysis queries never scan:
+// the count_* / for_each_* / *_index APIs do not allocate.
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -82,16 +79,6 @@ class TraceEventRef {
  private:
   const TraceLog* log_;
   const TraceEvent* event_;
-};
-
-/// A fully materialised event with owning strings. Only produced by the
-/// deprecated copying queries; hot paths should stay on TraceEvent ids.
-struct TraceRecord {
-  TimePoint time = 0;
-  TraceCategory category = TraceCategory::kSim;
-  std::string actor;
-  std::string action;
-  std::string detail;
 };
 
 class TraceLog {
@@ -160,27 +147,6 @@ class TraceLog {
       for (const auto i : *index) fn(TraceEventRef(*this, events_[i]));
     }
   }
-
-  // --- deprecated copying queries ---
-  // Each call materialises owning TraceRecords for every match. Kept for
-  // compatibility with pre-interning callers; prefer for_each_* / count_*.
-  // The only sanctioned remaining users are LegacyTraceLog in
-  // bench/sweep_scaling.cpp (where the copying design *is* the measured
-  // baseline) and the shim tests in tests/sim/trace_test.cpp, both under
-  // local -Wdeprecated-declarations suppression.
-  [[deprecated("scans and copies every match; use query-free count_* / "
-               "for_each_* / *_index")]]
-  std::vector<TraceRecord> query(
-      const std::function<bool(const TraceEventRef&)>& pred) const;
-  [[deprecated("copies every match; use count_category / for_each_category / "
-               "category_index")]]
-  std::vector<TraceRecord> by_category(TraceCategory c) const;
-  [[deprecated("copies every match; use count_action / for_each_action / "
-               "action_index")]]
-  std::vector<TraceRecord> by_action(std::string_view action) const;
-  [[deprecated("copies every match; use count_actor / for_each_actor / "
-               "actor_index")]]
-  std::vector<TraceRecord> by_actor(std::string_view actor) const;
 
   /// Order-sensitive FNV-1a hash over every field of every event. Two runs
   /// of the same seeded scenario produce equal fingerprints iff their logs

@@ -162,31 +162,5 @@ TEST(EventQueueAllocTest, ReservePreSizesColdStormSetup) {
 #endif
 }
 
-TEST(EventQueueAllocTest, ReservePreSizesCalendarBuckets) {
-  // Calendar variant: the storm spreads across the wheel (one event per
-  // bucket per lap) and parks the far tail in the overflow heap; both paths
-  // must ride on reserved capacity.
-  EventQueue q(EventQueue::Backend::kCalendar,
-               CalendarConfig{/*bucket_bits=*/6, /*width_shift=*/4});
-  q.reserve(4096);
-  std::uint64_t fired = 0;
-  std::uint64_t* counter = &fired;
-  [[maybe_unused]] const std::size_t before = allocation_count();
-  for (int i = 0; i < 4096; ++i) {
-    q.schedule_at(q.now() + 1 + 16 * i, [counter] { ++*counter; });
-  }
-  [[maybe_unused]] const std::size_t mid = allocation_count();
-  q.run_all();
-  [[maybe_unused]] const std::size_t after = allocation_count();
-  EXPECT_EQ(fired, 4096u);
-#if CYD_ALLOC_COUNTS_RELIABLE
-  EXPECT_EQ(mid - before, 0u)
-      << "wheel buckets and overflow heap must be pre-sized by reserve()";
-  EXPECT_EQ(after - mid, 0u) << "popping across windows allocates nothing";
-#else
-  GTEST_SKIP() << "allocation counts are not reliable under sanitizers";
-#endif
-}
-
 }  // namespace
 }  // namespace cyd::sim

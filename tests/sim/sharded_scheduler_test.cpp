@@ -87,15 +87,12 @@ struct RunResult {
   ScenarioState state;
 };
 
-RunResult run_scenario(
-    ShardedScheduler::Mode mode, unsigned workers,
-    TimePoint deadline = 21 * kDay,
-    EventQueue::Backend backend = EventQueue::Backend::kHeap) {
+RunResult run_scenario(ShardedScheduler::Mode mode, unsigned workers) {
   ShardedScheduler sched(courier_and_wan_plan(),
-                         ShardedScheduler::Options{mode, workers, backend});
+                         ShardedScheduler::Options{mode, workers});
   RunResult result;
   seed_scenario(sched, result.state);
-  const auto report = sched.run_until(deadline);
+  const auto report = sched.run_until(21 * kDay);
   result.checksum = report.trace_checksum;
   result.executed = report.executed;
   result.cross = report.cross_shard_messages;
@@ -127,45 +124,20 @@ TEST(ShardedSchedulerTest, CourierAndWanTraceMatchesSingleQueueAt1And2AndN) {
   }
 }
 
-TEST(ShardedSchedulerTest, CalendarBackendTraceMatchesHeapAtEveryWorkerCount) {
-  // The backend knob must be invisible to the determinism contract: a
-  // calendar-backed run — wheel inserts for the 45-minute activity ticks,
-  // overflow parks for the 3-day courier legs — produces the same trace
-  // checksum and world state as the heap reference, in both modes, at
-  // worker counts {1, 2, hardware}.
-  const auto reference = run_scenario(ShardedScheduler::Mode::kSingleQueue, 1);
-  const auto serial_cal =
-      run_scenario(ShardedScheduler::Mode::kSingleQueue, 1, 21 * kDay,
-                   EventQueue::Backend::kCalendar);
-  expect_same(reference, serial_cal);
-  for (const unsigned workers : {1u, 2u, 0u}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    const auto sharded_cal =
-        run_scenario(ShardedScheduler::Mode::kSharded, workers, 21 * kDay,
-                     EventQueue::Backend::kCalendar);
-    expect_same(reference, sharded_cal);
-  }
-}
-
-TEST(ShardedSchedulerTest, PerShardBackendMixKeepsTheTrace) {
-  // Heterogeneous worlds: only the dense sites take the wheel; the trace
-  // must not care which shard runs which backend.
+TEST(ShardedSchedulerTest, ReservedShardKeepsTheTrace) {
+  // Pre-sizing one shard's queue must not change what it executes.
   const auto reference = run_scenario(ShardedScheduler::Mode::kSingleQueue, 1);
   ShardedScheduler sched(courier_and_wan_plan(),
                          ShardedScheduler::Options{
                              ShardedScheduler::Mode::kSharded, 2});
-  sched.set_shard_backend(kHq, EventQueue::Backend::kCalendar);
-  sched.set_shard_backend(kGapped, EventQueue::Backend::kCalendar,
-                          CalendarConfig{/*bucket_bits=*/8,
-                                         /*width_shift=*/16});
   sched.reserve(kBranch, 1024);
-  RunResult mixed;
-  seed_scenario(sched, mixed.state);
+  RunResult reserved;
+  seed_scenario(sched, reserved.state);
   const auto report = sched.run_until(21 * kDay);
-  mixed.checksum = report.trace_checksum;
-  mixed.executed = report.executed;
-  mixed.cross = report.cross_shard_messages;
-  expect_same(reference, mixed);
+  reserved.checksum = report.trace_checksum;
+  reserved.executed = report.executed;
+  reserved.cross = report.cross_shard_messages;
+  expect_same(reference, reserved);
 }
 
 TEST(ShardedSchedulerTest, ShardedRunsAreReproducible) {
@@ -210,13 +182,16 @@ TEST(ShardedSchedulerTest, CrossShardScheduleFromEventThrows) {
 
 TEST(ShardedSchedulerTest, SetupCodeMaySeedAnyShard) {
   ShardedScheduler sched(courier_and_wan_plan());
-  int fired = 0;
+  // One counter per shard: the shards run concurrently, so a shared counter
+  // would break the shard-safety contract under test.
+  std::array<int, 3> fired{};
   for (std::size_t site = 0; site < 3; ++site) {
-    sched.schedule(site, minutes(1), [&fired] { ++fired; });
+    sched.schedule(site, minutes(1), [&fired, site] { ++fired[site]; });
   }
-  sched.send(kHq, kGapped, 0, [&fired] { ++fired; });  // setup send is legal
+  // Setup send is legal.
+  sched.send(kHq, kGapped, 0, [&fired] { ++fired[kGapped]; });
   sched.run_until(7 * kDay);
-  EXPECT_EQ(fired, 4);
+  EXPECT_EQ(fired, (std::array<int, 3>{1, 1, 2}));
 }
 
 TEST(ShardedSchedulerTest, SendWithoutChannelThrows) {
@@ -255,11 +230,11 @@ TEST(ShardedSchedulerTest, IsolatedShardsFinishInOneRound) {
   ShardedScheduler sched(std::move(plan),
                          ShardedScheduler::Options{
                              ShardedScheduler::Mode::kSharded, 2});
-  int fired = 0;
-  sched.schedule(0, minutes(1), [&fired] { ++fired; });
-  sched.schedule(1, minutes(2), [&fired] { ++fired; });
+  std::array<int, 2> fired{};  // per shard: the two shards run concurrently
+  sched.schedule(0, minutes(1), [&fired] { ++fired[0]; });
+  sched.schedule(1, minutes(2), [&fired] { ++fired[1]; });
   const auto report = sched.run_until(kDay);
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(fired, (std::array<int, 2>{1, 1}));
   EXPECT_EQ(report.rounds, 1u);  // unbounded lookahead: one window
   EXPECT_EQ(report.cross_shard_messages, 0u);
 }

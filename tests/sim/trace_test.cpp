@@ -120,33 +120,20 @@ TEST(TraceTest, ForEachVisitorsAreOrderedAndComplete) {
   log.for_each_category(TraceCategory::kDriver,
                         [&](const TraceEventRef&) { ++visited; });
   EXPECT_EQ(visited, 1u);
-}
 
-// The copying shims are [[deprecated]]; these are their dedicated
-// compatibility tests, so the warning is suppressed for exactly this block.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(TraceTest, DeprecatedCopyingQueriesStillMaterialise) {
-  const auto log = make_sample_log();
-  const auto by_cat = log.by_category(TraceCategory::kFile);
-  ASSERT_EQ(by_cat.size(), 3u);
-  EXPECT_EQ(by_cat[0].actor, "hostA");
-  EXPECT_EQ(by_cat[0].detail, "C:\\a.txt");
-  EXPECT_EQ(log.by_action("file.write").size(), 2u);
-  EXPECT_EQ(log.by_actor("hostB").size(), 1u);
-  EXPECT_EQ(log.by_actor("hostB")[0].action, "file.delete");
-}
-
-TEST(TraceTest, QueryWithCompoundPredicate) {
-  const auto log = make_sample_log();
-  const auto results = log.query([](const TraceEventRef& e) {
-    return e.actor() == "hostA" && e.category() == TraceCategory::kFile;
+  std::vector<std::string> actions;
+  log.for_each_actor("hostB", [&](const TraceEventRef& e) {
+    actions.emplace_back(e.action());
   });
-  EXPECT_EQ(results.size(), 2u);
-}
+  EXPECT_EQ(actions, (std::vector<std::string>{"file.delete"}));
 
-#pragma GCC diagnostic pop
+  // A compound filter is a for_each_* walk plus a predicate.
+  std::size_t host_a_files = 0;
+  log.for_each_category(TraceCategory::kFile, [&](const TraceEventRef& e) {
+    if (e.actor() == "hostA") ++host_a_files;
+  });
+  EXPECT_EQ(host_a_files, 2u);
+}
 
 TEST(TraceTest, ClearEmptiesLogAndIndexes) {
   auto log = make_sample_log();
