@@ -45,23 +45,11 @@ void TraceLog::record(TimePoint time, TraceCategory category,
                       std::string_view detail) {
   const StringId actor_id = pool_.intern(actor);
   const StringId action_id = pool_.intern(action);
-  const auto event_index = static_cast<std::uint32_t>(events_.size());
   const auto detail_offset = static_cast<std::uint32_t>(details_.size());
   details_.append(detail);
   events_.push_back(TraceEvent{time, category, actor_id, action_id,
                                detail_offset,
                                static_cast<std::uint32_t>(detail.size())});
-  by_category_index_[static_cast<std::size_t>(category)].push_back(
-      event_index);
-  append_posting(by_action_index_, action_id, event_index);
-  append_posting(by_actor_index_, actor_id, event_index);
-}
-
-void TraceLog::append_posting(
-    std::vector<std::vector<std::uint32_t>>& table, StringId id,
-    std::uint32_t event_index) {
-  if (id >= table.size()) table.resize(id + 1);
-  table[id].push_back(event_index);
 }
 
 void TraceLog::reserve(std::size_t events, std::size_t detail_bytes) {
@@ -73,37 +61,6 @@ void TraceLog::clear() {
   events_.clear();
   pool_.clear();
   details_.clear();
-  for (auto& index : by_category_index_) index.clear();
-  by_action_index_.clear();
-  by_actor_index_.clear();
-}
-
-const std::vector<std::uint32_t>* TraceLog::postings(
-    const std::vector<std::vector<std::uint32_t>>& table, StringId id) const {
-  if (id == kNoString || id >= table.size() || table[id].empty()) {
-    return nullptr;
-  }
-  return &table[id];
-}
-
-const std::vector<std::uint32_t>* TraceLog::action_index(
-    std::string_view action) const {
-  return postings(by_action_index_, pool_.find(action));
-}
-
-const std::vector<std::uint32_t>* TraceLog::actor_index(
-    std::string_view actor) const {
-  return postings(by_actor_index_, pool_.find(actor));
-}
-
-std::size_t TraceLog::count_action(std::string_view action) const {
-  const auto* index = action_index(action);
-  return index == nullptr ? 0 : index->size();
-}
-
-std::size_t TraceLog::count_actor(std::string_view actor) const {
-  const auto* index = actor_index(actor);
-  return index == nullptr ? 0 : index->size();
 }
 
 std::uint64_t TraceLog::fingerprint() const {

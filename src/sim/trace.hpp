@@ -3,17 +3,17 @@
 //
 // Every observable action in the simulation — a file write, a packet, a
 // driver load, a PLC block update — is appended to the world's TraceLog.
-// The analysis toolkit (sandbox, forensics, AV heuristics) is built on top of
-// querying this log, mirroring how real dissection work reads API traces.
+// The sandbox reads its detonation window from this log, mirroring how real
+// dissection work reads API traces; benches count actions, and the
+// determinism tests compare fingerprints.
 //
 // The log is the hottest data structure in the repo: every simulated action
-// funnels through record(). Events therefore store interned 32-bit string
-// ids (see StringPool) instead of owning strings, free-form detail bytes go
-// into one shared arena, and per-category / per-action / per-actor posting
-// lists are maintained incrementally so the analysis queries never scan:
-// the count_* / for_each_* / *_index APIs do not allocate.
+// funnels through record(). It is one append-only event vector: events
+// store interned 32-bit string ids (see StringPool) instead of owning
+// strings, and free-form detail bytes go into one shared arena. Queries are
+// linear scans that compare ids, the same pattern the sandbox uses; none of
+// them allocates.
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -40,8 +40,6 @@ enum class TraceCategory : std::uint8_t {
   kSecurity,   // AV detections, signature verdicts, cert decisions
   kSim,        // scenario bookkeeping
 };
-
-inline constexpr std::size_t kTraceCategoryCount = 12;
 
 const char* to_string(TraceCategory c);
 
@@ -110,41 +108,26 @@ class TraceLog {
     return TraceEventRef(*this, events_[index]);
   }
 
-  // --- indexed queries: O(1) lookups on incrementally built posting lists ---
-  std::size_t count_category(TraceCategory c) const {
-    return category_index(c).size();
+  // --- scans: one pool lookup, then 32-bit id compares over the events ---
+  /// Events recorded with `action` as their action (a string recorded only
+  /// as an actor counts 0).
+  std::size_t count_action(std::string_view action) const {
+    std::size_t n = 0;
+    for_each_action(action, [&n](const TraceEventRef&) { ++n; });
+    return n;
   }
-  std::size_t count_action(std::string_view action) const;
-  std::size_t count_actor(std::string_view actor) const;
 
-  /// Event indices (into events()) of one category, in record order.
-  const std::vector<std::uint32_t>& category_index(TraceCategory c) const {
-    return by_category_index_[static_cast<std::size_t>(c)];
-  }
-  /// Posting list for an action/actor string; nullptr when the string was
-  /// never recorded in that role.
-  const std::vector<std::uint32_t>* action_index(std::string_view action) const;
-  const std::vector<std::uint32_t>* actor_index(std::string_view actor) const;
-
-  // --- allocation-free visitors ---
+  /// Visitors in record order. A compound filter is for_each plus a
+  /// predicate.
   template <class Fn>
   void for_each(Fn&& fn) const {
     for (const auto& e : events_) fn(TraceEventRef(*this, e));
   }
   template <class Fn>
-  void for_each_category(TraceCategory c, Fn&& fn) const {
-    for (const auto i : category_index(c)) fn(TraceEventRef(*this, events_[i]));
-  }
-  template <class Fn>
   void for_each_action(std::string_view action, Fn&& fn) const {
-    if (const auto* index = action_index(action)) {
-      for (const auto i : *index) fn(TraceEventRef(*this, events_[i]));
-    }
-  }
-  template <class Fn>
-  void for_each_actor(std::string_view actor, Fn&& fn) const {
-    if (const auto* index = actor_index(actor)) {
-      for (const auto i : *index) fn(TraceEventRef(*this, events_[i]));
+    const StringId id = pool_.find(action);  // kNoString matches no event
+    for (const auto& e : events_) {
+      if (e.action == id) fn(TraceEventRef(*this, e));
     }
   }
 
@@ -161,18 +144,9 @@ class TraceLog {
   std::string render_tail(std::size_t max_lines = 50) const;
 
  private:
-  const std::vector<std::uint32_t>* postings(
-      const std::vector<std::vector<std::uint32_t>>& table, StringId id) const;
-  static void append_posting(std::vector<std::vector<std::uint32_t>>& table,
-                             StringId id, std::uint32_t event_index);
-
   std::vector<TraceEvent> events_;
   StringPool pool_;      // actor + action strings, shared
   std::string details_;  // free-form detail bytes, one arena, no dedup
-  std::array<std::vector<std::uint32_t>, kTraceCategoryCount>
-      by_category_index_;
-  std::vector<std::vector<std::uint32_t>> by_action_index_;  // StringId ->
-  std::vector<std::vector<std::uint32_t>> by_actor_index_;   // event indices
 };
 
 inline std::string_view TraceEventRef::actor() const {

@@ -73,78 +73,69 @@ TEST(TraceTest, EventsShareInternedIds) {
   EXPECT_NE(events[0].actor, events[1].actor);
 }
 
-TEST(TraceTest, CountsAreIndexBacked) {
+TEST(TraceTest, CountActionMatchesTheActionRoleOnly) {
   const auto log = make_sample_log();
-  EXPECT_EQ(log.count_category(TraceCategory::kFile), 3u);
-  EXPECT_EQ(log.count_category(TraceCategory::kNetwork), 1u);
-  EXPECT_EQ(log.count_category(TraceCategory::kCnc), 0u);
   EXPECT_EQ(log.count_action("file.write"), 2u);
+  EXPECT_EQ(log.count_action("driver.load"), 1u);
   EXPECT_EQ(log.count_action("nonexistent"), 0u);
-  EXPECT_EQ(log.count_actor("hostA"), 4u);
-  EXPECT_EQ(log.count_actor("hostB"), 1u);
-  EXPECT_EQ(log.count_actor("hostC"), 0u);
-}
-
-TEST(TraceTest, PostingListsPointAtEvents) {
-  const auto log = make_sample_log();
-  const auto* writes = log.action_index("file.write");
-  ASSERT_NE(writes, nullptr);
-  EXPECT_EQ(*writes, (std::vector<std::uint32_t>{0, 4}));
-  EXPECT_EQ(log.action_index("nonexistent"), nullptr);
-  const auto& files = log.category_index(TraceCategory::kFile);
-  EXPECT_EQ(files, (std::vector<std::uint32_t>{0, 1, 4}));
-  // An actor name never used as an action has no action postings.
-  EXPECT_EQ(log.action_index("hostA"), nullptr);
-  EXPECT_EQ(log.actor_index("file.write"), nullptr);
+  // "hostA" is interned, but only ever as an actor.
+  ASSERT_NE(log.pool().find("hostA"), kNoString);
+  EXPECT_EQ(log.count_action("hostA"), 0u);
+  std::size_t visited = 0;
+  log.for_each_action("hostA", [&](const TraceEventRef&) { ++visited; });
+  EXPECT_EQ(visited, 0u);
 }
 
 TEST(TraceTest, ForEachVisitorsAreOrderedAndComplete) {
   const auto log = make_sample_log();
   std::vector<TimePoint> times;
-  log.for_each_actor("hostA", [&](const TraceEventRef& e) {
-    times.push_back(e.time());
-  });
-  EXPECT_EQ(times, (std::vector<TimePoint>{10, 30, 40, 50}));
+  log.for_each([&](const TraceEventRef& e) { times.push_back(e.time()); });
+  EXPECT_EQ(times, (std::vector<TimePoint>{10, 20, 30, 40, 50}));
 
-  std::size_t visited = 0;
-  log.for_each([&](const TraceEventRef&) { ++visited; });
-  EXPECT_EQ(visited, 5u);
-
+  times.clear();
   std::vector<std::string> details;
   log.for_each_action("file.write", [&](const TraceEventRef& e) {
+    times.push_back(e.time());
     details.emplace_back(e.detail());
   });
+  EXPECT_EQ(times, (std::vector<TimePoint>{10, 50}));
   EXPECT_EQ(details, (std::vector<std::string>{"C:\\a.txt", "C:\\c.txt"}));
 
-  visited = 0;
-  log.for_each_category(TraceCategory::kDriver,
-                        [&](const TraceEventRef&) { ++visited; });
-  EXPECT_EQ(visited, 1u);
-
-  std::vector<std::string> actions;
-  log.for_each_actor("hostB", [&](const TraceEventRef& e) {
-    actions.emplace_back(e.action());
+  // Category, actor and compound filters are for_each plus a predicate.
+  std::size_t files = 0, network = 0, cnc = 0, host_a = 0, host_b = 0,
+              host_c = 0, host_a_files = 0;
+  log.for_each([&](const TraceEventRef& e) {
+    files += e.category() == TraceCategory::kFile;
+    network += e.category() == TraceCategory::kNetwork;
+    cnc += e.category() == TraceCategory::kCnc;
+    host_a += e.actor() == "hostA";
+    host_b += e.actor() == "hostB";
+    host_c += e.actor() == "hostC";
+    host_a_files +=
+        e.category() == TraceCategory::kFile && e.actor() == "hostA";
   });
-  EXPECT_EQ(actions, (std::vector<std::string>{"file.delete"}));
-
-  // A compound filter is a for_each_* walk plus a predicate.
-  std::size_t host_a_files = 0;
-  log.for_each_category(TraceCategory::kFile, [&](const TraceEventRef& e) {
-    if (e.actor() == "hostA") ++host_a_files;
-  });
+  EXPECT_EQ(files, 3u);
+  EXPECT_EQ(network, 1u);
+  EXPECT_EQ(cnc, 0u);
+  EXPECT_EQ(host_a, 4u);
+  EXPECT_EQ(host_b, 1u);
+  EXPECT_EQ(host_c, 0u);
   EXPECT_EQ(host_a_files, 2u);
 }
 
-TEST(TraceTest, ClearEmptiesLogAndIndexes) {
+TEST(TraceTest, ClearEmptiesLogAndPool) {
   auto log = make_sample_log();
+  const StringId write_id = log.pool().find("file.write");
   log.clear();
   EXPECT_EQ(log.size(), 0u);
   EXPECT_EQ(log.count_action("file.write"), 0u);
-  EXPECT_EQ(log.count_category(TraceCategory::kFile), 0u);
   EXPECT_TRUE(log.pool().empty());
-  // The log is fully reusable after clear().
+  // The log is fully reusable after clear(). "restart" takes the id that
+  // "file.write" had, and the old string still counts 0.
   log.record(5, TraceCategory::kSim, "x", "restart");
   EXPECT_EQ(log.count_action("restart"), 1u);
+  EXPECT_EQ(log.pool().find("restart"), write_id);
+  EXPECT_EQ(log.count_action("file.write"), 0u);
 }
 
 TEST(TraceTest, ReserveDoesNotDisturbContents) {
