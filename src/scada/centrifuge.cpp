@@ -28,11 +28,16 @@ double Centrifuge::damage_rate_per_hour(double hz) {
   return 0.0;
 }
 
-void Centrifuge::step(double hz, sim::Duration dt) {
+double Centrifuge::dose(double hz, sim::Duration dt) {
+  return damage_rate_per_hour(hz) * (static_cast<double>(dt) / sim::kHour);
+}
+
+void Centrifuge::step(double hz, sim::Duration dt) { apply(hz, dose(hz, dt)); }
+
+void Centrifuge::apply(double hz, double added_stress) {
   if (destroyed_) return;  // wreckage does not spin back up
   frequency_ = hz;
-  const double hours = static_cast<double>(dt) / sim::kHour;
-  stress_ += damage_rate_per_hour(hz) * hours;
+  stress_ += added_stress;
   if (stress_ >= yield_) {
     destroyed_ = true;
     frequency_ = 0.0;

@@ -39,10 +39,16 @@ class Centrifuge {
 
   /// Advances the rotor by `dt` at drive frequency `hz`.
   void step(double hz, sim::Duration dt);
+  /// Spins the rotor at `hz` and adds `added_stress`; `step` is
+  /// `apply(hz, dose(hz, dt))`. A drive computes the dose once and applies
+  /// it to each of its rotors.
+  void apply(double hz, double added_stress);
 
   /// Stress accumulation rate (per hour) at a given drive frequency; exposed
-  /// so tests and the physics bench can probe the curve directly.
+  /// so tests can probe the curve directly.
   static double damage_rate_per_hour(double hz);
+  /// Stress a rotor takes from `dt` at drive frequency `hz`.
+  static double dose(double hz, sim::Duration dt);
 
  private:
   std::string id_;

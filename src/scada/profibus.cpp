@@ -13,6 +13,7 @@ const char* to_string(DriveVendor v) {
 
 Centrifuge& FrequencyConverter::add_centrifuge(std::string rotor_id) {
   rotors_.emplace_back(std::move(rotor_id));
+  rotor_hz_ = std::numeric_limits<double>::quiet_NaN();
   return rotors_.back();
 }
 
@@ -25,7 +26,12 @@ std::size_t FrequencyConverter::destroyed_count() const {
 }
 
 void FrequencyConverter::step(sim::Duration dt) {
-  for (auto& rotor : rotors_) rotor.step(commanded_hz_, dt);
+  const double dose = Centrifuge::dose(commanded_hz_, dt);
+  // Exact skip: stress + 0.0 == stress, a live rotor's stress is below its
+  // yield, and destroyed rotors ignore steps anyway.
+  if (dose == 0.0 && commanded_hz_ == rotor_hz_) return;
+  for (auto& rotor : rotors_) rotor.apply(commanded_hz_, dose);
+  rotor_hz_ = commanded_hz_;
 }
 
 FrequencyConverter& Profibus::add_drive(std::string id, DriveVendor vendor) {

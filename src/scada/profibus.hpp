@@ -7,6 +7,7 @@
 // converter drives (one Iranian, one Finnish manufacturer — the Natanz
 // fingerprint).
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,17 +37,23 @@ class FrequencyConverter {
   double frequency() const { return commanded_hz_; }
 
   Centrifuge& add_centrifuge(std::string rotor_id);
-  std::vector<Centrifuge>& centrifuges() { return rotors_; }
+  /// Read-only: rotors advance only through `step`, which relies on knowing
+  /// the frequency its live rotors hold.
   const std::vector<Centrifuge>& centrifuges() const { return rotors_; }
   std::size_t destroyed_count() const;
 
-  /// Advances every attached rotor by dt at the commanded frequency.
+  /// Advances every attached rotor by dt at the commanded frequency. The
+  /// damage dose is computed once for the drive; a zero dose at the
+  /// frequency the live rotors already hold changes no rotor and is skipped.
   void step(sim::Duration dt);
 
  private:
   std::string id_;
   DriveVendor vendor_;
   double commanded_hz_ = 0.0;
+  /// Frequency every live rotor holds; NaN (never equal) until the first
+  /// step and after a rotor is added.
+  double rotor_hz_ = std::numeric_limits<double>::quiet_NaN();
   std::vector<Centrifuge> rotors_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 namespace cyd::scada {
 
@@ -34,26 +35,23 @@ void DigitalSafetySystem::observe(Plc& plc, sim::Duration) {
 
 void OperatorHmi::attach(Plc& plc) {
   plc.add_scan_observer([this](Plc& p, sim::Duration) {
-    history_.push_back(Sample{p.simulation().now(), p.reported_frequency(),
-                              p.actual_frequency()});
+    observe(p.reported_frequency(), p.actual_frequency());
   });
 }
 
-double OperatorHmi::max_deception() const {
-  double worst = 0.0;
-  for (const auto& s : history_) {
-    worst = std::max(worst, std::abs(s.reported_hz - s.actual_hz));
+void OperatorHmi::observe(double reported_hz, double actual_hz) {
+  ++samples_;
+  max_deception_ = std::max(max_deception_, std::abs(reported_hz - actual_hz));
+  if (reported_hz > 0.5) {
+    min_spinning_hz_ = std::min(min_spinning_hz_, reported_hz);
+    max_spinning_hz_ = std::max(max_spinning_hz_, reported_hz);
   }
-  return worst;
 }
 
 bool OperatorHmi::operator_saw_anomaly(double lo, double hi) const {
-  for (const auto& s : history_) {
-    if (s.reported_hz > 0.5 && (s.reported_hz < lo || s.reported_hz > hi)) {
-      return true;
-    }
-  }
-  return false;
+  // Some spinning sample lies below lo (or above hi) exactly when the
+  // smallest (largest) one does.
+  return min_spinning_hz_ < lo || max_spinning_hz_ > hi;
 }
 
 }  // namespace cyd::scada

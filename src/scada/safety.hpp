@@ -6,8 +6,8 @@
 // footnote 4: "digital safety systems are needed when a human operator
 // cannot act quick enough").
 
-#include <string>
-#include <vector>
+#include <cstddef>
+#include <limits>
 
 #include "scada/plc.hpp"
 #include "sim/time.hpp"
@@ -42,27 +42,29 @@ class DigitalSafetySystem {
   sim::TimePoint tripped_at_ = 0;
 };
 
-/// Operator display: samples the reported frequency every scan so benches
-/// can plot "what the operator saw" against ground truth.
+/// Operator display: folds the reported frequency of every scan into the
+/// aggregates benches read ("what the operator saw" against ground truth).
 class OperatorHmi {
  public:
-  struct Sample {
-    sim::TimePoint time;
-    double reported_hz;
-    double actual_hz;
-  };
-
   void attach(Plc& plc);
 
-  const std::vector<Sample>& history() const { return history_; }
+  /// Scans observed.
+  std::size_t samples() const { return samples_; }
   /// Largest |reported - actual| observed: the deception magnitude.
-  double max_deception() const;
-  /// True if any sample's reported value left [lo, hi] — i.e. whether the
-  /// operator had any chance of noticing.
+  double max_deception() const { return max_deception_; }
+  /// True if any spinning (> 0.5 Hz) sample's reported value left [lo, hi]
+  /// — i.e. whether the operator had any chance of noticing.
   bool operator_saw_anomaly(double lo, double hi) const;
 
  private:
-  std::vector<Sample> history_;
+  void observe(double reported_hz, double actual_hz);
+
+  std::size_t samples_ = 0;
+  double max_deception_ = 0.0;
+  // Reported range over spinning samples; the empty range (+inf, -inf)
+  // compares false against any band.
+  double min_spinning_hz_ = std::numeric_limits<double>::infinity();
+  double max_spinning_hz_ = -std::numeric_limits<double>::infinity();
 };
 
 }  // namespace cyd::scada

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "scada/profibus.hpp"
 
 namespace cyd::scada {
@@ -125,6 +128,89 @@ TEST(ProfibusTest, DefaultCpModelMatchesTarget) {
   EXPECT_EQ(bus.cp_model(), Profibus::kTargetCpModel);
   Profibus other("CP-343-1");
   EXPECT_EQ(other.cp_model(), "CP-343-1");
+}
+
+// Steps `drive` once and a reference copy of its rotors with plain
+// Centrifuge::step at the same frequency, then checks they agree bit for bit.
+void StepAndCompare(FrequencyConverter& drive, std::vector<Centrifuge>& ref,
+                    sim::Duration dt) {
+  drive.step(dt);
+  for (auto& rotor : ref) rotor.step(drive.frequency(), dt);
+  ASSERT_EQ(drive.centrifuges().size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    const Centrifuge& got = drive.centrifuges()[i];
+    EXPECT_EQ(got.stress(), ref[i].stress()) << got.id();
+    EXPECT_EQ(got.destroyed(), ref[i].destroyed()) << got.id();
+    EXPECT_EQ(got.frequency(), ref[i].frequency()) << got.id();
+  }
+}
+
+TEST(ProfibusTest, DriveStepMatchesPerRotorStepsBitForBit) {
+  // The paper's cycle, then a parked cascade and a safety-forced stop, over
+  // rotors whose yields scatter so that some die mid-run and some survive.
+  FrequencyConverter drive("vfd-1", DriveVendor::kFararoPaya);
+  std::vector<Centrifuge> ref;
+  for (int i = 0; i < 12; ++i) {
+    const std::string id = "ir1-" + std::to_string(i);
+    drive.add_centrifuge(id);
+    ref.emplace_back(id);
+  }
+  for (int cycle = 0; cycle < 5; ++cycle) {
+    drive.set_frequency(Centrifuge::kNominalHz);
+    for (int i = 0; i < 48; ++i) StepAndCompare(drive, ref, sim::kHour);
+    drive.set_frequency(1410.0);
+    for (int i = 0; i < 15; ++i) StepAndCompare(drive, ref, sim::kMinute);
+    drive.set_frequency(2.0);
+    for (int i = 0; i < 50; ++i) StepAndCompare(drive, ref, sim::kMinute);
+    drive.set_frequency(Centrifuge::kNominalHz);
+    for (int i = 0; i < 48; ++i) StepAndCompare(drive, ref, sim::kHour);
+  }
+  drive.set_frequency(0.0);  // parked
+  for (int i = 0; i < 24; ++i) StepAndCompare(drive, ref, sim::kHour);
+  drive.set_frequency(1410.0);
+  StepAndCompare(drive, ref, sim::kMinute);
+  drive.set_frequency(0.0);  // safety-forced stop
+  for (int i = 0; i < 24; ++i) StepAndCompare(drive, ref, sim::kMinute);
+
+  // The run must have covered both outcomes for the comparison to bite.
+  EXPECT_GT(drive.destroyed_count(), 0u);
+  EXPECT_LT(drive.destroyed_count(), ref.size());
+}
+
+TEST(ProfibusTest, RotorAddedAfterStepPicksUpFrequency) {
+  FrequencyConverter drive("vfd-1", DriveVendor::kVacon);
+  std::vector<Centrifuge> ref;
+  drive.add_centrifuge("r1");
+  ref.emplace_back("r1");
+  drive.set_frequency(Centrifuge::kNominalHz);
+  StepAndCompare(drive, ref, sim::kHour);
+  StepAndCompare(drive, ref, sim::kHour);
+  drive.add_centrifuge("r2");
+  ref.emplace_back("r2");
+  StepAndCompare(drive, ref, sim::kHour);
+  EXPECT_EQ(drive.centrifuges()[1].frequency(), Centrifuge::kNominalHz);
+}
+
+TEST(ProfibusTest, DriveOfDestroyedRotorsStaysDown) {
+  FrequencyConverter drive("vfd-1", DriveVendor::kVacon);
+  std::vector<Centrifuge> ref;
+  for (const char* id : {"r1", "r2", "r3"}) {
+    drive.add_centrifuge(id);
+    ref.emplace_back(id);
+  }
+  drive.set_frequency(1500.0);
+  while (drive.destroyed_count() < ref.size()) {
+    StepAndCompare(drive, ref, sim::kHour);
+  }
+  for (double hz : {Centrifuge::kNominalHz, 2.0, 0.0, 1500.0}) {
+    drive.set_frequency(hz);
+    StepAndCompare(drive, ref, sim::kDay);
+    StepAndCompare(drive, ref, sim::kDay);
+  }
+  for (const auto& rotor : drive.centrifuges()) {
+    EXPECT_TRUE(rotor.destroyed());
+    EXPECT_EQ(rotor.frequency(), 0.0);
+  }
 }
 
 class DamageRateSweep : public ::testing::TestWithParam<double> {};
