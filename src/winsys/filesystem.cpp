@@ -244,27 +244,42 @@ std::vector<std::string> FileSystem::list_dir(const Path& dir) const {
 
 std::vector<Path> FileSystem::find_files(const Path& dir) const {
   std::vector<Path> out;
-  const Volume* vol = volume_of(dir);
-  if (vol == nullptr) return out;
-  const std::string r = rel(dir);
-  vol->for_each_file_under(r, [&](const std::string& path, const FileNode&) {
-    const bool within =
-        r.empty() || path == r ||
-        (path.size() > r.size() && path.compare(0, r.size(), r) == 0 &&
-         path[r.size()] == '\\');
-    if (within) out.push_back(abs(dir.drive(), path));
+  for_each_file_under(dir, [&](char letter, const std::string& path) {
+    out.push_back(abs(letter, path));
   });
   return out;
 }
 
 std::vector<Path> FileSystem::all_files() const {
   std::vector<Path> out;
-  for (const auto& [letter, vol] : volumes_) {
-    vol->for_each_file([&](const std::string& path, const FileNode&) {
-      out.push_back(abs(letter, path));
-    });
-  }
+  for_each_file([&](char letter, const std::string& path) {
+    out.push_back(abs(letter, path));
+  });
   return out;
+}
+
+// Volume keys are canonical: put_file and add_dir are only reached through
+// this class, with rel() of a canonical Path.
+void FileSystem::for_each_file(const FileVisitor& fn) const {
+  for (const auto& [letter, vol] : volumes_) {
+    vol->for_each_file(
+        [&](const std::string& path, const FileNode&) { fn(letter, path); });
+  }
+}
+
+void FileSystem::for_each_file_under(const Path& dir,
+                                     const FileVisitor& fn) const {
+  const Volume* vol = volume_of(dir);
+  if (vol == nullptr) return;
+  const char letter = dir.drive();
+  const std::string r = rel(dir);
+  vol->for_each_file_under(r, [&](const std::string& path, const FileNode&) {
+    const bool within =
+        r.empty() || path == r ||
+        (path.size() > r.size() && path.compare(0, r.size(), r) == 0 &&
+         path[r.size()] == '\\');
+    if (within) fn(letter, path);
+  });
 }
 
 void FileSystem::notify(const FsEvent& event) const {

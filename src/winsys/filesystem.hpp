@@ -303,6 +303,16 @@ class FileSystem {
   /// All file paths on every mounted volume, absolute form.
   std::vector<Path> all_files() const;
 
+  /// fn(letter, rel): a file's drive letter and its canonical drive-relative
+  /// path, so the absolute path is `letter + ":\\" + rel`. fn must not
+  /// change the file system: the visit walks the live volume maps.
+  using FileVisitor = std::function<void(char, const std::string&)>;
+  /// Visits the files all_files() returns, in the same order, without
+  /// building a Path for each.
+  void for_each_file(const FileVisitor& fn) const;
+  /// Visits the files find_files(dir) returns, in the same order.
+  void for_each_file_under(const Path& dir, const FileVisitor& fn) const;
+
   void add_observer(FsObserver observer) {
     observers_.push_back(std::move(observer));
   }

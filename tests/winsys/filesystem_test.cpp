@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "winsys/host.hpp"
+#include "winsys/host_image.hpp"
+#include "winsys/usb.hpp"
+
 namespace cyd::winsys {
 namespace {
 
@@ -235,6 +241,119 @@ TEST_F(FileSystemTest, HiddenAttributePersists) {
   ASSERT_NE(node, nullptr);
   EXPECT_TRUE(node->attr.hidden);
   EXPECT_TRUE(node->attr.system);
+}
+
+// The visitors hand out (letter, rel) and promise that letter + ":\\" + rel
+// is the canonical absolute path of every file find_files/all_files list.
+// Check it, against a list_dir walk too, on a materialized host and on its
+// image-backed twin, where the merged view has delta entries shadowing the
+// image, whiteouts over deleted files and directories, and a mounted stick.
+std::vector<std::string> visited(const FileSystem& fs, const Path* dir) {
+  std::vector<std::string> out;
+  auto collect = [&](char letter, const std::string& rel) {
+    out.push_back(std::string{letter, ':', '\\'} + rel);
+  };
+  if (dir == nullptr) {
+    fs.for_each_file(collect);
+  } else {
+    fs.for_each_file_under(*dir, collect);
+  }
+  return out;
+}
+
+std::vector<std::string> strs(const std::vector<Path>& paths) {
+  std::vector<std::string> out;
+  for (const auto& p : paths) out.push_back(p.str());
+  return out;
+}
+
+// Independent oracle: the files below `dir` found by walking list_dir, as
+// canonical Path strings, sorted.
+std::vector<std::string> walked(const FileSystem& fs, const Path& dir) {
+  std::vector<std::string> out;
+  if (fs.is_file(dir)) return {dir.str()};
+  std::vector<Path> pending{dir};
+  while (!pending.empty()) {
+    const Path at = pending.back();
+    pending.pop_back();
+    for (const auto& name : fs.list_dir(at)) {
+      const Path child = at.join(name);
+      if (fs.is_file(child)) {
+        out.push_back(child.str());
+      } else {
+        pending.push_back(child);
+      }
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<std::string> sorted(std::vector<std::string> v) {
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+TEST(FileVisitorTest, VisitorsYieldExactlyTheListedPaths) {
+  sim::Simulation simulation;
+  ProgramRegistry programs;
+  const auto archetype = HostArchetype::kOfficePc;
+  Host cow(simulation, programs, "visit-cow", make_archetype_image(archetype));
+  Host mat(simulation, programs, "visit-mat", default_os(archetype));
+  populate_archetype(archetype, mat.fs(), mat.registry());
+  UsbDrive cow_stick("stick-cow"), mat_stick("stick-mat");
+
+  for (auto [host, stick] : {std::pair{&cow, &cow_stick},
+                             std::pair{&mat, &mat_stick}}) {
+    FileSystem& fs = host->fs();
+    fs.write_file("c:\\BOOT.INI", "root-level, upper case", 1);
+    fs.write_file("c:\\readme.", "trailing dot", 1);
+    fs.write_file("c:\\users\\amb\\makefile", "no extension", 1);
+    fs.write_file("c:\\users\\amb\\cookies\\ie.txt", "session", 1);
+    fs.write_file("c:\\users\\amb\\report.docx", "draft", 1);
+    fs.write_file("c:\\userspace.log", "shares a prefix with users", 1);
+    fs.write_file("c:\\windows\\win.ini", "; shadowing the image", 2);
+    const auto fonts = fs.find_files("c:\\windows\\fonts");
+    ASSERT_GE(fonts.size(), 2u);
+    fs.delete_file(fonts.front(), 3);
+    fs.rename(fonts.back(), "c:\\windows\\fonts\\renamed.ttf", 4);
+    fs.delete_tree("c:\\program files\\office12", 5);
+    ASSERT_TRUE(host->plug_usb(*stick));
+    const char e = stick->mount_letter();
+    fs.write_file(Path(std::string{e, ':'}).join("autorun.inf"), "[autorun]",
+                  6);
+    fs.write_file(Path(std::string{e, ':'}).join("docs\\plan.dwg"), "cad", 6);
+  }
+  ASSERT_FALSE(cow.fs().volume('c')->deleted_files().empty());
+  ASSERT_FALSE(cow.fs().volume('c')->deleted_dirs().empty());
+
+  for (const Host* host : {&cow, &mat}) {
+    const FileSystem& fs = host->fs();
+    EXPECT_EQ(visited(fs, nullptr), strs(fs.all_files()));
+    std::vector<std::string> every;
+    for (char letter : fs.mounted_letters()) {
+      const auto files = walked(fs, Path(std::string{letter, ':'}));
+      every.insert(every.end(), files.begin(), files.end());
+    }
+    EXPECT_EQ(sorted(visited(fs, nullptr)), sorted(every));
+    const char e = fs.removable_letters().at(0);
+    for (const Path& dir :
+         {Path("c:"), Path("c:\\users"), Path("c:\\users\\amb"),
+          Path("c:\\user"), Path("c:\\windows"), Path("c:\\windows\\fonts"),
+          Path("c:\\windows\\fonts\\renamed.ttf"),
+          Path("c:\\program files\\office12"), Path("c:\\nothere"),
+          Path(std::string{e, ':'}), Path("q:\\unmounted"), Path("relative")}) {
+      EXPECT_EQ(visited(fs, &dir), strs(fs.find_files(dir))) << dir.str();
+      EXPECT_EQ(sorted(visited(fs, &dir)), walked(fs, dir)) << dir.str();
+    }
+  }
+  // The twins list the same files (the stick sits at the same letter).
+  EXPECT_EQ(strs(cow.fs().all_files()), strs(mat.fs().all_files()));
+  EXPECT_TRUE(cow.fs().find_files("c:\\user").empty());
+  EXPECT_EQ(strs(cow.fs().find_files("c:\\users\\amb")),
+            (std::vector<std::string>{"c:\\users\\amb\\cookies\\ie.txt",
+                                      "c:\\users\\amb\\makefile",
+                                      "c:\\users\\amb\\report.docx"}));
 }
 
 }  // namespace
