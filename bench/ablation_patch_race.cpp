@@ -87,19 +87,11 @@ void reproduce() {
               "never-patch stragglers owned.\n");
 }
 
-void BM_PatchRaceQuarter(benchmark::State& state) {
-  for (auto _ : state) {
-    auto reach = run(sim::days(state.range(0)), sim::days(10));
-    benchmark::DoNotOptimize(reach);
-  }
-}
-BENCHMARK(BM_PatchRaceQuarter)->Arg(0)->Arg(60)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   benchutil::header("ABLATION: the zero-day window vs patch rollout",
                     "Section V-A pricing, defender-side dynamics");
-  if (!benchutil::has_flag(argc, argv, "--no-repro")) reproduce();
-  return benchutil::run_benchmarks(argc, argv);
+  reproduce();
+  return 0;
 }

@@ -121,21 +121,11 @@ void reproduce() {
               "across scan periods (discretization-robust physics).\n");
 }
 
-void BM_CascadeHalfYear(benchmark::State& state) {
-  malware::stuxnet::AttackTiming timing;
-  for (auto _ : state) {
-    auto result = run_cascade(timing, true, sim::minutes(state.range(0)),
-                              sim::days(180));
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_CascadeHalfYear)->Arg(1)->Arg(15)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   benchutil::header("ABLATION: Stuxnet-model design knobs",
                     "DESIGN.md §5 modelling choices");
-  if (!benchutil::has_flag(argc, argv, "--no-repro")) reproduce();
-  return benchutil::run_benchmarks(argc, argv);
+  reproduce();
+  return 0;
 }

@@ -95,20 +95,11 @@ void reproduce() {
                   }()));
 }
 
-void BM_SimilarityMatrix(benchmark::State& state) {
-  const auto specimens = mint_specimens();
-  for (auto _ : state) {
-    auto matrix = analysis::similarity_matrix(specimens);
-    benchmark::DoNotOptimize(matrix);
-  }
-}
-BENCHMARK(BM_SimilarityMatrix)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   benchutil::header("ATTRIBUTION: five specimens, three factories",
                     "Section I code-sharing evidence");
-  if (!benchutil::has_flag(argc, argv, "--no-repro")) reproduce();
-  return benchutil::run_benchmarks(argc, argv);
+  reproduce();
+  return 0;
 }

@@ -31,7 +31,7 @@
 // recall=0.98 in CI), not a tolerance band — a recall regression is a
 // correctness bug, however fast it runs.
 
-#include "bench_util.hpp"
+#include "scaling_bench.hpp"
 #include "analysis/minhash.hpp"
 #include "analysis/similarity.hpp"
 #include "sim/rng.hpp"

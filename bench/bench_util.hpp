@@ -1,20 +1,18 @@
 #pragma once
-// Shared helpers for the reproduction benches.
+// Shared helpers for the programs under bench/.
 //
-// Every bench binary follows the same shape: print the reproduced
-// table/series for its figure or trend (deterministic, seed-fixed), then
-// hand over to google-benchmark for the performance measurements. Keeping
-// the reproduction in plain stdout keeps `for b in build/bench/*; do $b;
-// done` self-contained.
-
-#include <benchmark/benchmark.h>
+// The 15 paper repros (fig*, trend_*, ablation_*, attribution_matrix) are
+// plain programs: each prints the reproduced table/series for its figure or
+// trend to stdout (deterministic, seed-fixed), and ctest diffs that output
+// against bench/golden/<name>.txt. The scaling benches print their report
+// the same way and then hand over to google-benchmark; the helpers only
+// they need are in scaling_bench.hpp.
 
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -70,17 +68,6 @@ class Report {
  private:
   std::string text_;
 };
-
-/// True when `flag` appears verbatim in argv. The benches use `--no-repro`
-/// to skip the deterministic reproduction pass (the bench_smoke target only
-/// wants the timed cases); google-benchmark leaves argv entries it does not
-/// recognize alone, so the extra flag is safe to pass through.
-inline bool has_flag(int argc, char** argv, std::string_view flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i] == flag) return true;
-  }
-  return false;
-}
 
 /// A commercial code-signing ecosystem: one trusted root plus a leaf issued
 /// to `subject`. Installs the root into the given host-independent stores.
@@ -170,14 +157,6 @@ inline sim::ShardPlan ring_plan(std::size_t shards,
     plan.channels.push_back({b, a, latency});
   }
   return plan;
-}
-
-/// Runs the registered google-benchmark cases with default settings.
-inline int run_benchmarks(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
 }
 
 }  // namespace cyd::benchutil

@@ -22,7 +22,7 @@
 //      structurally (total purge scan work <= purged + ticks, fatal) and
 //      `p99_handle_ns` exported as a bench_diff ceiling.
 
-#include "bench_util.hpp"
+#include "scaling_bench.hpp"
 
 #include <algorithm>
 #include <chrono>

@@ -12,10 +12,9 @@
 // Four passes:
 //  (1) identity — the refactor contract. A fully-materialized twin and an
 //      image-backed twin are pushed through the same mutation script and
-//      must expose byte-identical state; then every existing fig/trend/
-//      ablation/attribution repro output is re-run and checksummed against
-//      the retained seed baselines (FNV-1a over the report bytes). Fatal on
-//      any divergence: COW is an implementation detail, not a behaviour.
+//      must expose byte-identical state. Fatal on any divergence: COW is an
+//      implementation detail, not a behaviour. (The fig/trend/ablation/
+//      attribution repro outputs are pinned by ctest against bench/golden/.)
 //  (2) trend-b shape at 1:1 — mass vs targeted posture over a 128-site,
 //      102,400-host world (paper §V-B). The mass posture saturates ~100k
 //      hosts and gets burned by the AV ecosystem; the targeted posture keeps
@@ -30,10 +29,9 @@
 // The BM_* cases export `hosts_per_sec`, `heap_per_host` and `cow_ratio`;
 // CI gates hosts_per_sec as a --floor and heap_per_host as a --ceiling.
 //
-// Pass --mega for the 10⁶-host world (1,250 sites), --print-checksums to
-// re-emit the identity table after an intentional output change.
+// Pass --mega for the 10⁶-host world (1,250 sites).
 
-#include "bench_util.hpp"
+#include "scaling_bench.hpp"
 #include "core/user_behavior.hpp"
 #include "malware/stuxnet/stuxnet.hpp"
 #include "winsys/host_image.hpp"
@@ -49,7 +47,6 @@
 #include <functional>
 #include <new>
 #include <string>
-#include <string_view>
 #include <vector>
 
 using namespace cyd;
@@ -105,7 +102,7 @@ std::size_t proc_status_kb(const char* key) {
 }
 
 // ---------------------------------------------------------------------------
-// Identity pass 1/2: a materialized twin and an image-backed twin must stay
+// Identity: a materialized twin and an image-backed twin must stay
 // indistinguishable through writes, overwrites, deletes, renames and
 // registry edits.
 
@@ -167,114 +164,6 @@ void check_twin_equivalence() {
               "script:\n%zu files byte-identical, registry hives equal, "
               "%zu tombstone(s) equal\n",
               cow_files.size(), cow_tombs.size());
-}
-
-// ---------------------------------------------------------------------------
-// Identity pass 2/2: every retained repro output, re-run and checksummed.
-// The expected values are FNV-1a 64 over each sibling bench's full repro
-// output (stdout+stderr, wall-clock sweep lines excluded). Refresh with
-// --print-checksums after an *intentional* output change.
-
-struct ReproChecksum {
-  const char* bench;
-  std::uint64_t fnv64;
-};
-
-constexpr ReproChecksum kSeedChecksums[] = {
-    {"fig1_stuxnet_operation", 0xd5acfef738e5a261ULL},
-    {"fig2_flame_mitm", 0x65cbd3d4e33bd97fULL},
-    {"fig3_cert_forgery", 0x6f3e9a206cba6c24ULL},
-    {"fig4_cnc_platform", 0x5216840b643e4f7aULL},
-    {"fig5_cnc_server", 0x8516b7a40fec622eULL},
-    {"fig6_shamoon", 0x2226a376acbbeee6ULL},
-    {"trend_a_sophistication", 0x2ae408eb66995428ULL},
-    {"trend_b_targeting", 0xe7f4584a20da4c6aULL},
-    {"trend_c_certified", 0x1c13fcff999f9dd3ULL},
-    {"trend_d_modularity", 0x97ac8c97a76824a8ULL},
-    {"trend_e_usb", 0x62dcf2f99b92efbcULL},
-    {"trend_f_suicide", 0x013032616ff40b5cULL},
-    {"ablation_stuxnet_design", 0xe9bd30510d012299ULL},
-    {"ablation_patch_race", 0x8cf9114c73bcf8a8ULL},
-    {"attribution_matrix", 0x65352f6485e090a6ULL},
-};
-
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-/// Drops the sweep harness's wall-clock lines; everything else in a repro
-/// report is deterministic for a fixed seed.
-std::string strip_timing_lines(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t end = text.find('\n', pos);
-    end = end == std::string::npos ? text.size() : end + 1;
-    const std::string_view line(text.data() + pos, end - pos);
-    if (line.find(" ms wall") == std::string_view::npos) out.append(line);
-    pos = end;
-  }
-  return out;
-}
-
-std::string run_sibling(const std::string& dir, const char* name) {
-  const std::string cmd =
-      dir + "/" + name + " --benchmark_filter=NONEXISTENT 2>&1";
-  FILE* pipe = popen(cmd.c_str(), "r");
-  if (pipe == nullptr) return {};
-  std::string out;
-  char buffer[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buffer, 1, sizeof buffer, pipe)) > 0) {
-    out.append(buffer, n);
-  }
-  pclose(pipe);
-  return out;
-}
-
-void reproduce_identity(const std::string& exe_dir, bool print_checksums) {
-  benchutil::section("identity: COW substrate vs materialized semantics");
-  check_twin_equivalence();
-
-  benchutil::section(
-      "identity: retained repro outputs, re-run and checksummed");
-  std::printf("%-28s %-10s %-18s %s\n", "bench", "bytes", "fnv1a-64",
-              "verdict");
-  std::size_t mismatches = 0;
-  for (const auto& expected : kSeedChecksums) {
-    const std::string raw = run_sibling(exe_dir, expected.bench);
-    if (raw.empty()) {
-      fatal(std::string("could not run ") + exe_dir + "/" + expected.bench +
-            " (build all bench targets first)");
-    }
-    const std::string report = strip_timing_lines(raw);
-    const std::uint64_t got = fnv1a64(report);
-    if (print_checksums) {
-      std::printf("    {\"%s\", 0x%016llxULL},\n", expected.bench,
-                  static_cast<unsigned long long>(got));
-      continue;
-    }
-    const bool match = got == expected.fnv64;
-    if (!match) ++mismatches;
-    std::printf("%-28s %-10zu 0x%016llx %s\n", expected.bench, report.size(),
-                static_cast<unsigned long long>(got),
-                match ? "identical" : "DIVERGED");
-  }
-  if (print_checksums) return;
-  if (mismatches > 0) {
-    fatal(std::to_string(mismatches) +
-          " repro output(s) diverged from the seed baselines — the COW "
-          "substrate must be bit-transparent");
-  }
-  std::printf("\nall %zu retained fig/trend/ablation/attribution outputs are "
-              "byte-identical through the image/COW refactor.\n",
-              std::size(kSeedChecksums));
 }
 
 // ---------------------------------------------------------------------------
@@ -797,16 +686,9 @@ int main(int argc, char** argv) {
       "EPIDEMIC-SCALING: template images + COW deltas at campaign scale",
       "§II / §V-B / §V-E at 1:1 — ~100k infections, the 9,020-centrifuge "
       "Natanz hall");
-  const std::string exe(argv[0]);
-  const auto slash = exe.rfind('/');
-  const std::string exe_dir =
-      slash == std::string::npos ? std::string(".") : exe.substr(0, slash);
-  if (benchutil::has_flag(argc, argv, "--print-checksums")) {
-    reproduce_identity(exe_dir, /*print_checksums=*/true);
-    return 0;
-  }
   if (!benchutil::has_flag(argc, argv, "--no-repro")) {
-    reproduce_identity(exe_dir, /*print_checksums=*/false);
+    benchutil::section("identity: COW substrate vs materialized semantics");
+    check_twin_equivalence();
     reproduce_trend_b_at_scale();
     reproduce_trend_e_at_scale();
     reproduce_memory();

@@ -19,7 +19,7 @@
 //      (C&C-beacon-style series + one-shot churn), the shape the campaign
 //      scenarios actually generate.
 
-#include "bench_util.hpp"
+#include "scaling_bench.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
 

@@ -26,10 +26,9 @@ struct CampaignResult {
   bool operator_saw = false;
 };
 
-// Runs the full Natanz campaign; with a Report the level-by-level ledger and
-// monthly series are rendered into it (the sweep item), without one only the
-// simulation runs (the google-benchmark path).
-void run_campaign(benchutil::Report* report) {
+// Runs the full Natanz campaign and renders the level-by-level ledger and
+// monthly series into `report` (the sweep item).
+void run_campaign(benchutil::Report& report) {
   core::World world(0x57);
   world.add_internet_landmarks();
   core::NatanzSpec spec;
@@ -55,15 +54,11 @@ void run_campaign(benchutil::Report* report) {
                                     sim::days(1) + sim::hours(2 * c));
   }
 
-  if (report != nullptr) {
-    report->section("monthly series (who wins: the worm, silently)");
-    report->printf("%-10s %-9s %-10s %-10s %-9s %-8s %-s\n", "month",
-                   "infected", "strikes", "destroyed", "hmi-Hz", "true-Hz",
-                   "safety");
-  }
+  report.section("monthly series (who wins: the worm, silently)");
+  report.printf("%-10s %-9s %-10s %-10s %-9s %-8s %-s\n", "month", "infected",
+                "strikes", "destroyed", "hmi-Hz", "true-Hz", "safety");
   for (int month = 1; month <= 12; ++month) {
     world.sim().run_for(30 * sim::kDay);
-    if (report == nullptr) continue;
     double hmi = 0, actual = 0;
     for (auto* plc : site.cascades) {
       hmi += plc->reported_frequency();
@@ -71,47 +66,45 @@ void run_campaign(benchutil::Report* report) {
     }
     hmi /= static_cast<double>(site.cascades.size());
     actual /= static_cast<double>(site.cascades.size());
-    report->printf("%-10d %-9zu %-10zu %4zu/%-5zu %-9.0f %-8.0f %-s\n", month,
-                   world.tracker().infected_count("stuxnet"),
-                   stuxnet.plc_strikes(), site.destroyed_centrifuges(),
-                   site.total_centrifuges(), hmi, actual,
-                   site.any_safety_tripped() ? "TRIPPED" : "quiet");
+    report.printf("%-10d %-9zu %-10zu %4zu/%-5zu %-9.0f %-8.0f %-s\n", month,
+                  world.tracker().infected_count("stuxnet"),
+                  stuxnet.plc_strikes(), site.destroyed_centrifuges(),
+                  site.total_centrifuges(), hmi, actual,
+                  site.any_safety_tripped() ? "TRIPPED" : "quiet");
   }
 
-  if (report != nullptr) {
-    CampaignResult result;
-    result.windows_infections = world.tracker().infected_count("stuxnet");
-    result.plc_strikes = stuxnet.plc_strikes();
-    result.destroyed = site.destroyed_centrifuges();
-    result.total = site.total_centrifuges();
-    result.safety_tripped = site.any_safety_tripped();
-    auto* inf = malware::stuxnet::Stuxnet::find(*site.eng_laptop);
-    result.dll_replacements =
-        inf != nullptr && inf->step7_dll_replaced ? 1 : 0;
-    result.project_infections =
-        world.sim().trace().count_action("stuxnet.project-infected");
-    for (const auto& hmi : site.hmis) {
-      if (hmi->operator_saw_anomaly(800.0, 1250.0)) result.operator_saw = true;
-    }
-
-    report->section("the three levels of Fig. 1");
-    report->printf("level 1  compromising Windows      : %zu hosts infected "
-                   "(vectors: usb-lnk + spooler + shares)\n",
-                   result.windows_infections);
-    report->printf("level 2  compromising Step 7       : s7otbxdx.dll "
-                   "replaced=%zu, projects contaminated=%zu\n",
-                   result.dll_replacements, result.project_infections);
-    report->printf("level 3  compromising the PLC      : %zu cascade PLCs "
-                   "injected, %zu/%zu centrifuges destroyed\n",
-                   result.plc_strikes, result.destroyed, result.total);
-    report->section("stealth verdict");
-    report->printf("digital safety system tripped      : %s\n",
-                   result.safety_tripped ? "YES (deception failed)" : "no");
-    report->printf("operator saw an out-of-band value  : %s\n",
-                   result.operator_saw ? "YES" : "no");
-    report->printf("C&C check-ins from the site        : %zu\n",
-                   stuxnet.c2().victim_count());
+  CampaignResult result;
+  result.windows_infections = world.tracker().infected_count("stuxnet");
+  result.plc_strikes = stuxnet.plc_strikes();
+  result.destroyed = site.destroyed_centrifuges();
+  result.total = site.total_centrifuges();
+  result.safety_tripped = site.any_safety_tripped();
+  auto* inf = malware::stuxnet::Stuxnet::find(*site.eng_laptop);
+  result.dll_replacements =
+      inf != nullptr && inf->step7_dll_replaced ? 1 : 0;
+  result.project_infections =
+      world.sim().trace().count_action("stuxnet.project-infected");
+  for (const auto& hmi : site.hmis) {
+    if (hmi->operator_saw_anomaly(800.0, 1250.0)) result.operator_saw = true;
   }
+
+  report.section("the three levels of Fig. 1");
+  report.printf("level 1  compromising Windows      : %zu hosts infected "
+                "(vectors: usb-lnk + spooler + shares)\n",
+                result.windows_infections);
+  report.printf("level 2  compromising Step 7       : s7otbxdx.dll "
+                "replaced=%zu, projects contaminated=%zu\n",
+                result.dll_replacements, result.project_infections);
+  report.printf("level 3  compromising the PLC      : %zu cascade PLCs "
+                "injected, %zu/%zu centrifuges destroyed\n",
+                result.plc_strikes, result.destroyed, result.total);
+  report.section("stealth verdict");
+  report.printf("digital safety system tripped      : %s\n",
+                result.safety_tripped ? "YES (deception failed)" : "no");
+  report.printf("operator saw an out-of-band value  : %s\n",
+                result.operator_saw ? "YES" : "no");
+  report.printf("C&C check-ins from the site        : %zu\n",
+                stuxnet.c2().victim_count());
 }
 
 void reproduce() {
@@ -120,32 +113,17 @@ void reproduce() {
   auto reports = sim::Sweep::map_items(
       std::vector<int>{0}, [](int) {
         benchutil::Report report;
-        run_campaign(&report);
+        run_campaign(report);
         return report;
       });
   reports[0].dump();
 }
 
-void BM_NatanzCampaignYear(benchmark::State& state) {
-  for (auto _ : state) run_campaign(nullptr);
-}
-BENCHMARK(BM_NatanzCampaignYear)->Unit(benchmark::kMillisecond);
-
-void BM_PlcScanCycle(benchmark::State& state) {
-  sim::Simulation simulation;
-  scada::Plc plc(simulation, "bench-plc");
-  auto& drive = plc.bus().add_drive("d", scada::DriveVendor::kVacon);
-  for (int i = 0; i < 164; ++i) drive.add_centrifuge(std::to_string(i));
-  plc.set_operator_setpoint(1064.0);
-  for (auto _ : state) plc.scan_once(sim::kMinute);
-}
-BENCHMARK(BM_PlcScanCycle);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   benchutil::header("FIG-1: Stuxnet operation overview (Natanz campaign)",
                     "Figure 1 — three-level attack: Windows -> Step 7 -> PLC");
-  if (!benchutil::has_flag(argc, argv, "--no-repro")) reproduce();
-  return benchutil::run_benchmarks(argc, argv);
+  reproduce();
+  return 0;
 }

@@ -126,20 +126,11 @@ void reproduce() {
   }
 }
 
-void BM_Mitm14Days(benchmark::State& state) {
-  for (auto _ : state) {
-    auto outcome = run_lan(static_cast<std::size_t>(state.range(0)), 100,
-                           true, false, nullptr);
-    benchmark::DoNotOptimize(outcome);
-  }
-}
-BENCHMARK(BM_Mitm14Days)->Arg(10)->Arg(30)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   benchutil::header("FIG-2: Flame WPAD MITM + fake Windows Update",
                     "Figure 2 — SNACK/MUNCH/GADGET proxy hijack");
-  if (!benchutil::has_flag(argc, argv, "--no-repro")) reproduce();
-  return benchutil::run_benchmarks(argc, argv);
+  reproduce();
+  return 0;
 }

@@ -137,38 +137,11 @@ void reproduce() {
                   : "no collision available");
 }
 
-void BM_ForgeCertificate(benchmark::State& state) {
-  pki::MicrosoftPki ms(0, 1);
-  auto activation = ms.activate_license_server("Bench Org");
-  std::uint64_t seed = 0;
-  for (auto _ : state) {
-    auto forged = pki::forge_code_signing_cert(activation.license_cert, "MS",
-                                               ++seed);
-    benchmark::DoNotOptimize(forged);
-  }
-}
-BENCHMARK(BM_ForgeCertificate);
-
-void BM_VerifySignedImage(benchmark::State& state) {
-  pki::MicrosoftPki ms(0, 2);
-  pki::CertStore store;
-  pki::TrustStore trust;
-  ms.install_into(store);
-  ms.anchor_root(trust);
-  auto image = pe::Builder{}.program("x").section(".text", "body", true).build();
-  pki::sign_image(image, ms.update_signing_cert(), ms.update_signing_key());
-  for (auto _ : state) {
-    auto verdict = pki::verify_image(image, store, trust, sim::days(100));
-    benchmark::DoNotOptimize(verdict);
-  }
-}
-BENCHMARK(BM_VerifySignedImage);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   benchutil::header("FIG-3: Terminal-Services certificate forgery",
                     "Figure 3 — limited cert + weak hash -> signed malware");
-  if (!benchutil::has_flag(argc, argv, "--no-repro")) reproduce();
-  return benchutil::run_benchmarks(argc, argv);
+  reproduce();
+  return 0;
 }

@@ -131,34 +131,11 @@ void reproduce() {
   reports[0].dump();
 }
 
-void BM_PlatformWeek(benchmark::State& state) {
-  for (auto _ : state) {
-    core::World world(0xbee);
-    cnc::AttackCenter center(world.sim(), 1);
-    cnc::CncServer server(world.sim(), "cc-0", {"d.example"},
-                          center.upload_key());
-    server.deploy(world.network());
-    center.manage(server);
-    malware::flame::FlameConfig config;
-    config.default_domains = {"d.example"};
-    malware::flame::Flame flame(world.sim(), world.network(),
-                                world.programs(), world.tracker(), config);
-    flame.set_upload_key(center.upload_key());
-    core::FleetSpec spec;
-    spec.count = static_cast<std::size_t>(state.range(0));
-    auto hosts = core::make_office_fleet(world, spec);
-    for (auto* host : hosts) flame.infect(*host, "drop");
-    world.sim().run_for(sim::days(7));
-    benchmark::DoNotOptimize(server.upload_count());
-  }
-}
-BENCHMARK(BM_PlatformWeek)->Arg(10)->Arg(40)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   benchutil::header("FIG-4: the C&C platform behind Flame",
                     "Figure 4 — 80 domains, 22 servers, one attack center");
-  if (!benchutil::has_flag(argc, argv, "--no-repro")) reproduce();
-  return benchutil::run_benchmarks(argc, argv);
+  reproduce();
+  return 0;
 }

@@ -143,39 +143,11 @@ void reproduce() {
   reports[0].dump();
 }
 
-void BM_AddEntry(benchmark::State& state) {
-  sim::Simulation simulation;
-  cnc::AttackCenter center(simulation, 1);
-  cnc::CncServer server(simulation, "cc", {"d"}, center.upload_key());
-  const auto blob = cnc::encrypt_for(center.upload_key(),
-                                     std::string(1024, 'x'));
-  net::HttpRequest request;
-  request.path = "/newsforyou";
-  request.params = {{"cmd", "ADD_ENTRY"}, {"client", "v"}, {"type", "FL"}};
-  request.body = cnc::serialize_entry_upload("doc", blob);
-  for (auto _ : state) {
-    auto response = server.handle(request);
-    benchmark::DoNotOptimize(response);
-  }
-}
-BENCHMARK(BM_AddEntry);
-
-void BM_CoordinatorDecrypt(benchmark::State& state) {
-  auto key = cnc::CncKeyPair::generate(7);
-  const auto blob =
-      cnc::encrypt_for(cnc::public_half(key), std::string(64 * 1024, 'y'));
-  for (auto _ : state) {
-    auto plain = cnc::decrypt(key, blob);
-    benchmark::DoNotOptimize(plain);
-  }
-}
-BENCHMARK(BM_CoordinatorDecrypt);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   benchutil::header("FIG-5: inside a Flame C&C server",
                     "Figure 5 — newsforyou dead-drop, database, purge, keys");
-  if (!benchutil::has_flag(argc, argv, "--no-repro")) reproduce();
-  return benchutil::run_benchmarks(argc, argv);
+  reproduce();
+  return 0;
 }

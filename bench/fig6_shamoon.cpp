@@ -66,14 +66,14 @@ void reproduce_dissection(benchutil::Report& out) {
   out.printf("burning-flag JPEG fragment : 192 bytes (the truncation bug)\n");
 }
 
-// Runs the fleet detonation; with a Report the kill-date timeline is
-// rendered into it, without one only the simulation runs (the bench path).
-void reproduce_detonation(std::size_t fleet_size, benchutil::Report* out) {
+// Runs the 1,000-host fleet detonation and renders the kill-date timeline
+// into `out`.
+void reproduce_detonation(benchutil::Report& out) {
   core::World world(0xa3a);
   world.add_internet_landmarks();
 
   core::FleetSpec spec;
-  spec.count = fleet_size;
+  spec.count = 1000;
   spec.name_prefix = "aramco";
   spec.documents_per_host = 3;
   auto fleet = core::make_office_fleet(world, spec);
@@ -97,34 +97,28 @@ void reproduce_detonation(std::size_t fleet_size, benchutil::Report* out) {
   world.sim().run_until(sim::make_date(2012, 8, 1));
   shamoon.infect(*fleet[0], "spear-phish");
 
-  if (out != nullptr) {
-    out->section("detonation timeline (1,000 hosts ~ 1:30 of Aramco)");
-    out->printf("%-18s %-10s %-10s %-10s\n", "time", "infected", "bricked",
-                "reports");
-  }
+  out.section("detonation timeline (1,000 hosts ~ 1:30 of Aramco)");
+  out.printf("%-18s %-10s %-10s %-10s\n", "time", "infected", "bricked",
+             "reports");
   const sim::TimePoint checkpoints[] = {
       sim::make_date(2012, 8, 5),        sim::make_date(2012, 8, 14),
       sim::make_date(2012, 8, 15, 8, 7), sim::make_date(2012, 8, 15, 10, 0),
       sim::make_date(2012, 8, 16)};
   for (const auto checkpoint : checkpoints) {
     world.sim().run_until(checkpoint);
-    if (out != nullptr) {
-      out->printf("%-18s %-10zu %-10zu %-10zu\n",
-                  sim::format_time(checkpoint).substr(0, 16).c_str(),
-                  world.tracker().infected_count("shamoon"),
-                  world.count_unbootable(), shamoon.reports().size());
-    }
+    out.printf("%-18s %-10zu %-10zu %-10zu\n",
+               sim::format_time(checkpoint).substr(0, 16).c_str(),
+               world.tracker().infected_count("shamoon"),
+               world.count_unbootable(), shamoon.reports().size());
   }
-  if (out != nullptr) {
-    out->printf("\nfinal: %zu/%zu workstations unbootable; every report "
-                "carried domain+ip+count+f1.inf, e.g.:\n",
-                world.count_unbootable(), fleet.size());
-    if (!shamoon.reports().empty()) {
-      const auto& r = shamoon.reports().front();
-      out->printf("  domain=%s ip=%s files=%d listing=%zu bytes\n",
-                  r.domain.c_str(), r.ip.c_str(), r.files_overwritten,
-                  r.f1_listing.size());
-    }
+  out.printf("\nfinal: %zu/%zu workstations unbootable; every report "
+             "carried domain+ip+count+f1.inf, e.g.:\n",
+             world.count_unbootable(), fleet.size());
+  if (!shamoon.reports().empty()) {
+    const auto& r = shamoon.reports().front();
+    out.printf("  domain=%s ip=%s files=%d listing=%zu bytes\n",
+               r.domain.c_str(), r.ip.c_str(), r.files_overwritten,
+               r.f1_listing.size());
   }
 }
 
@@ -135,40 +129,18 @@ void reproduce() {
     if (half == 0) {
       reproduce_dissection(report);
     } else {
-      reproduce_detonation(1000, &report);
+      reproduce_detonation(report);
     }
     return report;
   });
   for (const auto& report : reports) report.dump();
 }
 
-void BM_DissectTrkSvr(benchmark::State& state) {
-  core::World lab(1);
-  malware::shamoon::Shamoon shamoon(lab.sim(), lab.network(),
-                                    lab.programs(), lab.tracker());
-  const auto bytes = shamoon.build_trksvr().serialize();
-  pki::CertStore store;
-  pki::TrustStore trust;
-  for (auto _ : state) {
-    auto report = analysis::dissect(bytes, store, trust, 0);
-    benchmark::DoNotOptimize(report);
-  }
-}
-BENCHMARK(BM_DissectTrkSvr);
-
-void BM_FleetDetonation(benchmark::State& state) {
-  for (auto _ : state) {
-    reproduce_detonation(static_cast<std::size_t>(state.range(0)), nullptr);
-  }
-}
-BENCHMARK(BM_FleetDetonation)->Arg(100)->Arg(500)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   benchutil::header("FIG-6: Shamoon components + the Aramco detonation",
                     "Figure 6 — TrkSvr.exe dropper/wiper/reporter/x64");
-  if (!benchutil::has_flag(argc, argv, "--no-repro")) reproduce();
-  return benchutil::run_benchmarks(argc, argv);
+  reproduce();
+  return 0;
 }

@@ -22,7 +22,7 @@
 // `sharded_speedup_4core` (on 4+-core machines) for tools/bench_diff's hard
 // floors.
 
-#include "bench_util.hpp"
+#include "scaling_bench.hpp"
 
 #include <algorithm>
 #include <chrono>

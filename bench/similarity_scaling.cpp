@@ -25,7 +25,7 @@
 // per-pattern std::string::find loop it replaced in yara/av scanning, with
 // the same identity-then-speedup structure.
 
-#include "bench_util.hpp"
+#include "scaling_bench.hpp"
 #include "analysis/pattern_set.hpp"
 #include "analysis/similarity.hpp"
 #include "analysis/static_analysis.hpp"

@@ -12,7 +12,7 @@
 //      LegacyTraceLog, scans and copies included, so the ratio is measured
 //      against the real baseline rather than remembered.
 
-#include "bench_util.hpp"
+#include "scaling_bench.hpp"
 #include "core/user_behavior.hpp"
 #include "malware/stuxnet/stuxnet.hpp"
 #include "sim/sweep.hpp"

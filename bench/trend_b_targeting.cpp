@@ -153,18 +153,10 @@ void reproduce() {
               "paper's \"timely protection\" failure.\n");
 }
 
-void BM_QuarterCampaign(benchmark::State& state) {
-  for (auto _ : state) {
-    auto outcome = run(state.range(0) != 0);
-    benchmark::DoNotOptimize(outcome);
-  }
-}
-BENCHMARK(BM_QuarterCampaign)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   benchutil::header("TREND-B: targeted vs mass malware", "Section V-B");
-  if (!benchutil::has_flag(argc, argv, "--no-repro")) reproduce();
-  return benchutil::run_benchmarks(argc, argv);
+  reproduce();
+  return 0;
 }

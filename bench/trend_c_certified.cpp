@@ -127,28 +127,11 @@ void reproduce() {
               "survives even then — exactly why Shamoon chose it.\n");
 }
 
-void BM_DriverLoadDecision(benchmark::State& state) {
-  sim::Simulation simulation;
-  winsys::ProgramRegistry programs;
-  auto eldos = benchutil::SigningIdentity::make("EldoS", 1);
-  winsys::Host host(simulation, programs, "probe", winsys::OsVersion::kWin7x64);
-  eldos.trust_on(host);
-  auto image = pe::Builder{}.program("d").section(".text", "x", true).build();
-  pki::sign_image(image, eldos.cert, eldos.key);
-  host.fs().write_file("c:\\d.sys", image.serialize(), 0);
-  for (auto _ : state) {
-    auto result = host.load_driver("c:\\d.sys", "d", winsys::kCapRawDiskAccess);
-    benchmark::DoNotOptimize(result);
-    host.unload_driver("d");
-  }
-}
-BENCHMARK(BM_DriverLoadDecision);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   benchutil::header("TREND-C: certified malware — three PKI abuses",
                     "Section V-C");
-  if (!benchutil::has_flag(argc, argv, "--no-repro")) reproduce();
-  return benchutil::run_benchmarks(argc, argv);
+  reproduce();
+  return 0;
 }

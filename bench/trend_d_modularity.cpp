@@ -154,20 +154,11 @@ void reproduce() {
               "captured sample useless beyond its own victim.\n");
 }
 
-void BM_NinetyDayArmsRace(benchmark::State& state) {
-  for (auto _ : state) {
-    auto outcome = run(static_cast<Strategy>(state.range(0)));
-    benchmark::DoNotOptimize(outcome);
-  }
-}
-BENCHMARK(BM_NinetyDayArmsRace)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   benchutil::header("TREND-D: modular, self-updating malware vs AV",
                     "Section V-D");
-  if (!benchutil::has_flag(argc, argv, "--no-repro")) reproduce();
-  return benchutil::run_benchmarks(argc, argv);
+  reproduce();
+  return 0;
 }

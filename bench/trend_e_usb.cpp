@@ -184,19 +184,11 @@ void reproduce() {
               "scales with stick traffic.\n");
 }
 
-void BM_CourierCrossing(benchmark::State& state) {
-  for (auto _ : state) {
-    auto outcome = crossing_run(sim::days(state.range(0)));
-    benchmark::DoNotOptimize(outcome);
-  }
-}
-BENCHMARK(BM_CourierCrossing)->Arg(1)->Arg(7)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   benchutil::header("TREND-E: USB drives as the main targeted vector",
                     "Section V-E");
-  if (!benchutil::has_flag(argc, argv, "--no-repro")) reproduce();
-  return benchutil::run_benchmarks(argc, argv);
+  reproduce();
+  return 0;
 }

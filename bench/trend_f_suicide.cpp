@@ -116,26 +116,11 @@ void reproduce() {
               "stubs only — matching what investigators actually found.\n");
 }
 
-void BM_ForensicSweep(benchmark::State& state) {
-  sim::Simulation simulation;
-  winsys::ProgramRegistry programs;
-  winsys::Host host(simulation, programs, "victim", winsys::OsVersion::kWin7);
-  for (int i = 0; i < 200; ++i) {
-    host.fs().write_file("c:\\users\\docs\\file" + std::to_string(i), "x", 0);
-  }
-  host.fs().write_file("c:\\windows\\system32\\mssecmgr.ocx", "main", 0);
-  for (auto _ : state) {
-    auto report = analysis::examine_host(host, kFlameIndicators);
-    benchmark::DoNotOptimize(report);
-  }
-}
-BENCHMARK(BM_ForensicSweep);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   benchutil::header("TREND-F: suicide modules vs the forensics team",
                     "Section V-F");
-  if (!benchutil::has_flag(argc, argv, "--no-repro")) reproduce();
-  return benchutil::run_benchmarks(argc, argv);
+  reproduce();
+  return 0;
 }

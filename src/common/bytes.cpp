@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <stdexcept>
 
@@ -115,6 +116,14 @@ std::string to_lower(std::string_view s) {
   std::string out(s);
   for (auto& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   return out;
+}
+
+std::optional<int> parse_int(std::string_view text) {
+  const char* const end = text.data() + text.size();
+  int value = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
 }
 
 void put_u32(Bytes& out, std::uint32_t v) {

@@ -6,6 +6,7 @@
 // the dissection toolkit needs (hex dumps, XOR ciphers, entropy scoring).
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -51,6 +52,11 @@ bool contains(std::string_view haystack, std::string_view needle);
 /// Case-insensitive ASCII comparison helpers.
 bool iequals(std::string_view a, std::string_view b);
 std::string to_lower(std::string_view s);
+
+/// Decimal int that spans the whole of `text` (an optional leading '-', no
+/// whitespace or '+'), or nullopt when the text is malformed or out of range.
+/// For numbers that arrive from the network or a script.
+std::optional<int> parse_int(std::string_view text);
 
 /// Little-endian fixed-width integer append/read used by the PE serializer.
 void put_u32(Bytes& out, std::uint32_t v);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+
 #include "sim/rng.hpp"
 
 namespace cyd::common {
@@ -135,6 +137,18 @@ TEST(BytesTest, GetU32ThrowsOnTruncation) {
 TEST(BytesTest, GetU64ThrowsOnTruncation) {
   Bytes buf = "abcdefg";
   EXPECT_THROW(get_u64(buf, 0), std::out_of_range);
+}
+
+TEST(BytesTest, ParseIntAcceptsTheWholeStringOrNothing) {
+  EXPECT_EQ(parse_int("0"), 0);
+  EXPECT_EQ(parse_int("60"), 60);
+  EXPECT_EQ(parse_int("-5"), -5);
+  EXPECT_EQ(parse_int(std::to_string(INT_MAX)), INT_MAX);
+  EXPECT_EQ(parse_int(std::to_string(INT_MIN)), INT_MIN);
+  for (const char* bad : {"", "abc", "5x", " 5", "5 ", "+5", "-", "1.5",
+                          "99999999999", "-99999999999"}) {
+    EXPECT_EQ(parse_int(bad), std::nullopt) << '"' << bad << '"';
+  }
 }
 
 TEST(BytesTest, WeakDigestIsNarrow) {
