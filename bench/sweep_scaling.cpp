@@ -1,16 +1,12 @@
 // SWEEP-SCALING — the perf story behind the framework itself.
 //
-// Two claims, both measured here:
+// Two measurements:
 //  (1) SweepRunner turns a 64-campaign Monte-Carlo sweep into a parallel
 //      fan-out that is *bit-identical* to the serial loop it replaced: the
 //      per-run trace fingerprints (an order-sensitive hash over every event
 //      field) must match slot for slot, on any worker count.
-//  (2) The interned TraceLog is ≥2x faster than the seed's string-per-event
-//      implementation on the record+query hot path. Both scan every event
-//      per query; the interned log compares 32-bit ids where the seed
-//      compares strings and copies matches. The seed design is kept below as
-//      LegacyTraceLog, scans and copies included, so the ratio is measured
-//      against the real baseline rather than remembered.
+//  (2) The interned TraceLog's record+query hot path: every query scans the
+//      event vector comparing 32-bit interned ids.
 
 #include "scaling_bench.hpp"
 #include "core/user_behavior.hpp"
@@ -125,55 +121,7 @@ void reproduce_sweep() {
 }
 
 // ---------------------------------------------------------------------------
-// (2) TraceLog hot path: interned log vs the seed's string-per-event design
-
-/// The TraceLog this repo shipped with, verbatim in design: every event owns
-/// four std::strings, every query scans the whole vector and copies matches.
-class LegacyTraceLog {
- public:
-  struct Event {
-    sim::TimePoint time = 0;
-    sim::TraceCategory category = sim::TraceCategory::kSim;
-    std::string actor;
-    std::string action;
-    std::string detail;
-  };
-
-  void record(sim::TimePoint time, sim::TraceCategory category,
-              std::string actor, std::string action, std::string detail) {
-    events_.push_back(Event{time, category, std::move(actor),
-                            std::move(action), std::move(detail)});
-  }
-
-  /// Same shape as TraceLog::for_each_action, but routed through the seed's
-  /// copying query so the baseline keeps paying the scan + copy it shipped
-  /// with.
-  template <class Fn>
-  void for_each_action(const std::string& action, Fn&& fn) const {
-    for (const auto& e : by_action(action)) fn(e);
-  }
-
-  std::size_t count_action(const std::string& action) const {
-    std::size_t n = 0;
-    for (const auto& e : events_) {
-      if (e.action == action) ++n;
-    }
-    return n;
-  }
-
-  std::size_t size() const { return events_.size(); }
-
- private:
-  std::vector<Event> by_action(const std::string& action) const {
-    std::vector<Event> out;
-    for (const auto& e : events_) {
-      if (e.action == action) out.push_back(e);
-    }
-    return out;
-  }
-
-  std::vector<Event> events_;
-};
+// (2) TraceLog hot path: record, then query by action
 
 // A realistic action mix: a handful of hot actions, many actors, varied
 // detail payloads — the shape a 30-day campaign actually produces.
@@ -182,8 +130,7 @@ constexpr const char* kActions[] = {
     "dns.lookup", "http.internet", "usb.autorun", "scada.scan"};
 constexpr std::size_t kActionCount = 8;
 
-template <class Log>
-std::size_t exercise_log(Log& log, std::size_t events) {
+std::size_t exercise_log(sim::TraceLog& log, std::size_t events) {
   for (std::size_t i = 0; i < events; ++i) {
     log.record(static_cast<sim::TimePoint>(i),
                sim::TraceCategory::kFile, "host-" + std::to_string(i % 40),
@@ -191,9 +138,7 @@ std::size_t exercise_log(Log& log, std::size_t events) {
                "payload-" + std::to_string(i % 97));
   }
   // The analysis pass: count the hot actions, walk one of them — what the
-  // sandbox distillation + campaign summaries do per run. Uses only
-  // count_action/for_each_action; the scan-and-copy query lives only inside
-  // LegacyTraceLog, where it is the thing being measured.
+  // sandbox distillation + campaign summaries do per run.
   std::size_t checksum = 0;
   for (std::size_t q = 0; q < kActionCount; ++q) {
     checksum += log.count_action(kActions[q]);
@@ -209,43 +154,29 @@ std::size_t exercise_log(Log& log, std::size_t events) {
 
 void reproduce_trace_throughput() {
   constexpr std::size_t kEvents = 200'000;
-  benchutil::section("TraceLog hot path: interned vs seed implementation");
+  benchutil::section("TraceLog hot path: record + query");
 
-  const auto time_one = [](auto&& fn) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-  };
-
-  std::size_t legacy_checksum = 0;
-  const double legacy_ms = time_one([&] {
-    LegacyTraceLog log;
-    legacy_checksum = exercise_log(log, kEvents);
-  });
-  std::size_t interned_checksum = 0;
-  const double interned_ms = time_one([&] {
+  std::size_t checksum = 0;
+  const auto start = std::chrono::steady_clock::now();
+  {
     sim::TraceLog log;
     log.reserve(kEvents, kEvents * 12);
-    interned_checksum = exercise_log(log, kEvents);
-  });
-
-  if (legacy_checksum != interned_checksum) {
-    std::printf("FATAL: implementations disagree (%zu vs %zu)\n",
-                legacy_checksum, interned_checksum);
+    checksum = exercise_log(log, kEvents);
+  }
+  const double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  // Every event is counted once by its action, and every eighth is a
+  // file.write the walk visits again.
+  const std::size_t expected =
+      kEvents + (kEvents + kActionCount - 1) / kActionCount;
+  if (checksum != expected) {
+    std::printf("FATAL: queries saw %zu matches, expected %zu\n", checksum,
+                expected);
     std::exit(1);
   }
-
-  const double legacy_rate = kEvents / legacy_ms * 1000.0;
-  const double interned_rate = kEvents / interned_ms * 1000.0;
-  std::printf("%-28s %-12s %-14s\n", "implementation", "ms", "events/sec");
-  std::printf("%-28s %-12.1f %-14.0f\n", "seed (string-per-event)", legacy_ms,
-              legacy_rate);
-  std::printf("%-28s %-12.1f %-14.0f\n", "interned (id-compare scan)",
-              interned_ms, interned_rate);
-  std::printf("\nrecord+query throughput ratio: %.1fx (target: >=2x)\n",
-              interned_rate / legacy_rate);
+  std::printf("%zu events recorded and queried in %.1f ms (%.0f events/sec)\n",
+              kEvents, ms, kEvents / ms * 1000.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -274,15 +205,6 @@ void BM_CampaignSweepParallel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CampaignSweepParallel)->Arg(8)->Unit(benchmark::kMillisecond);
-
-void BM_TraceRecordQueryLegacy(benchmark::State& state) {
-  for (auto _ : state) {
-    LegacyTraceLog log;
-    auto checksum = exercise_log(log, 50'000);
-    benchmark::DoNotOptimize(checksum);
-  }
-}
-BENCHMARK(BM_TraceRecordQueryLegacy)->Unit(benchmark::kMillisecond);
 
 void BM_TraceRecordQueryInterned(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,5 +1,7 @@
 #include "cnc/server.hpp"
 
+#include "common/bytes.hpp"
+
 namespace cyd::cnc {
 
 CncServer::CncServer(sim::Simulation& simulation, std::string server_id,
@@ -120,16 +122,16 @@ std::size_t CncServer::purge_retrieved(sim::Duration max_age) {
 sim::Duration CncServer::purge_retention() const {
   // The panel's own knob: settings.purge_minutes, seeded to 30 at install
   // time. Read on every purge tick so operators can retune a live server;
-  // rows() iteration keeps the tick allocation-free.
+  // rows() iteration keeps the tick allocation-free. A malformed value, or
+  // one <= 0 (a negative retention puts the cutoff in the future and purges
+  // every retrieved entry), falls back to the install default.
   if (const Table* settings = db_.find_table("settings")) {
     for (const auto& [id, row] : settings->rows()) {
       auto it = row.find("purge_minutes");
       if (it == row.end()) continue;
-      try {
-        return sim::minutes(std::stoll(it->second));
-      } catch (const std::exception&) {
-        break;  // unparseable: fall back to the install default
-      }
+      const auto minutes = common::parse_int(it->second);
+      if (minutes && *minutes > 0) return sim::minutes(*minutes);
+      break;
     }
   }
   return 30 * sim::kMinute;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 
 #include "malware/duqu/duqu.hpp"
@@ -11,6 +12,7 @@
 #include "malware/shamoon/shamoon.hpp"
 #include "malware/stuxnet/stuxnet.hpp"
 #include "net/network.hpp"
+#include "pe/image.hpp"
 #include "sim/rng.hpp"
 
 namespace cyd::analysis {
@@ -56,6 +58,47 @@ SpecimenFeatures make_features(FeatureDict& dict,
   std::sort(f.imports.begin(), f.imports.end());
   std::sort(f.section_names.begin(), f.section_names.end());
   return f;
+}
+
+/// A twelve-specimen pile from three factories. Each specimen draws its
+/// .text strings from its factory's vocabulary and its .data strings from a
+/// shared one. Every third carries an XOR-encrypted embedded PE and every
+/// fourth has no imports, so key recovery, recursive carving and the weight
+/// renormalization all reach the matrix.
+std::vector<LabelledSpecimen> golden_pile() {
+  sim::Rng rng(0xd15c0);
+  const auto blob = [&rng](const std::string& vocab, int count) {
+    common::Bytes out;
+    for (int k = 0; k < count; ++k) {
+      out += vocab + std::to_string(rng.uniform_int(0, 29));
+      out.push_back('\0');
+    }
+    return out;
+  };
+  std::vector<LabelledSpecimen> pile;
+  for (int i = 0; i < 12; ++i) {
+    const std::string factory = "factory" + std::to_string(i % 3) + "-";
+    const common::Bytes text = blob(factory, 16);
+    const common::Bytes data = blob("substrate-", 8);
+    pe::Builder builder;
+    builder.program("specimen-" + std::to_string(i))
+        .section(".text", text, true)
+        .section(".data", data, false);
+    if (i % 4 != 3) {
+      const std::string dll = "lib" + std::to_string(rng.uniform_int(0, 3));
+      const std::string fn = "fn" + std::to_string(rng.uniform_int(0, 9));
+      builder.import(dll + ".dll", {fn, "fn" + std::to_string(i % 3)});
+    }
+    if (i % 3 == 0) {
+      pe::Builder inner;
+      inner.program("payload").section(".text", blob(factory + "payload-", 6),
+                                       true);
+      builder.encrypted_resource(0x10, "payload", inner.build().serialize(),
+                                 0xAB);
+    }
+    pile.push_back({"spec" + std::to_string(i), builder.build().serialize()});
+  }
+  return pile;
 }
 
 TEST(SimilarityTest, IdenticalSpecimensScoreOne) {
@@ -193,6 +236,19 @@ TEST(SimilarityTest, MatrixIsSymmetricWithUnitDiagonal) {
       EXPECT_DOUBLE_EQ(matrix[i * n + j], matrix[j * n + i]);
     }
   }
+}
+
+// Pins golden_pile()'s matrix, as an FNV over every cell's raw double bits,
+// to the value the seed kernel (std::set<std::string> features, per-element
+// contains() jaccard) produced on the same pile.
+TEST(SimilarityTest, PileMatrixMatchesGoldenChecksum) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const double v : similarity_matrix(golden_pile())) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    h = (h ^ bits) * 1099511628211ull;
+  }
+  EXPECT_EQ(h, 0x909cf031a8d644afull);
 }
 
 TEST(SimilarityTest, MatrixHandlesDegeneratePiles) {

@@ -281,8 +281,15 @@ TEST_F(CncServerTest, UnparseablePurgeMinutesFallsBackToDefault) {
   auto& settings = server_.db().table("settings");
   Row* row = settings.find(settings.all().front().first);
   ASSERT_NE(row, nullptr);
-  (*row)["purge_minutes"] = "soon(tm)";
-  EXPECT_EQ(server_.purge_retention(), 30 * sim::kMinute);
+  // Trailing garbage, a negative or zero retention and a value past
+  // sim::minutes' range all fall back to the install default.
+  for (const char* text :
+       {"soon(tm)", "45abc", "-5", "0", "9200000000000000000"}) {
+    (*row)["purge_minutes"] = text;
+    EXPECT_EQ(server_.purge_retention(), 30 * sim::kMinute) << text;
+  }
+  (*row)["purge_minutes"] = "45";
+  EXPECT_EQ(server_.purge_retention(), 45 * sim::kMinute);
 }
 
 TEST_F(CncServerTest, DatabaseTracksClientContacts) {

@@ -125,6 +125,10 @@ TEST(CncStormTest, ShardedStormMatchesSingleQueueAtAnyWorkerCount) {
   EXPECT_GT(reference.totals.uploads, 0u);
   EXPECT_GT(reference.totals.rejected, 0u);
   EXPECT_GT(reference.clients, 0u);
+  // The values the seed CncServer produced replaying the same streams, so
+  // the pipeline's responses and state follow the seed protocol exactly.
+  EXPECT_EQ(reference.response_checksum, 0x5f4a69fd2bc60145ull);
+  EXPECT_EQ(reference.state_checksum, 0x80c74c4ab1aa56e8ull);
 
   for (const unsigned workers : {1u, 2u, 4u}) {
     std::uint64_t trace = 0;

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "event_queue_workloads.hpp"
 #include "sim/simulation.hpp"
 
 namespace cyd::sim {
@@ -621,6 +622,16 @@ TEST(EventQueueTest, MixedWorkloadMatchesGoldenStream) {
   q.run_all(/*max_events=*/50'000);
   EXPECT_EQ(fold.events, 1276u);
   EXPECT_EQ(fold.hash, 0xea13826fa0367453ull);
+}
+
+// Pins event_queue_scaling's three workloads, at its google-benchmark
+// sizes, to the checksums the seed queue (shared_ptr handles, std::function
+// closures, a binary std::priority_queue) produced on them: the slab core
+// must keep firing the same events in the same (time, insertion) order.
+TEST(EventQueueTest, BenchWorkloadsMatchGoldenChecksums) {
+  EXPECT_EQ(bench::schedule_drain(50'000), 0xb15909426bdeadf4ull);
+  EXPECT_EQ(bench::mixed_periodic(64, 8'000), 0x98ba3da9101fda4bull);
+  EXPECT_EQ(bench::cancel_drain(50'000), 0x6ebcd4d704c31095ull);
 }
 
 TEST(SimulationTest, LogStampsCurrentTime) {
