@@ -413,7 +413,13 @@ void BM_CncShardedStorm(benchmark::State& state) {
     state.counters["cnc_storm_speedup_4core"] = single_ms / sharded_ms;
   }
 }
-BENCHMARK(BM_CncShardedStorm)->Unit(benchmark::kMillisecond);
+// Pinned to a fixed iteration count: the speedup is a ratio of times
+// summed over the iterations, and the smoke pass's --benchmark_min_time
+// would otherwise stop after one ~15 ms iteration, where a single
+// scheduler hiccup on a shared machine decides the ratio.
+BENCHMARK(BM_CncShardedStorm)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(40);
 
 void BM_CncStormPurge(benchmark::State& state) {
   const OpStream stream = smoke_stream(bench_key());

@@ -1,7 +1,8 @@
 #include "analysis/minhash.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <functional>
+#include <utility>
 
 #include "analysis/union_find.hpp"
 #include "sim/sweep.hpp"
@@ -59,17 +60,21 @@ std::uint64_t band_hash(const std::uint64_t* rows, std::size_t count,
   return h;
 }
 
-}  // namespace
-
-MinHashSketch minhash_sketch(const SpecimenFeatures& features,
-                             const MinHashParams& params) {
-  const auto seeds = row_seeds(params);
+MinHashSketch sketch_with_seeds(const SpecimenFeatures& features,
+                                const std::vector<std::uint64_t>& seeds) {
   MinHashSketch sketch;
-  sketch.sig.assign(params.hashes(), kEmptySketchSlot);
+  sketch.sig.assign(seeds.size(), kEmptySketchSlot);
   fold_class(features.strings, kStringTag, seeds, sketch.sig);
   fold_class(features.imports, kImportTag, seeds, sketch.sig);
   fold_class(features.section_names, kSectionTag, seeds, sketch.sig);
   return sketch;
+}
+
+}  // namespace
+
+MinHashSketch minhash_sketch(const SpecimenFeatures& features,
+                             const MinHashParams& params) {
+  return sketch_with_seeds(features, row_seeds(params));
 }
 
 std::vector<CandidatePair> lsh_candidate_pairs(
@@ -77,31 +82,40 @@ std::vector<CandidatePair> lsh_candidate_pairs(
     const MinHashParams& params) {
   const std::size_t n = sketches.size();
   if (n < 2) return {};
-  // One probe task per band: bucket every specimen by its band hash, emit
-  // all intra-bucket pairs. Each band owns its output vector, so the
-  // fan-out is synchronisation-free; the merged result is sorted and
-  // deduplicated below, which erases both the band order and the bucket
-  // iteration order from the final answer.
-  std::vector<std::size_t> bands(params.bands);
-  for (std::size_t b = 0; b < bands.size(); ++b) bands[b] = b;
-  const auto per_band = sim::Sweep::map_items(bands, [&](std::size_t band) {
-    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets;
-    buckets.reserve(n);
-    for (std::size_t s = 0; s < n; ++s) {
-      const std::uint64_t h = band_hash(
+  // Every specimen's band hashes, once: row s of `table` holds its bands.
+  const std::size_t bands = params.bands;
+  std::vector<std::uint64_t> table(n * bands);
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t band = 0; band < bands; ++band) {
+      table[s * bands + band] = band_hash(
           sketches[s].sig.data() + band * params.rows, params.rows, band);
-      buckets[h].push_back(static_cast<std::uint32_t>(s));
     }
-    std::vector<CandidatePair> pairs;
-    for (const auto& [hash, members] : buckets) {
-      if (members.size() < 2) continue;
-      for (std::size_t a = 0; a < members.size(); ++a) {
-        for (std::size_t b = a + 1; b < members.size(); ++b) {
-          pairs.push_back({members[a], members[b]});
+  }
+  // One probe task per band: sort the specimens by band hash, then emit
+  // each pair inside a run of equal hashes unless an earlier band's hashes
+  // also match for it. The first colliding band owns a pair, so each
+  // candidate is emitted once, whatever order the tasks run in; sorting
+  // the concatenation below erases the band order from the final answer.
+  std::vector<std::vector<CandidatePair>> per_band(bands);
+  sim::default_sweep_runner().run_indexed(bands, [&](std::size_t band) {
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> keyed(n);
+    for (std::size_t s = 0; s < n; ++s) {
+      keyed[s] = {table[s * bands + band], static_cast<std::uint32_t>(s)};
+    }
+    std::sort(keyed.begin(), keyed.end());
+    for (std::size_t lo = 0, hi = 0; lo < n; lo = hi) {
+      while (hi < n && keyed[hi].first == keyed[lo].first) ++hi;
+      for (std::size_t a = lo; a < hi; ++a) {
+        const std::uint64_t* row_a = &table[keyed[a].second * bands];
+        for (std::size_t b = a + 1; b < hi; ++b) {
+          const std::uint64_t* row_b = &table[keyed[b].second * bands];
+          // Owned here iff every earlier band's hashes differ.
+          if (std::equal(row_a, row_a + band, row_b, std::not_equal_to<>())) {
+            per_band[band].push_back({keyed[a].second, keyed[b].second});
+          }
         }
       }
     }
-    return pairs;
   });
 
   std::size_t total = 0;
@@ -112,7 +126,6 @@ std::vector<CandidatePair> lsh_candidate_pairs(
     merged.insert(merged.end(), pairs.begin(), pairs.end());
   }
   std::sort(merged.begin(), merged.end());
-  merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
   return merged;
 }
 
@@ -120,10 +133,11 @@ std::vector<std::vector<std::size_t>> cluster_features_lsh(
     const std::vector<SpecimenFeatures>& features, double threshold,
     const MinHashParams& params, LshStats* stats) {
   const std::size_t n = features.size();
-  // Stage 1: sketches, one sweep task per specimen.
+  // Stage 1: sketches, one sweep task per specimen, under one seed schedule.
+  const auto seeds = row_seeds(params);
   const auto sketches = sim::Sweep::map_items(
       features,
-      [&](const SpecimenFeatures& f) { return minhash_sketch(f, params); });
+      [&](const SpecimenFeatures& f) { return sketch_with_seeds(f, seeds); });
   // Stage 2: banding.
   const auto candidates = lsh_candidate_pairs(sketches, params);
   // Stage 3: exact confirmation of candidates only, swept in blocks, then

@@ -83,9 +83,10 @@ struct CandidatePair {
 };
 
 /// All pairs of specimens whose sketches collide in at least one band,
-/// deduplicated and sorted lexicographically. Band probing fans out over
-/// the sweep pool (one task per band); the merged result is sorted, so it
-/// is identical at any worker count. Requires sketches.size() < 2³².
+/// each listed once and sorted lexicographically. Band probing fans out
+/// over the sweep pool (one task per band); the first band a pair collides
+/// in is the one that emits it, and the merged result is sorted, so it is
+/// identical at any worker count. Requires sketches.size() < 2³².
 std::vector<CandidatePair> lsh_candidate_pairs(
     const std::vector<MinHashSketch>& sketches,
     const MinHashParams& params = {});

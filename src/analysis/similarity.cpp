@@ -81,10 +81,8 @@ void collect_features(const pe::Image& image, FeatureDict& dict,
                   });
   if (max_depth <= 0) return;
   for (const auto& resource : image.resources) {
-    common::Bytes payload = resource.data;
-    if (auto key = brute_xor_key(resource.data)) {
-      payload = common::xor_cipher(resource.data, *key);
-    }
+    const CarvedResource carved = carve_resource(resource.data);
+    const std::string_view payload = carved.payload();
     if (pe::Image::looks_like_pe(payload)) {
       try {
         collect_features(pe::Image::parse(payload), dict, out, max_depth - 1);

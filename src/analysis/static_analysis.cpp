@@ -20,18 +20,32 @@ std::vector<std::string> extract_strings(std::string_view data,
 std::optional<std::uint8_t> brute_xor_key(std::string_view data,
                                           std::string_view marker) {
   if (data.size() < marker.size() || marker.empty()) return std::nullopt;
-  for (int key = 0; key < 256; ++key) {
-    // Decrypt just enough of the head to test for the marker (plus slack in
-    // case the marker is not at offset zero).
-    const std::size_t probe_len =
-        std::min(data.size(), marker.size() + 64);
-    const auto probe = common::xor_cipher(data.substr(0, probe_len),
-                                          static_cast<std::uint8_t>(key));
-    if (probe.find(marker) != std::string::npos) {
-      return static_cast<std::uint8_t>(key);
+  // Look for the marker in just the head (plus slack in case the marker is
+  // not at offset zero), in place. The marker sits at offset p under key k
+  // iff every byte there XORs with the marker's to k, so each offset
+  // proposes one key; the smallest that matches is what a 0..255 loop finds
+  // first.
+  const std::string_view probe = data.substr(0, marker.size() + 64);
+  std::optional<std::uint8_t> best;
+  for (std::size_t p = 0; p + marker.size() <= probe.size(); ++p) {
+    const auto key = static_cast<std::uint8_t>(probe[p] ^ marker[0]);
+    if (best && key >= *best) continue;
+    std::size_t i = 1;
+    while (i < marker.size() &&
+           static_cast<std::uint8_t>(probe[p + i] ^ marker[i]) == key) {
+      ++i;
     }
+    if (i == marker.size()) best = key;
   }
-  return std::nullopt;
+  return best;
+}
+
+CarvedResource carve_resource(std::string_view data) {
+  CarvedResource carved{brute_xor_key(data), data, {}};
+  if (carved.key.value_or(0) != 0) {
+    carved.decrypted = common::xor_cipher(data, *carved.key);
+  }
+  return carved;
 }
 
 std::size_t StaticReport::embedded_pe_count() const {
@@ -99,11 +113,9 @@ StaticReport dissect(std::string_view bytes, const pki::CertStore& store,
 
     // The analyst does not trust header metadata: recover the key by brute
     // force, falling back to the stored plaintext for unencrypted entries.
-    common::Bytes payload = resource.data;
-    if (auto key = brute_xor_key(resource.data)) {
-      info.recovered_xor_key = key;
-      payload = common::xor_cipher(resource.data, *key);
-    }
+    const CarvedResource carved = carve_resource(resource.data);
+    info.recovered_xor_key = carved.key;
+    const std::string_view payload = carved.payload();
     if (max_depth > 0 && pe::Image::looks_like_pe(payload)) {
       info.embedded = std::make_unique<StaticReport>(
           dissect(payload, store, trust, now, max_depth - 1));

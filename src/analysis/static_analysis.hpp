@@ -97,6 +97,25 @@ std::vector<std::string> extract_strings(std::string_view data,
 std::optional<std::uint8_t> brute_xor_key(
     std::string_view data, std::string_view marker = "SPE1");
 
+/// A resource's payload as the analyst reads it, after brute-forcing its
+/// XOR key against the SPE magic.
+struct CarvedResource {
+  /// As brute_xor_key reports it: 0 for plaintext, nullopt for no match.
+  std::optional<std::uint8_t> key;
+  /// The stored bytes, which payload() returns unless the key is non-zero.
+  std::string_view stored;
+  /// The decryption, filled only when the key is non-zero.
+  common::Bytes decrypted;
+
+  std::string_view payload() const {
+    return key.value_or(0) != 0 ? std::string_view(decrypted) : stored;
+  }
+};
+
+/// Carves one stored resource, copying its bytes only when decryption
+/// actually changes them. The result views `data`, which must outlive it.
+CarvedResource carve_resource(std::string_view data);
+
 /// Full static dissection. `store`/`trust` supply the verifier's view of
 /// the PKI (an analyst workstation); `max_depth` bounds recursive carving.
 StaticReport dissect(std::string_view bytes, const pki::CertStore& store,

@@ -222,8 +222,8 @@ std::uint64_t RequestEngine::state_checksum() const {
   h = checksum_mix(h, counters_.upload_bytes);
   h = checksum_mix(h, counters_.rejected);
   h = checksum_mix(h, counters_.pending_ads);
-  // Client states in first-contact order — the same order the seed's table
-  // acquires rows, so the seed path can digest its rows comparably.
+  // Client states in first-contact order — the order the Database table
+  // acquires rows, so the digest does not depend on hash-map layout.
   for (const std::uint32_t index : contact_order_) {
     const ClientState& s = index_.state(index);
     h = checksum_mix_bytes(h, index_.id_of(s));

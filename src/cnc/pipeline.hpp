@@ -20,7 +20,7 @@
 // chains in shard index order, so a sharded storm whose per-shard request
 // streams match a serial run's produces bit-identical merged checksums at
 // any worker count — bench/cnc_throughput and the sweep_tests storm suite
-// assert this against the retained seed handle path.
+// assert this, the latter against pinned single-queue checksums.
 
 #include <cstdint>
 #include <span>
@@ -35,8 +35,8 @@
 
 namespace cyd::cnc {
 
-/// FNV-1a folding shared by the engine and the bench's retained seed path —
-/// both sides must digest with the same steps for identity to be meaningful.
+/// FNV-1a folding behind the engine's response chain and state digest; the
+/// storm merge folds per-shard digests with the same steps.
 inline constexpr std::uint64_t kChecksumBasis = 1469598103934665603ull;
 inline std::uint64_t checksum_mix(std::uint64_t h, std::uint64_t v) {
   return (h ^ v) * 1099511628211ull;
@@ -125,10 +125,6 @@ class RequestEngine {
   /// Digest of session + entry state: counters, then client states in
   /// first-contact order, then entries in arrival order.
   std::uint64_t state_checksum() const;
-  /// One folding step of the response chain; the bench's retained seed path
-  /// uses this exact function so the chains are comparable.
-  static std::uint64_t fold_response(std::uint64_t h,
-                                     const net::HttpResponse& response);
 
   // --- write-behind (cold forensic store) ---
   /// Drains the states touched since the last call, in first-touch order,
@@ -155,6 +151,9 @@ class RequestEngine {
   void log_access(sim::TimePoint now, std::string_view verb,
                   std::string_view client, std::string_view key,
                   std::string_view value);
+  /// One folding step of the response chain.
+  static std::uint64_t fold_response(std::uint64_t h,
+                                     const net::HttpResponse& response);
 
   ClientIndex index_;
   std::vector<std::uint32_t> touched_;        ///< write-behind queue

@@ -29,6 +29,50 @@ SpecimenFeatures make_features(std::vector<FeatureId> strings,
   return f;
 }
 
+/// 256 specimens in 16 kits: each keeps ~0.9 of its kit's 40 strings and
+/// adds 3 of its own.
+std::vector<SpecimenFeatures> random_kit_pile() {
+  constexpr std::size_t kSpecimens = 256;
+  constexpr std::size_t kPerKit = 16;
+  std::vector<SpecimenFeatures> pile;
+  for (std::size_t s = 0; s < kSpecimens; ++s) {
+    const std::size_t kit = s / kPerKit;
+    sim::Rng rng(sim::derive_seed(0xa771b, s));
+    std::vector<FeatureId> strings;
+    for (std::size_t i = 0; i < 40; ++i) {
+      if (rng.bernoulli(0.9)) {
+        strings.push_back(static_cast<FeatureId>(kit * 1000 + i));
+      }
+    }
+    for (std::size_t t = 0; t < 3; ++t) {
+      strings.push_back(static_cast<FeatureId>(1'000'000 + s * 8 + t));
+    }
+    pile.push_back(make_features(std::move(strings)));
+  }
+  return pile;
+}
+
+/// Reference for lsh_candidate_pairs: every pair i < j, in order, whose
+/// rows are equal in at least one band, by direct comparison.
+std::vector<CandidatePair> brute_force_candidates(
+    const std::vector<MinHashSketch>& sketches, const MinHashParams& params) {
+  std::vector<CandidatePair> out;
+  for (std::size_t i = 0; i < sketches.size(); ++i) {
+    for (std::size_t j = i + 1; j < sketches.size(); ++j) {
+      for (std::size_t band = 0; band < params.bands; ++band) {
+        const auto a = sketches[i].sig.begin() + band * params.rows;
+        const auto b = sketches[j].sig.begin() + band * params.rows;
+        if (std::equal(a, a + params.rows, b)) {
+          out.push_back({static_cast<std::uint32_t>(i),
+                         static_cast<std::uint32_t>(j)});
+          break;
+        }
+      }
+    }
+  }
+  return out;
+}
+
 TEST(MinHashSketch, DeterministicAcrossCalls) {
   const auto f = make_features({1, 5, 9, 200}, {7, 8}, {3});
   const auto a = minhash_sketch(f);
@@ -125,6 +169,64 @@ TEST(LshCandidatePairs, OutputSortedUniqueUpperTriangle) {
   }
 }
 
+TEST(LshCandidatePairs, MatchesBruteForceBandComparison) {
+  // Random signatures collide nowhere until bands are copied between them:
+  // pairs that share only the first, a middle or the last band, pairs that
+  // share several, and seeded copies that chain into larger buckets.
+  const MinHashParams params;
+  const std::size_t middle = params.bands / 2;
+  const std::size_t last = params.bands - 1;
+  sim::Rng rng(0xba4d);
+  std::vector<MinHashSketch> sketches(48);
+  for (auto& sketch : sketches) {
+    sketch.sig.resize(params.hashes());
+    for (auto& slot : sketch.sig) slot = rng.next_u64();
+  }
+  const auto share = [&](std::size_t from, std::size_t to, std::size_t band) {
+    std::copy_n(sketches[from].sig.begin() + band * params.rows, params.rows,
+                sketches[to].sig.begin() + band * params.rows);
+  };
+  share(0, 1, 0);
+  share(2, 3, middle);
+  share(4, 5, last);
+  for (const std::size_t band : {std::size_t{0}, middle, last}) {
+    share(6, 7, band);
+  }
+  share(8, 9, 3);
+  share(8, 10, 3);
+  share(9, 10, 20);
+  for (int k = 0; k < 60; ++k) {
+    share(static_cast<std::size_t>(rng.uniform_int(11, 47)),
+          static_cast<std::size_t>(rng.uniform_int(11, 47)),
+          static_cast<std::size_t>(rng.uniform_int(0, last)));
+  }
+  const auto pairs = lsh_candidate_pairs(sketches, params);
+  EXPECT_EQ(pairs, brute_force_candidates(sketches, params));
+  for (const CandidatePair expected : {CandidatePair{0, 1}, CandidatePair{2, 3},
+                                       CandidatePair{4, 5}, CandidatePair{6, 7},
+                                       CandidatePair{9, 10}}) {
+    EXPECT_TRUE(std::find(pairs.begin(), pairs.end(), expected) != pairs.end())
+        << expected.i << "," << expected.j;
+  }
+  EXPECT_GT(pairs.size(), 12u);
+}
+
+// Pins random_kit_pile()'s candidate list, as a count and an FNV over the
+// pairs in order, to the values the sort-and-dedup merge of per-band pair
+// lists produced.
+TEST(LshCandidatePairs, KitPileCandidatesMatchGoldenChecksum) {
+  const auto sketches = sim::Sweep::map_items(
+      random_kit_pile(),
+      [](const SpecimenFeatures& f) { return minhash_sketch(f); });
+  const auto candidates = lsh_candidate_pairs(sketches);
+  std::uint64_t h = 14695981039346656037ull;
+  for (const auto& pair : candidates) {
+    h = (h ^ ((std::uint64_t{pair.i} << 32) | pair.j)) * 1099511628211ull;
+  }
+  EXPECT_EQ(candidates.size(), 1918u);
+  EXPECT_EQ(h, 0x451bb7377ed8cf74ull);
+}
+
 TEST(LshCandidatePairs, FeaturelessSpecimensBandTogether) {
   const std::vector<MinHashSketch> sketches = {
       minhash_sketch(SpecimenFeatures{}), minhash_sketch(make_features({7})),
@@ -194,24 +296,8 @@ TEST(LshRecall, MeetsFloorOnRandomKitPile) {
   // Property test mirroring the bench gate: kit->variant pile, recall of
   // the candidate stage against the exact above-threshold edge set must
   // meet the 0.98 floor the bench and CI enforce.
-  constexpr std::size_t kSpecimens = 256;
-  constexpr std::size_t kPerKit = 16;
   constexpr double kThreshold = 0.5;
-  std::vector<SpecimenFeatures> pile;
-  for (std::size_t s = 0; s < kSpecimens; ++s) {
-    const std::size_t kit = s / kPerKit;
-    sim::Rng rng(sim::derive_seed(0xa771b, s));
-    std::vector<FeatureId> strings;
-    for (std::size_t i = 0; i < 40; ++i) {
-      if (rng.bernoulli(0.9)) {
-        strings.push_back(static_cast<FeatureId>(kit * 1000 + i));
-      }
-    }
-    for (std::size_t t = 0; t < 3; ++t) {
-      strings.push_back(static_cast<FeatureId>(1'000'000 + s * 8 + t));
-    }
-    pile.push_back(make_features(std::move(strings)));
-  }
+  const auto pile = random_kit_pile();
   const auto triangle = similarity_triangle(pile);
   const auto sketches = sim::Sweep::map_items(
       pile, [](const SpecimenFeatures& f) { return minhash_sketch(f); });

@@ -64,6 +64,53 @@ TEST(StaticAnalysisTest, BruteXorRecoversKey) {
   EXPECT_FALSE(brute_xor_key("no marker here at all").has_value());
 }
 
+TEST(StaticAnalysisTest, BruteXorEdgeCases) {
+  // The key search looks for the marker in the first marker + 64 bytes.
+  const auto with_marker_at = [](std::size_t offset, std::uint8_t key) {
+    common::Bytes plain(offset, '\0');
+    plain += "SPE1";
+    plain += std::string(100, '\0');
+    return common::xor_cipher(plain, key);
+  };
+  EXPECT_EQ(brute_xor_key(with_marker_at(0, 0x3C)), 0x3C);
+  EXPECT_EQ(brute_xor_key(with_marker_at(64, 0x3C)), 0x3C);  // last offset
+  EXPECT_FALSE(brute_xor_key(with_marker_at(65, 0x3C)).has_value());
+  // Only the marker's first byte lies inside the probe.
+  EXPECT_FALSE(brute_xor_key(with_marker_at(67, 0x3C)).has_value());
+
+  // The marker under two keys: the smaller key wins, wherever it sits.
+  const auto two_keys = [](std::uint8_t first, std::uint8_t second) {
+    return common::xor_cipher("SPE1", first) + common::Bytes(20, 'x') +
+           common::xor_cipher("SPE1", second);
+  };
+  EXPECT_EQ(brute_xor_key(two_keys(0x40, 0x07)), 0x07);
+  EXPECT_EQ(brute_xor_key(two_keys(0x07, 0x40)), 0x07);
+
+  EXPECT_FALSE(brute_xor_key("SPE").has_value());  // shorter than the marker
+  EXPECT_EQ(brute_xor_key(common::xor_cipher("SPE1", 0x21)), 0x21);
+  EXPECT_EQ(brute_xor_key("SPE1"), 0);
+  EXPECT_FALSE(brute_xor_key("SPE1 payload", "").has_value());
+}
+
+TEST(StaticAnalysisTest, CarveResourceCopiesOnlyWhatDecryptionChanges) {
+  const common::Bytes plain = "SPE1 embedded payload";
+  // Plaintext: key 0, and the payload is the stored bytes themselves.
+  const auto clear = carve_resource(plain);
+  EXPECT_EQ(clear.key, 0);
+  EXPECT_EQ(clear.payload().data(), plain.data());
+  EXPECT_TRUE(clear.decrypted.empty());
+  // Encrypted: the recovered key and the decrypted bytes.
+  const auto cipher = common::xor_cipher(plain, 0x5A);
+  const auto carved = carve_resource(cipher);
+  EXPECT_EQ(carved.key, 0x5A);
+  EXPECT_EQ(carved.payload(), plain);
+  // No marker under any key: nullopt, and the stored bytes as they are.
+  const common::Bytes noise = "no marker here at all";
+  const auto raw = carve_resource(noise);
+  EXPECT_FALSE(raw.key.has_value());
+  EXPECT_EQ(raw.payload().data(), noise.data());
+}
+
 TEST(StaticAnalysisTest, GarbageIsUnparseable) {
   AnalystBench bench;
   const auto report = dissect("MZ not an spe", bench.store, bench.trust,
