@@ -51,7 +51,7 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Synthetic kit->variant piles with ground-truth lineage, generated at the
-// interned-feature level (FeatureIds are opaque u64 to both kernels, so a
+// interned-feature level (FeatureIds are opaque u32 to both kernels, so a
 // synthetic id pile exercises exactly the scored representation without
 // paying PE serialization + string extraction for 10⁵⁻⁶ specimens).
 
@@ -78,10 +78,12 @@ void sort_ids(std::vector<analysis::FeatureId>& ids) {
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
 }
 
-/// Disjoint id subspaces: kit-owned ids carry the kit index in the high
-/// bits, the cross-kit substrate and the per-victim unique ids live in
-/// their own planes. Intra-kit similarity is then governed purely by the
-/// keep/add mutation; cross-kit overlap only through the substrate.
+/// Disjoint id subspaces of the 32-bit id: kit-owned ids carry the kit
+/// index above 7 low bits (strings, imports and sections in separate
+/// ranges), the cross-kit substrate sets bit 30 and the per-victim unique
+/// ids set bit 31 (2^23 kits, 2^26 specimens). Intra-kit similarity is then
+/// governed purely by the keep/add mutation; cross-kit overlap only through
+/// the substrate.
 KitPile make_kit_pile(std::size_t n, std::uint64_t seed) {
   KitPile pile;
   pile.kits = (n + kVariantsPerKit - 1) / kVariantsPerKit;
@@ -95,21 +97,21 @@ KitPile make_kit_pile(std::size_t n, std::uint64_t seed) {
   sim::Rng kit_rng(seed);
   for (std::size_t kit = 0; kit < pile.kits; ++kit) {
     auto& base = bases[kit];
-    const std::uint64_t plane = static_cast<std::uint64_t>(kit) << 20;
-    for (std::size_t i = 0; i < kKitStrings; ++i) {
+    const auto plane = static_cast<analysis::FeatureId>(kit << 7);
+    for (std::uint32_t i = 0; i < kKitStrings; ++i) {
       base.strings.push_back(plane | i);
     }
     for (std::size_t i = 0; i < kSubstratePicks; ++i) {
       base.strings.push_back(
-          (std::uint64_t{1} << 40) |
-          static_cast<std::uint64_t>(kit_rng.uniform_int(
+          (1u << 30) |
+          static_cast<analysis::FeatureId>(kit_rng.uniform_int(
               0, static_cast<std::int64_t>(kSubstratePool) - 1)));
     }
-    for (std::size_t i = 0; i < kKitImports; ++i) {
-      base.imports.push_back(plane | (0x10000 + i));
+    for (std::uint32_t i = 0; i < kKitImports; ++i) {
+      base.imports.push_back(plane | (64 + i));
     }
-    for (std::size_t i = 0; i < kKitSections; ++i) {
-      base.sections.push_back(plane | (0x20000 + i));
+    for (std::uint32_t i = 0; i < kKitSections; ++i) {
+      base.sections.push_back(plane | (96 + i));
     }
   }
 
@@ -125,12 +127,12 @@ KitPile make_kit_pile(std::size_t n, std::uint64_t seed) {
       if (rng.bernoulli(kKeepProbability)) f.imports.push_back(id);
     }
     f.section_names = base.sections;  // section layout is the kit's skeleton
-    const std::uint64_t victim_plane =
-        (std::uint64_t{1} << 41) | (static_cast<std::uint64_t>(s) << 5);
-    for (std::size_t t = 0; t < kUniqueStrings; ++t) {
+    const auto victim_plane =
+        (1u << 31) | static_cast<analysis::FeatureId>(s << 5);
+    for (std::uint32_t t = 0; t < kUniqueStrings; ++t) {
       f.strings.push_back(victim_plane | t);
     }
-    for (std::size_t t = 0; t < kUniqueImports; ++t) {
+    for (std::uint32_t t = 0; t < kUniqueImports; ++t) {
       f.imports.push_back(victim_plane | (16 + t));
     }
     sort_ids(f.strings);

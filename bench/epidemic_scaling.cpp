@@ -9,20 +9,17 @@
 // the full ~9,000-centrifuge Natanz cascade hall (§II-D) instead of our
 // 30-host stand-ins.
 //
-// Four passes:
-//  (1) identity — the refactor contract. A fully-materialized twin and an
-//      image-backed twin are pushed through the same mutation script and
-//      must expose byte-identical state. Fatal on any divergence: COW is an
-//      implementation detail, not a behaviour. (The fig/trend/ablation/
-//      attribution repro outputs are pinned by ctest against bench/golden/.)
-//  (2) trend-b shape at 1:1 — mass vs targeted posture over a 128-site,
+// Three passes (the image-backed vs materialized identity contract is
+// HostTwinTest in ctest; the repro outputs are pinned against
+// bench/golden/):
+//  (1) trend-b shape at 1:1 — mass vs targeted posture over a 128-site,
 //      102,400-host world (paper §V-B). The mass posture saturates ~100k
 //      hosts and gets burned by the AV ecosystem; the targeted posture keeps
 //      its foothold all quarter, exactly the 30-host curve writ large.
-//  (3) trend-e shape at 1:1 — the USB courier-cadence race into an
+//  (2) trend-e shape at 1:1 — the USB courier-cadence race into an
 //      air-gapped plant (§V-E), with the full 55-cascade / 9,020-centrifuge
 //      Natanz site behind the gap and a nine-month sabotage campaign.
-//  (4) memory — per-host heap for an image-backed fleet vs the same content
+//  (3) memory — per-host heap for an image-backed fleet vs the same content
 //      fully materialized per host. Gated >= 10x (fatal), exported as
 //      bench_diff counters (`heap_per_host` ceiling, `cow_ratio` floor).
 //
@@ -31,12 +28,12 @@
 //
 // Pass --mega for the 10⁶-host world (1,250 sites).
 
+#include "heap_counter.hpp"
 #include "scaling_bench.hpp"
 #include "core/user_behavior.hpp"
 #include "malware/stuxnet/stuxnet.hpp"
 #include "winsys/host_image.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -45,31 +42,10 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
-#include <new>
 #include <string>
 #include <vector>
 
 using namespace cyd;
-
-// ---------------------------------------------------------------------------
-// Counting allocator hook: cumulative requested bytes, for the per-host
-// heap measurements. Same precedent as tests/sim/event_queue_alloc_test.cpp;
-// this binary owns its global operator new, so it stays out of the library.
-
-namespace {
-std::atomic<std::uint64_t> g_heap_bytes{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -99,71 +75,6 @@ std::size_t proc_status_kb(const char* key) {
         std::strtoull(line.c_str() + std::strlen(key) + 1, nullptr, 10));
   }
   return 0;
-}
-
-// ---------------------------------------------------------------------------
-// Identity: a materialized twin and an image-backed twin must stay
-// indistinguishable through writes, overwrites, deletes, renames and
-// registry edits.
-
-void check_twin_equivalence() {
-  sim::Simulation simulation;
-  winsys::ProgramRegistry programs;
-  const auto archetype = winsys::HostArchetype::kOfficePc;
-  const auto image = winsys::make_archetype_image(archetype);
-
-  winsys::Host cow(simulation, programs, "twin-cow", image);
-  winsys::Host mat(simulation, programs, "twin-mat",
-                   winsys::default_os(archetype));
-  winsys::populate_archetype(archetype, mat.fs(), mat.registry());
-
-  // The same mutation script against both substrates.
-  const auto mutate = [](winsys::Host& host) {
-    auto& fs = host.fs();
-    const auto victims = fs.find_files(winsys::Path("c:\\windows\\fonts"));
-    fs.write_file(winsys::Path("c:\\users\\staff\\notes.txt"),
-                  "meeting notes", sim::hours(1));
-    fs.write_file(winsys::Path("c:\\windows\\win.ini"),
-                  "; rewritten by setup", sim::hours(2));
-    fs.delete_file(victims.front(), sim::hours(3));
-    fs.rename(victims.back(),
-              winsys::Path("c:\\windows\\fonts\\renamed.ttf"), sim::hours(4));
-    host.registry().set("hklm\\software\\vendor", "installed", "1");
-    host.registry().set("hklm\\system\\currentcontrolset\\control",
-                        "WaitToKillServiceTimeout", std::uint32_t{9000});
-    host.registry().remove_key(
-        "hklm\\system\\currentcontrolset\\services\\spooler");
-  };
-  mutate(cow);
-  mutate(mat);
-
-  const auto cow_files = cow.fs().all_files();
-  const auto mat_files = mat.fs().all_files();
-  if (cow_files.size() != mat_files.size()) {
-    fatal("twin divergence: " + std::to_string(cow_files.size()) + " vs " +
-          std::to_string(mat_files.size()) + " files");
-  }
-  for (std::size_t i = 0; i < cow_files.size(); ++i) {
-    if (cow_files[i].str() != mat_files[i].str() ||
-        cow.fs().read_file(cow_files[i]) != mat.fs().read_file(mat_files[i])) {
-      fatal("twin divergence at " + cow_files[i].str());
-    }
-  }
-  if (cow.registry().all_entries() != mat.registry().all_entries()) {
-    fatal("twin divergence in the registry hive");
-  }
-  const auto& cow_tombs = cow.fs().volume('c')->tombstones();
-  const auto& mat_tombs = mat.fs().volume('c')->tombstones();
-  if (cow_tombs.size() != mat_tombs.size() ||
-      (cow_tombs.size() > 0 &&
-       (cow_tombs.front().rel_path != mat_tombs.front().rel_path ||
-        cow_tombs.front().data != mat_tombs.front().data))) {
-    fatal("twin divergence in delete tombstones");
-  }
-  std::printf("image-backed twin == materialized twin through the mutation "
-              "script:\n%zu files byte-identical, registry hives equal, "
-              "%zu tombstone(s) equal\n",
-              cow_files.size(), cow_tombs.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -534,19 +445,19 @@ CowMemory measure_cow_memory(std::size_t cow_hosts, std::size_t mat_hosts) {
   CowMemory m;
   {
     core::World world(0x3e3);
-    const std::uint64_t before_image = g_heap_bytes.load();
+    const std::uint64_t before_image = benchutil::heap_bytes();
     world.archetype_image(winsys::HostArchetype::kOfficePc);
-    m.image_once = static_cast<double>(g_heap_bytes.load() - before_image);
-    const std::uint64_t before = g_heap_bytes.load();
+    m.image_once = static_cast<double>(benchutil::heap_bytes() - before_image);
+    const std::uint64_t before = benchutil::heap_bytes();
     world.add_fleet(winsys::HostArchetype::kOfficePc, cow_hosts, "cow-site");
-    m.cow_per_host = static_cast<double>(g_heap_bytes.load() - before) /
+    m.cow_per_host = static_cast<double>(benchutil::heap_bytes() - before) /
                      static_cast<double>(cow_hosts);
   }
   {
     // The pre-refactor substrate: every host owns the full archetype tree
     // and a deep copy of the Microsoft certificate landscape.
     core::World world(0x3e4);
-    const std::uint64_t before = g_heap_bytes.load();
+    const std::uint64_t before = benchutil::heap_bytes();
     for (std::size_t i = 0; i < mat_hosts; ++i) {
       char name[24];
       std::snprintf(name, sizeof(name), "mat-pc%05zu", i);
@@ -558,7 +469,7 @@ CowMemory measure_cow_memory(std::size_t cow_hosts, std::size_t mat_hosts) {
       world.microsoft().install_into(host.cert_store());
       world.microsoft().anchor_root(host.trust_store());
     }
-    m.mat_per_host = static_cast<double>(g_heap_bytes.load() - before) /
+    m.mat_per_host = static_cast<double>(benchutil::heap_bytes() - before) /
                      static_cast<double>(mat_hosts);
   }
   return m;
@@ -687,8 +598,6 @@ int main(int argc, char** argv) {
       "§II / §V-B / §V-E at 1:1 — ~100k infections, the 9,020-centrifuge "
       "Natanz hall");
   if (!benchutil::has_flag(argc, argv, "--no-repro")) {
-    benchutil::section("identity: COW substrate vs materialized semantics");
-    check_twin_equivalence();
     reproduce_trend_b_at_scale();
     reproduce_trend_e_at_scale();
     reproduce_memory();

@@ -33,7 +33,7 @@ void fold_class(const std::vector<FeatureId>& ids, std::uint64_t tag,
                 const std::vector<std::uint64_t>& seeds,
                 std::vector<std::uint64_t>& sig) {
   for (const FeatureId id : ids) {
-    const std::uint64_t key = (id << 2) | tag;
+    const std::uint64_t key = (std::uint64_t{id} << 2) | tag;
     for (std::size_t k = 0; k < seeds.size(); ++k) {
       sig[k] = std::min(sig[k], mix64(key ^ seeds[k]));
     }
@@ -169,20 +169,6 @@ std::vector<std::vector<std::size_t>> cluster_features_lsh(
     stats->confirmed_edges = confirmed;
   }
   return components.groups();
-}
-
-std::vector<std::vector<std::string>> cluster_specimens_lsh(
-    const std::vector<LabelledSpecimen>& specimens, double threshold,
-    const MinHashParams& params, LshStats* stats) {
-  FeatureDict dict;
-  const auto features = extract_pile(specimens, dict);
-  std::vector<std::vector<std::string>> out;
-  for (const auto& group : cluster_features_lsh(features, threshold, params, stats)) {
-    auto& labels = out.emplace_back();
-    labels.reserve(group.size());
-    for (const std::size_t idx : group) labels.push_back(specimens[idx].label);
-  }
-  return out;
 }
 
 }  // namespace cyd::analysis

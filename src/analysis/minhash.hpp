@@ -114,10 +114,4 @@ std::vector<std::vector<std::size_t>> cluster_features_lsh(
     const std::vector<SpecimenFeatures>& features, double threshold,
     const MinHashParams& params = {}, LshStats* stats = nullptr);
 
-/// Label-level entry point mirroring cluster_specimens: serial extraction
-/// into one shared dict, then the two-stage pipeline above.
-std::vector<std::vector<std::string>> cluster_specimens_lsh(
-    const std::vector<LabelledSpecimen>& specimens, double threshold,
-    const MinHashParams& params = {}, LshStats* stats = nullptr);
-
 }  // namespace cyd::analysis

@@ -127,14 +127,6 @@ double jaccard(const std::vector<FeatureId>& a,
 
 }  // namespace
 
-FeatureId FeatureDict::intern(std::string_view s) {
-  if (const auto it = ids_.find(s); it != ids_.end()) return it->second;
-  const FeatureId id = features_.size();
-  features_.emplace_back(s);
-  ids_.emplace(features_.back(), id);
-  return id;
-}
-
 FeatureId FeatureDict::intern_import(std::string_view dll,
                                      std::string_view fn) {
   scratch_.assign(dll);

@@ -10,70 +10,56 @@
 // into families-of-origin by the same measure.
 //
 // Features are interned: a FeatureDict maps each distinct feature string to
-// a dense 64-bit id (the sim::StringPool pattern), and a SpecimenFeatures
-// holds three sorted id vectors instead of three std::set<std::string>.
-// Scoring then reduces to linear merge-intersections over sorted integer
-// spans — no per-element tree walks, no string compares — and the pairwise
-// stage of similarity_matrix fans out across the sweep pool. Scores are
+// a dense 32-bit sim::StringPool id, and a SpecimenFeatures holds three
+// sorted id vectors instead of three std::set<std::string>. Scoring then
+// reduces to linear merge-intersections over sorted integer spans — no
+// per-element tree walks, no string compares — and the pairwise stage of
+// similarity_matrix fans out across the sweep pool. Scores are
 // bit-identical to the seed set-based kernel (interning is a bijection, so
-// every intersection/union count is unchanged); bench/similarity_scaling
-// keeps that kernel and asserts the identity.
+// every intersection/union count is unchanged);
+// SimilarityTest.PileMatrixMatchesGoldenChecksum pins them.
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "sim/string_pool.hpp"
 
 namespace cyd::analysis {
 
-/// Dense id of one interned feature string. Ids are assigned in first-seen
-/// order, so extraction order determines them deterministically; similarity
-/// only ever compares ids for equality, so scores do not depend on the
-/// assignment at all.
-using FeatureId = std::uint64_t;
+/// Dense id of one interned feature string (a sim::StringPool id). Ids are
+/// assigned in first-seen order, so extraction order determines them
+/// deterministically; similarity only ever compares ids for equality, so
+/// scores do not depend on the assignment at all.
+using FeatureId = sim::StringId;
 
-/// Deduplicating feature intern table shared by every specimen in one
-/// analysis (ids from different dicts are not comparable). Not thread-safe;
-/// extraction is the serial stage, scoring over the resulting id vectors is
-/// what parallelizes.
+/// Feature intern table shared by every specimen in one analysis (ids from
+/// different dicts are not comparable): a sim::StringPool plus the
+/// "dll!fn" import spelling. Not thread-safe; extraction is the serial
+/// stage, scoring over the resulting id vectors is what parallelizes.
 class FeatureDict {
  public:
-  /// Id for `s`, interning on first sight. Amortised O(1); allocates only
-  /// the first time a distinct feature appears.
-  FeatureId intern(std::string_view s);
+  /// Id for `s`, interning it on first sight.
+  FeatureId intern(std::string_view s) { return pool_.intern(s); }
 
   /// Id for the import feature "dll!fn" without materializing a fresh
   /// std::string per call (one scratch buffer, capacity reused).
   FeatureId intern_import(std::string_view dll, std::string_view fn);
 
-  /// Pre-sizes the id table for `expected` distinct features so the serial
-  /// intern stage of a large pile does not pay rehash churn. A hint, not a
-  /// cap: interning past it just grows as usual.
-  void reserve(std::size_t expected) { ids_.reserve(expected); }
+  /// Pre-sizing hint for `expected` distinct features (see
+  /// sim::StringPool::reserve).
+  void reserve(std::size_t expected) { pool_.reserve(expected); }
 
-  /// The string behind an id. Views stay valid for the dict's lifetime
-  /// (entries live in a deque, later interning never moves them).
-  std::string_view view(FeatureId id) const {
-    return features_[static_cast<std::size_t>(id)];
-  }
+  /// The string behind an id; views stay valid for the dict's lifetime.
+  std::string_view view(FeatureId id) const { return pool_.view(id); }
 
-  std::size_t size() const { return features_.size(); }
-  bool empty() const { return features_.empty(); }
+  std::size_t size() const { return pool_.size(); }
+  bool empty() const { return pool_.empty(); }
 
  private:
-  struct Hash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
-  std::deque<std::string> features_;  // id -> string, stable addresses
-  std::unordered_map<std::string, FeatureId, Hash, std::equal_to<>> ids_;
+  sim::StringPool pool_;
   std::string scratch_;  // reused by intern_import
 };
 

@@ -1,65 +1,25 @@
 #include "cnc/client_index.hpp"
 
-#include "common/bytes.hpp"
-
 namespace cyd::cnc {
 
-namespace {
-constexpr std::size_t kInitialSlots = 64;  // power of two
-}
-
-ClientIndex::ClientIndex() : slots_(kInitialSlots, kEmptySlot) {
-  mask_ = kInitialSlots - 1;
-}
-
-std::uint32_t* ClientIndex::probe(std::string_view client_id) {
-  std::size_t i = common::fnv1a64(client_id) & mask_;
-  while (true) {
-    std::uint32_t* slot = &slots_[i];
-    if (*slot == kEmptySlot || pool_.view(states_[*slot].id) == client_id) {
-      return slot;
-    }
-    i = (i + 1) & mask_;
-  }
-}
-
-void ClientIndex::grow() {
-  std::vector<std::uint32_t> old = std::move(slots_);
-  slots_.assign(old.size() * 2, kEmptySlot);
-  mask_ = slots_.size() - 1;
-  for (const std::uint32_t index : old) {
-    if (index == kEmptySlot) continue;
-    std::size_t i = common::fnv1a64(pool_.view(states_[index].id)) & mask_;
-    while (slots_[i] != kEmptySlot) i = (i + 1) & mask_;
-    slots_[i] = index;
-  }
-}
-
 std::uint32_t ClientIndex::get_or_create(std::string_view client_id) {
-  std::uint32_t* slot = probe(client_id);
-  if (*slot != kEmptySlot) return *slot;
-  // Keep the table under ~70% full so probe chains stay short.
-  if ((states_.size() + 1) * 10 >= slots_.size() * 7) {
-    grow();
-    slot = probe(client_id);
+  const sim::StringId id = pool_.intern(client_id);
+  if (id == states_.size()) {
+    ClientState state;
+    state.id = id;
+    states_.push_back(std::move(state));
   }
-  ClientState state;
-  state.id = pool_.intern(client_id);
-  const auto index = static_cast<std::uint32_t>(states_.size());
-  states_.push_back(std::move(state));
-  *slot = index;
-  return index;
+  return id;
 }
 
 const ClientState* ClientIndex::find(std::string_view client_id) const {
-  // probe() only writes through the returned pointer, never here.
-  std::uint32_t* slot = const_cast<ClientIndex*>(this)->probe(client_id);
-  return *slot == kEmptySlot ? nullptr : &states_[*slot];
+  const sim::StringId id = pool_.find(client_id);
+  return id == sim::kNoString ? nullptr : &states_[id];
 }
 
 ClientState* ClientIndex::find(std::string_view client_id) {
-  std::uint32_t* slot = probe(client_id);
-  return *slot == kEmptySlot ? nullptr : &states_[*slot];
+  const sim::StringId id = pool_.find(client_id);
+  return id == sim::kNoString ? nullptr : &states_[id];
 }
 
 }  // namespace cyd::cnc

@@ -5,9 +5,10 @@
 // last_seen) in Database rows of std::map<string,string>, found by an
 // O(clients) select_where scan and round-tripped through stoull/to_string on
 // every beacon. ClientIndex pulls that session state into a flat vector of
-// ClientState keyed by an open-addressing hash over interned client ids
-// (StringPool pattern): one probe per lookup, integer fields, no allocation
-// on the warm path. The Database stays the cold forensic store — rows are
+// ClientState indexed by the client id's sim::StringPool id — states are
+// created in first-sight order, exactly like pool ids, so the two always
+// coincide: one pool lookup per beacon, integer fields, no allocation on
+// the warm path. The Database stays the cold forensic store — rows are
 // created/updated write-behind from the states marked `touched` here, so
 // table dumps remain byte-identical to the eager seed path.
 //
@@ -41,8 +42,6 @@ struct ClientState {
 
 class ClientIndex {
  public:
-  ClientIndex();
-
   /// Index of the state for `client_id`, creating it on first sight.
   /// Amortised O(1); allocates only on creation. The returned index is
   /// stable forever; ClientState references are invalidated by the next
@@ -67,15 +66,8 @@ class ClientIndex {
   std::size_t size() const { return states_.size(); }
 
  private:
-  static constexpr std::uint32_t kEmptySlot = 0xffff'ffffu;
-
-  std::uint32_t* probe(std::string_view client_id);
-  void grow();
-
-  sim::StringPool pool_;
-  std::vector<ClientState> states_;
-  std::vector<std::uint32_t> slots_;  ///< open addressing, linear probing
-  std::size_t mask_ = 0;              ///< slots_.size() - 1 (power of two)
+  sim::StringPool pool_;             ///< client id -> pool id == state index
+  std::vector<ClientState> states_;  ///< states_[i].id == i
 };
 
 }  // namespace cyd::cnc

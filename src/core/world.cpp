@@ -148,14 +148,6 @@ std::size_t World::count_unbootable() const {
   return n;
 }
 
-std::size_t World::count_infected(const std::string& family) const {
-  std::size_t n = 0;
-  for (const auto& host : hosts_) {
-    if (host->has_component(family)) ++n;
-  }
-  return n;
-}
-
 sim::ShardPlan World::shard_plan() const {
   sim::ShardPlan plan;
   plan.labels = network_.site_names();  // name order: stable shard indices

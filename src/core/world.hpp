@@ -100,7 +100,6 @@ class World {
 
   // --- fleet-wide helpers ---
   std::size_t count_unbootable() const;
-  std::size_t count_infected(const std::string& family) const;
 
   /// Shard topology for sim::ShardedScheduler, derived from the network's
   /// site layer: one shard per site in name order (the map's iteration

@@ -147,10 +147,6 @@ void Network::register_internet_service(const std::string& domain,
   internet_[domain] = std::move(handler);
 }
 
-bool Network::internet_domain_exists(const std::string& domain) const {
-  return internet_.contains(domain);
-}
-
 void Network::remove_internet_service(const std::string& domain) {
   internet_.erase(domain);
 }

@@ -112,7 +112,6 @@ class Network {
   /// the handler (how a sinkhole takes over a C&C domain).
   void register_internet_service(const std::string& domain,
                                  HttpHandler handler);
-  bool internet_domain_exists(const std::string& domain) const;
   void remove_internet_service(const std::string& domain);
 
   /// Delivers a request to an internet service. Returns 404-style nullopt

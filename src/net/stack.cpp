@@ -86,10 +86,6 @@ void Stack::serve(const std::string& path, HttpHandler handler) {
   endpoints_[path] = std::move(handler);
 }
 
-bool Stack::has_endpoint(const std::string& path) const {
-  return endpoints_.contains(path);
-}
-
 std::optional<std::string> Stack::wpad_discover() {
   // Without the NetBIOS fallback weakness there is no broadcast to answer:
   // name resolution stops at the (absent) DNS record.

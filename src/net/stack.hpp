@@ -62,7 +62,6 @@ class Stack {
 
   // --- HTTP server (LAN) ---
   void serve(const std::string& path, HttpHandler handler);
-  bool has_endpoint(const std::string& path) const;
 
   // --- proxy / WPAD ---
   /// IE-style proxy auto-discovery: broadcasts a WPAD query on the subnet.

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/cow_merge.hpp"
+
 namespace cyd::pki {
 
 const char* to_string(HashAlgorithm a) {
@@ -142,36 +144,28 @@ const Certificate* CertStore::find(std::uint64_t serial) const {
   return nullptr;
 }
 
+template <typename Fn>
+void CertStore::walk(Fn&& fn) const {
+  using Entry = decltype(certs_)::value_type;
+  // A base-less store walks an empty base range.
+  const auto b = base_ != nullptr ? base_->certs_.begin() : certs_.end();
+  const auto b_end = base_ != nullptr ? base_->certs_.end() : certs_.end();
+  common::merge_layers(certs_.begin(), certs_.end(), b, b_end,
+                       [&](const Entry* delta, const Entry* base) {
+                         fn(delta != nullptr ? delta->second : base->second);
+                       });
+}
+
 std::size_t CertStore::size() const {
-  std::size_t total = certs_.size();
-  if (base_ != nullptr) {
-    for (const auto& [serial, cert] : base_->certs_) {
-      if (!certs_.contains(serial)) ++total;
-    }
-  }
+  std::size_t total = 0;
+  walk([&total](const Certificate&) { ++total; });
   return total;
 }
 
 std::vector<const Certificate*> CertStore::all() const {
   std::vector<const Certificate*> out;
   out.reserve(certs_.size());
-  if (base_ == nullptr) {
-    for (const auto& [serial, cert] : certs_) out.push_back(&cert);
-    return out;
-  }
-  auto di = certs_.begin();
-  auto bi = base_->certs_.begin();
-  while (di != certs_.end() || bi != base_->certs_.end()) {
-    if (bi == base_->certs_.end() ||
-        (di != certs_.end() && di->first <= bi->first)) {
-      if (bi != base_->certs_.end() && bi->first == di->first) ++bi;
-      out.push_back(&di->second);
-      ++di;
-    } else {
-      out.push_back(&bi->second);
-      ++bi;
-    }
-  }
+  walk([&out](const Certificate& cert) { out.push_back(&cert); });
   return out;
 }
 

@@ -116,6 +116,10 @@ class CertStore {
   std::vector<const Certificate*> all() const;
 
  private:
+  /// fn(const Certificate&) for each visible certificate in serial order.
+  template <typename Fn>
+  void walk(Fn&& fn) const;
+
   std::map<std::uint64_t, Certificate> certs_;
   std::shared_ptr<const CertStore> base_;
 };

@@ -74,16 +74,6 @@ class TrustStore {
     return base_ != nullptr && base_->reject_weak_hash();
   }
 
-  std::size_t untrusted_count() const {
-    std::size_t total = untrusted_.size();
-    if (base_ != nullptr) {
-      for (std::uint64_t serial : base_->untrusted_) {
-        if (!untrusted_.contains(serial)) ++total;
-      }
-    }
-    return total;
-  }
-
  private:
   std::shared_ptr<const TrustStore> base_;
   std::set<std::uint64_t> trusted_roots_;

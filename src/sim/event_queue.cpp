@@ -42,7 +42,6 @@ void EventQueue::release_slot(Slot& s, std::uint32_t index) {
   s.period = 0;
   s.tag = 0;
   s.cancelled = false;
-  s.heap_index = kNullIndex;
   s.next_free = free_head_;
   free_head_ = index;
 }
@@ -76,13 +75,9 @@ void EventQueue::sift_up(std::size_t index, HeapKey key) {
     const HeapKey moved = heap[parent];
     if (!earlier(key, moved)) break;
     heap[index] = moved;
-    slot(static_cast<std::uint32_t>(moved.order & kSlotMask)).heap_index =
-        static_cast<std::uint32_t>(index);
     index = parent;
   }
   heap[index] = key;
-  slot(static_cast<std::uint32_t>(key.order & kSlotMask)).heap_index =
-      static_cast<std::uint32_t>(index);
 }
 
 void EventQueue::sift_down(std::size_t index, HeapKey key) {
@@ -113,31 +108,15 @@ void EventQueue::sift_down(std::size_t index, HeapKey key) {
       best_key.order = lt ? k.order : best_key.order;
     }
     heap[index] = best_key;
-    slot(static_cast<std::uint32_t>(best_key.order & kSlotMask)).heap_index =
-        static_cast<std::uint32_t>(index);
     index = best;
   }
   sift_up(index, key);
 }
 
 void EventQueue::pop_front() {
-  slot(static_cast<std::uint32_t>(heap_.front().order & kSlotMask)).heap_index =
-      kNullIndex;
   const HeapKey last = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) sift_down(0, last);
-}
-
-void EventQueue::remove_heap_index(std::size_t index) {
-  const HeapKey last = heap_.back();
-  heap_.pop_back();
-  if (index == heap_.size()) return;  // the removed key was the tail
-  // Re-seat the tail key at the vacated position; it may move either way.
-  if (index > 0 && earlier(last, heap_[(index - 1) / 4])) {
-    sift_up(index, last);
-  } else {
-    sift_down(index, last);
-  }
 }
 
 EventHandle EventQueue::schedule_at(TimePoint t, EventFn fn) {
@@ -180,27 +159,7 @@ void EventQueue::handle_cancel(const EventHandle& h) {
   ++stats_.cancelled;
   // A slot mid-firing (periodic callback running right now) has already left
   // the live count; the step loop frees it instead of re-arming.
-  if (s.heap_index != kNullIndex) --live_;
-}
-
-void EventQueue::cancel_now(EventHandle handle) {
-  if (!handle_live(handle)) return;
-  Slot& s = slot(handle.slot_);
-  if (s.heap_index == kNullIndex) {
-    // Mid-firing periodic series: no stored key to remove; mark it and let
-    // the step loop skip the re-arm.
-    if (!s.cancelled) {
-      s.cancelled = true;
-      ++stats_.cancelled;
-    }
-    return;
-  }
-  if (!s.cancelled) {
-    ++stats_.cancelled;
-    --live_;
-  }
-  remove_heap_index(s.heap_index);
-  free_slot(handle.slot_);
+  if (!s.firing) --live_;
 }
 
 std::size_t EventQueue::step_front() {
@@ -227,11 +186,12 @@ std::size_t EventQueue::step_front() {
     // the callback grows the slab — no per-firing relocation. The spent key
     // stays parked at the root while the callback runs: nothing can sift
     // above it (new events are clamped to now_ with a later seq, so the root
-    // stays the global minimum), and heap_index == kNullIndex marks the slot
-    // mid-firing so cancel() from inside the callback skips the re-arm. The
-    // payoff is one sift_down per firing instead of a pop + push pair.
-    s.heap_index = kNullIndex;
+    // stays the global minimum), and `firing` marks the slot mid-callback so
+    // cancel() from inside it skips the re-arm. The payoff is one sift_down
+    // per firing instead of a pop + push pair.
+    s.firing = true;
     s.fn();
+    s.firing = false;
     if (s.cancelled) {
       const HeapKey tail = heap_.back();
       heap_.pop_back();

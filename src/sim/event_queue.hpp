@@ -19,8 +19,8 @@
 //    shared_ptr<bool> control block;
 //  - the pending set is a 4-ary min-heap over compact 16-byte
 //    {time, seq|slot} keys — sift operations move 16 bytes, payloads never
-//    move — with the slot's heap index maintained so cancel_now() can do an
-//    eager O(log n) removal next to the default lazy cancellation.
+//    move. Cancellation is lazy: cancel() marks the slot, and the pop path
+//    discards the key when it reaches the front.
 //
 // The heap is the only pending set; DESIGN §9 records why there is no
 // second one.
@@ -43,9 +43,8 @@ class EventQueue;
 /// any copy cancels the event (or the whole periodic series). A handle is
 /// pinned to one (slot, generation) pair, so a handle whose event already
 /// fired is inert — cancel() is a no-op and cancelled() reports false —
-/// even after the slot is recycled for a new event. A handle only acts on the
-/// queue that issued it: passed to another queue's cancel_now() it is inert,
-/// like a stale one. Handles must not outlive their EventQueue.
+/// even after the slot is recycled for a new event. Handles must not outlive
+/// their EventQueue.
 class EventHandle {
  public:
   EventHandle() noexcept = default;
@@ -105,13 +104,6 @@ class EventQueue {
   /// an inline-sized closure performs zero heap allocations.
   EventHandle schedule_every(Duration period, EventFn fn, TimePoint first);
 
-  /// Eagerly removes a pending event from the heap, O(log n), freeing its
-  /// slot immediately. Equivalent to handle.cancel() (which marks the entry
-  /// and lets the pop path discard it) but reclaims slab+heap space now —
-  /// use it when cancelling large batches long before their due time. A
-  /// handle issued by another queue is ignored.
-  void cancel_now(EventHandle handle);
-
   TimePoint now() const { return now_; }
   bool empty() const { return live_ == 0; }
   /// Number of live (non-cancelled) scheduled events.
@@ -168,8 +160,8 @@ class EventQueue {
   /// re-arms; `executed` counts closures actually run; `cancelled` counts
   /// effective cancellations (one per event or series, not per cancel()
   /// call); `peak_pending` is the high-water mark of live events;
-  /// `pruned` counts lazy-cancel tombstones discarded off the front (each
-  /// one is front-scan work that cancel_now would have avoided).
+  /// `pruned` counts cancel tombstones discarded off the front (each one is
+  /// front-scan work).
   struct Stats {
     std::uint64_t scheduled = 0;
     std::uint64_t executed = 0;
@@ -206,10 +198,10 @@ class EventQueue {
   struct Slot {
     Duration period = 0;  // >0 marks a periodic series
     std::uint32_t generation = 0;
-    std::uint32_t heap_index = kNullIndex;  // kNullIndex while firing / free
     std::uint32_t next_free = kNullIndex;
     std::uint32_t tag = 0;  // opaque caller word, echoed to the observer
     bool cancelled = false;
+    bool firing = false;  // a periodic callback is running; no stored key
     EventFn fn;
   };
 
@@ -235,7 +227,6 @@ class EventQueue {
 
   void sift_up(std::size_t index, HeapKey key);
   void sift_down(std::size_t index, HeapKey key);
-  void remove_heap_index(std::size_t index);
   void pop_front();
 
   /// Pops the front key and runs or discards it: returns 1 when the event
@@ -248,9 +239,10 @@ class EventQueue {
   /// entries.
   bool prune_cancelled();
 
+  // Only a handle's own queue is ever asked about it (EventHandle calls
+  // through queue_), so the slot and generation identify it.
   bool handle_live(const EventHandle& h) const {
-    return h.queue_ == this && h.slot_ < slot_count_ &&
-           slot(h.slot_).generation == h.generation_;
+    return h.slot_ < slot_count_ && slot(h.slot_).generation == h.generation_;
   }
   void handle_cancel(const EventHandle& h);
   bool handle_cancelled(const EventHandle& h) const {

@@ -1,12 +1,14 @@
 #pragma once
 // Deduplicating append-only string storage.
 //
-// The trace log interns every actor/action string once and stores 32-bit
-// ids in its events, so the record hot path stops allocating and equality
-// tests compress to integer compares. Ids are assigned in first-seen order,
-// which keeps interning deterministic: two logs fed the same record
-// sequence produce the same ids (and therefore byte-identical event
-// vectors — the determinism tests rely on this).
+// The one intern table of the code base. The trace log interns every
+// actor/action string once and stores 32-bit ids in its events, so the
+// record hot path stops allocating and equality tests compress to integer
+// compares; analysis::FeatureDict and cnc::ClientIndex wrap one as well.
+// Ids are assigned in first-seen order, which keeps interning
+// deterministic: two logs fed the same record sequence produce the same ids
+// (and therefore byte-identical event vectors — the determinism tests rely
+// on this).
 
 #include <cstdint>
 #include <deque>
@@ -42,6 +44,10 @@ class StringPool {
   std::size_t size() const { return strings_.size(); }
   bool empty() const { return strings_.empty(); }
   void clear();
+
+  /// Pre-sizes the id table for `expected` distinct strings, so a large
+  /// serial intern stage does not pay rehash churn. A hint, not a cap.
+  void reserve(std::size_t expected) { ids_.reserve(expected); }
 
   bool operator==(const StringPool& other) const {
     return strings_ == other.strings_;

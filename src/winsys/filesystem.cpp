@@ -152,11 +152,6 @@ const FileNode* FileSystem::stat(const Path& p) const {
   return vol == nullptr ? nullptr : vol->find_file(rel(p));
 }
 
-FileNode* FileSystem::stat_mutable(const Path& p) {
-  Volume* vol = volume_of(p);
-  return vol == nullptr ? nullptr : vol->materialize_file(rel(p));
-}
-
 bool FileSystem::delete_file(const Path& p, sim::TimePoint now, bool shred) {
   Volume* vol = volume_of(p);
   if (vol == nullptr) return false;

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/cow_merge.hpp"
 #include "sim/time.hpp"
 #include "winsys/path.hpp"
 
@@ -166,77 +167,60 @@ class Volume {
   /// layer their own component-boundary filtering on top).
   template <typename Fn>
   void for_each_file_under(const std::string& prefix, Fn&& fn) const {
-    auto di = files_.lower_bound(prefix);
-    const auto dend = files_.end();
-    auto in_range = [&prefix](const std::string& key) {
-      return key.compare(0, prefix.size(), prefix) == 0;
-    };
-    if (base_ == nullptr) {
-      for (; di != dend && in_range(di->first); ++di) {
-        fn(di->first, di->second);
-      }
-      return;
-    }
-    auto bi = base_->files_.lower_bound(prefix);
-    const auto bend = base_->files_.end();
-    bool d_ok = di != dend && in_range(di->first);
-    bool b_ok = bi != bend && in_range(bi->first);
-    while (d_ok || b_ok) {
-      if (b_ok && (!d_ok || bi->first < di->first)) {
-        if (!deleted_files_.contains(bi->first)) fn(bi->first, bi->second);
-        ++bi;
-        b_ok = bi != bend && in_range(bi->first);
-      } else {
-        if (b_ok && bi->first == di->first) {  // delta shadows base
-          ++bi;
-          b_ok = bi != bend && in_range(bi->first);
-        }
-        fn(di->first, di->second);
-        ++di;
-        d_ok = di != dend && in_range(di->first);
-      }
-    }
+    using Entry = std::pair<const std::string, FileNode>;
+    walk_under(&Volume::files_, prefix,
+               [&](const Entry* delta, const Entry* base) {
+                 if (delta != nullptr) {
+                   fn(delta->first, delta->second);
+                 } else if (!deleted_files_.contains(base->first)) {
+                   fn(base->first, base->second);
+                 }
+               });
   }
-  /// Visits every visible directory in path order ("" = root included).
-  template <typename Fn>
-  void for_each_dir(Fn&& fn) const {
-    for_each_dir_under(std::string{}, std::forward<Fn>(fn));
-  }
+  /// Visits every visible directory with the given string prefix, in path
+  /// order ("" = root included). fn(const std::string& rel).
   template <typename Fn>
   void for_each_dir_under(const std::string& prefix, Fn&& fn) const {
-    auto di = dirs_.lower_bound(prefix);
-    const auto dend = dirs_.end();
-    auto in_range = [&prefix](const std::string& key) {
-      return key.compare(0, prefix.size(), prefix) == 0;
-    };
-    if (base_ == nullptr) {
-      for (; di != dend && in_range(*di); ++di) fn(*di);
-      return;
-    }
-    auto bi = base_->dirs_.lower_bound(prefix);
-    const auto bend = base_->dirs_.end();
-    bool d_ok = di != dend && in_range(*di);
-    bool b_ok = bi != bend && in_range(*bi);
-    while (d_ok || b_ok) {
-      if (b_ok && (!d_ok || *bi < *di)) {
-        if (!deleted_dirs_.contains(*bi)) fn(*bi);
-        ++bi;
-        b_ok = bi != bend && in_range(*bi);
-      } else {
-        if (b_ok && *bi == *di) {
-          ++bi;
-          b_ok = bi != bend && in_range(*bi);
-        }
-        fn(*di);
-        ++di;
-        d_ok = di != dend && in_range(*di);
-      }
-    }
+    walk_under(&Volume::dirs_, prefix,
+               [&](const std::string* delta, const std::string* base) {
+                 if (delta != nullptr) {
+                   fn(*delta);
+                 } else if (!deleted_dirs_.contains(*base)) {
+                   fn(*base);
+                 }
+               });
   }
 
   std::size_t used_bytes() const;
 
  private:
+  /// common::merge_layers over the keys with `prefix` of one layer member
+  /// (files_ or dirs_), delta side and base side.
+  template <typename Sorted, typename Fn>
+  void walk_under(Sorted Volume::*layer, const std::string& prefix,
+                  Fn&& fn) const {
+    const auto [d, d_end] = prefix_range(this->*layer, prefix);
+    // A base-less volume walks an empty base range.
+    const auto [b, b_end] = base_ != nullptr
+                                ? prefix_range(base_.get()->*layer, prefix)
+                                : std::pair{d_end, d_end};
+    common::merge_layers(d, d_end, b, b_end, fn);
+  }
+  /// The keys of `keys` that start with `prefix`, as an iterator range.
+  template <typename Sorted>
+  static auto prefix_range(const Sorted& keys, const std::string& prefix) {
+    auto first = keys.lower_bound(prefix);
+    // The smallest string above every key with the prefix: drop trailing
+    // 0xff bytes, then bump the last one ("" means no upper bound).
+    std::string past = prefix;
+    while (!past.empty() && static_cast<unsigned char>(past.back()) == 0xff) {
+      past.pop_back();
+    }
+    if (past.empty()) return std::pair{first, keys.end()};
+    ++past.back();
+    return std::pair{first, keys.lower_bound(past)};
+  }
+
   std::string label_;
   std::shared_ptr<const Volume> base_;     // immutable template image layer
   std::map<std::string, FileNode> files_;  // rel path -> node (delta)
@@ -286,7 +270,6 @@ class FileSystem {
                   FileAttr attr = {});
   std::optional<common::Bytes> read_file(const Path& p) const;
   const FileNode* stat(const Path& p) const;
-  FileNode* stat_mutable(const Path& p);
 
   /// Deletes a file. With `shred`, the content is destroyed before deletion
   /// and the tombstone is marked unrecoverable.

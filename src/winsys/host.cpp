@@ -350,15 +350,6 @@ bool Host::raw_overwrite_active_partition(common::Bytes data,
   return true;
 }
 
-bool Host::raw_write_sector(std::uint64_t lba, common::Bytes data,
-                            const std::string& actor) {
-  if (!has_capability(kCapRawDiskAccess)) return false;
-  disk_.write_sector(lba, std::move(data));
-  trace(sim::TraceCategory::kDriver, "rawdisk.sector-write",
-        actor + " lba=" + std::to_string(lba));
-  return true;
-}
-
 std::vector<std::string> Host::visible_dir_entries(const Path& dir) const {
   auto entries = fs_.list_dir(dir);
   if (!has_capability(kCapFileHiding) || file_hiding_filters_.empty()) {

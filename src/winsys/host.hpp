@@ -162,13 +162,11 @@ class Host {
   bool has_capability(DriverCapability cap) const;
   const std::vector<LoadedDriver>& loaded_drivers() const { return drivers_; }
 
-  /// Raw MBR / partition / sector writes: require a loaded driver granting
+  /// Raw MBR / partition writes: require a loaded driver granting
   /// kCapRawDiskAccess (Shamoon's Eldos trick); return false otherwise.
   bool raw_overwrite_mbr(common::Bytes data, const std::string& actor);
   bool raw_overwrite_active_partition(common::Bytes data,
                                       const std::string& actor);
-  bool raw_write_sector(std::uint64_t lba, common::Bytes data,
-                        const std::string& actor);
 
   // --- rootkit file hiding ---
   /// Predicate returning true for paths to hide from directory listings;

@@ -12,9 +12,9 @@
 //
 // The archetype trees are deterministic: populate_archetype writes the same
 // bytes every time, and its Windows skeleton is byte-for-byte what the
-// legacy materialized Host constructor creates — the epidemic bench's
-// identity pass relies on a materialized fleet and an image-backed fleet
-// producing identical simulation traces.
+// legacy materialized Host constructor creates — HostTwinTest relies on a
+// materialized host and an image-backed host starting from identical
+// state.
 
 #include <cstdint>
 #include <memory>
@@ -110,7 +110,8 @@ class HostImage {
 /// Writes the archetype's baseline state into fs/registry: the legacy Host
 /// constructor's Windows skeleton (byte-identical), a stock OS payload, and
 /// the archetype's software footprint. Deterministic. Shared by the image
-/// builder and the epidemic bench's fully-materialized baseline fleet.
+/// builder, the epidemic bench's fully-materialized baseline fleet and the
+/// materialized side of HostTwinTest.
 void populate_archetype(HostArchetype a, FileSystem& fs, Registry& registry);
 
 /// Builds the standard image for an archetype: populate_archetype content at

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cctype>
 
+#include "common/cow_merge.hpp"
+
 namespace cyd::winsys {
 
 namespace {
@@ -12,24 +14,22 @@ using ValueMap = std::map<std::string, RegValue>;
 const ValueMap kNoValues;
 
 /// Visits the merged value names of one key in sorted order: delta shadows
-/// base, whiteouted base names are skipped.
+/// base, whiteouted base names are skipped. Either layer may be absent.
 template <typename Fn>
-void merge_value_names(const ValueMap& delta, const ValueMap& base,
+void merge_value_names(const ValueMap* delta, const ValueMap* base,
                        const std::set<std::string>* whiteouts, Fn&& fn) {
-  auto di = delta.begin();
-  auto bi = base.begin();
-  while (di != delta.end() || bi != base.end()) {
-    if (bi == base.end() || (di != delta.end() && di->first <= bi->first)) {
-      if (bi != base.end() && bi->first == di->first) ++bi;
-      fn(di->first);
-      ++di;
-    } else {
-      if (whiteouts == nullptr || !whiteouts->contains(bi->first)) {
-        fn(bi->first);
-      }
-      ++bi;
-    }
-  }
+  if (delta == nullptr) delta = &kNoValues;
+  if (base == nullptr) base = &kNoValues;
+  using Entry = ValueMap::value_type;
+  common::merge_layers(
+      delta->begin(), delta->end(), base->begin(), base->end(),
+      [&](const Entry* d, const Entry* b) {
+        if (d != nullptr) {
+          fn(d->first);
+        } else if (whiteouts == nullptr || !whiteouts->contains(b->first)) {
+          fn(b->first);
+        }
+      });
 }
 
 }  // namespace
@@ -174,8 +174,7 @@ std::vector<std::string> Registry::values(std::string_view key) const {
   if (auto dit = deleted_values_.find(k); dit != deleted_values_.end()) {
     whiteouts = &dit->second;
   }
-  merge_value_names(delta != nullptr ? *delta : kNoValues,
-                    base != nullptr ? *base : kNoValues, whiteouts,
+  merge_value_names(delta, base, whiteouts,
                     [&out](const std::string& name) { out.push_back(name); });
   return out;
 }
@@ -183,38 +182,26 @@ std::vector<std::string> Registry::values(std::string_view key) const {
 std::vector<std::pair<std::string, std::string>> Registry::all_entries()
     const {
   std::vector<std::pair<std::string, std::string>> out;
-  auto emit_key = [&](const std::string& key, const ValueMap* delta,
-                      const ValueMap* base) {
-    const std::set<std::string>* whiteouts = nullptr;
-    if (auto dit = deleted_values_.find(key); dit != deleted_values_.end()) {
-      whiteouts = &dit->second;
-    }
-    merge_value_names(
-        delta != nullptr ? *delta : kNoValues,
-        base != nullptr ? *base : kNoValues, whiteouts,
-        [&](const std::string& name) { out.emplace_back(key, name); });
-  };
-  auto di = keys_.begin();
-  auto bi = base_ != nullptr ? base_->keys_.begin()
-                             : decltype(keys_.begin()){};
-  const auto bend = base_ != nullptr ? base_->keys_.end()
-                                     : decltype(keys_.begin()){};
-  while (di != keys_.end() || bi != bend) {
-    if (bi == bend || (di != keys_.end() && di->first <= bi->first)) {
-      const ValueMap* base = nullptr;
-      if (bi != bend && bi->first == di->first) {
-        if (!deleted_keys_.contains(di->first)) base = &bi->second;
-        ++bi;
-      }
-      emit_key(di->first, &di->second, base);
-      ++di;
-    } else {
-      if (!deleted_keys_.contains(bi->first)) {
-        emit_key(bi->first, nullptr, &bi->second);
-      }
-      ++bi;
-    }
-  }
+  using Key = decltype(keys_)::value_type;
+  // A base-less registry walks an empty base range.
+  const auto b = base_ != nullptr ? base_->keys_.begin() : keys_.end();
+  const auto b_end = base_ != nullptr ? base_->keys_.end() : keys_.end();
+  common::merge_layers(
+      keys_.begin(), keys_.end(), b, b_end,
+      [&](const Key* delta, const Key* base) {
+        const std::string& key = delta != nullptr ? delta->first : base->first;
+        if (base != nullptr && deleted_keys_.contains(key)) {
+          if (delta == nullptr) return;
+          base = nullptr;
+        }
+        const auto dit = deleted_values_.find(key);
+        const std::set<std::string>* whiteouts =
+            dit != deleted_values_.end() ? &dit->second : nullptr;
+        merge_value_names(
+            delta != nullptr ? &delta->second : nullptr,
+            base != nullptr ? &base->second : nullptr, whiteouts,
+            [&](const std::string& name) { out.emplace_back(key, name); });
+      });
   return out;
 }
 

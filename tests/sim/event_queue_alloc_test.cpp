@@ -111,21 +111,24 @@ TEST(EventQueueAllocTest, OneShotSteadyStateReusesSlabAndHeap) {
 
 TEST(EventQueueAllocTest, CancellationSteadyStateAllocatesNothing) {
   EventQueue q;
-  // Warm-up including the cancel paths (lazy and eager).
+  // Warm-up including the cancel path: a cancelled front entry and a
+  // cancelled entry behind a live one.
   for (int i = 0; i < 32; ++i) {
-    auto lazy = q.schedule_at(q.now() + 5, [] {});
-    auto eager = q.schedule_at(q.now() + 6, [] {});
-    lazy.cancel();
-    q.cancel_now(eager);
+    auto front = q.schedule_at(q.now() + 5, [] {});
+    auto behind = q.schedule_at(q.now() + 7, [] {});
+    q.schedule_at(q.now() + 6, [] {});
+    front.cancel();
+    behind.cancel();
   }
   q.run_all();
 
   [[maybe_unused]] const std::size_t before = allocation_count();
   for (int round = 0; round < 100; ++round) {
-    auto lazy = q.schedule_at(q.now() + 5, [] {});
-    auto eager = q.schedule_at(q.now() + 6, [] {});
-    lazy.cancel();
-    q.cancel_now(eager);
+    auto front = q.schedule_at(q.now() + 5, [] {});
+    auto behind = q.schedule_at(q.now() + 7, [] {});
+    q.schedule_at(q.now() + 6, [] {});
+    front.cancel();
+    behind.cancel();
     q.run_all();
   }
   [[maybe_unused]] const std::size_t after = allocation_count();

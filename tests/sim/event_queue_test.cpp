@@ -183,43 +183,6 @@ TEST(EventQueueTest, CancelPeriodicBetweenFirings) {
   EXPECT_EQ(fired, 2);
 }
 
-TEST(EventQueueTest, CancelNowReclaimsEagerly) {
-  EventQueue q;
-  int fired = 0;
-  for (int i = 0; i < 8; ++i) q.schedule_at(10 * (i + 1), [&] { ++fired; });
-  auto doomed = q.schedule_at(5, [&] { ++fired; });
-  auto series = q.schedule_every(7, [&] { ++fired; }, 7);
-  EXPECT_EQ(q.pending(), 10u);
-  q.cancel_now(doomed);
-  q.cancel_now(series);
-  EXPECT_EQ(q.pending(), 8u);
-  EXPECT_FALSE(doomed.pending());
-  // Eagerly removed entries are gone from the heap, not lazily skipped.
-  EXPECT_EQ(q.run_all().executed, 8u);
-  EXPECT_EQ(fired, 8);
-  EXPECT_EQ(q.stats().cancelled, 2u);
-  EXPECT_EQ(q.stats().pruned, 0u);
-}
-
-TEST(EventQueueTest, CancelNowIgnoresHandleFromAnotherQueue) {
-  // Both events sit in slot 0 at generation 0, so only the queue identity
-  // tells the handles apart: a foreign handle must be inert, like a stale one.
-  EventQueue a;
-  EventQueue b;
-  int a_fired = 0;
-  int b_fired = 0;
-  auto ha = a.schedule_at(10, [&] { ++a_fired; });
-  b.schedule_at(10, [&] { ++b_fired; });
-  b.cancel_now(ha);
-  EXPECT_EQ(b.pending(), 1u);
-  EXPECT_EQ(b.stats().cancelled, 0u);
-  EXPECT_TRUE(ha.pending());
-  b.run_all();
-  a.run_all();
-  EXPECT_EQ(b_fired, 1);
-  EXPECT_EQ(a_fired, 1);
-}
-
 TEST(EventQueueTest, HandleGenerationSurvivesSlabRecycling) {
   EventQueue q;
   bool first_ran = false;
@@ -239,9 +202,11 @@ TEST(EventQueueTest, HandleGenerationSurvivesSlabRecycling) {
   EXPECT_TRUE(second_ran);
 
   // And a recycled periodic slot: cancel through the old series handle must
-  // not touch the replacement series occupying the same slot.
+  // not touch the replacement series occupying the same slot. next_time()
+  // prunes the cancelled series' tombstone, which frees the slot for reuse.
   auto old_series = q.schedule_every(5, [] {}, q.now() + 5);
-  q.cancel_now(old_series);
+  old_series.cancel();
+  EXPECT_EQ(q.next_time(), EventQueue::kNoEventTime);
   int ticks = 0;
   auto new_series = q.schedule_every(5, [&] { ++ticks; }, q.now() + 5);
   old_series.cancel();
@@ -506,22 +471,6 @@ TEST(EventQueueKeyedTest, FarAheadSameTimeEventsFireInKeyOrder) {
   EXPECT_EQ(q.now(), 50'000);
 }
 
-TEST(EventQueueTest, CancelNowReclaimsNearAndFarEntries) {
-  EventQueue q;
-  int fired = 0;
-  auto near = q.schedule_at(100, [&] { ++fired; });
-  auto far = q.schedule_at(50'000, [&] { ++fired; });
-  q.schedule_at(200, [&] { ++fired; });
-  EXPECT_EQ(q.pending(), 3u);
-  q.cancel_now(near);
-  q.cancel_now(far);
-  EXPECT_EQ(q.pending(), 1u);
-  EXPECT_EQ(q.run_all().executed, 1u);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(q.now(), 200);  // the far entry is gone, not run as a no-op
-  EXPECT_EQ(q.stats().pruned, 0u);  // eager removal leaves no tombstones
-}
-
 TEST(EventQueueTest, LongPeriodSeriesKeepsItsCadence) {
   EventQueue q;
   std::vector<TimePoint> fires;
@@ -544,9 +493,9 @@ TEST(EventQueueTest, NextTimePrunesTombstonesAndCountsThem) {
   // work — a lazy-cancel pileup shows up in stats().pruned, loudly.
   EXPECT_EQ(q.next_time(), 4500);
   EXPECT_EQ(q.stats().pruned, 100u);
-  q.cancel_now(survivor);
+  survivor.cancel();
   EXPECT_EQ(q.next_time(), EventQueue::kNoEventTime);
-  EXPECT_EQ(q.stats().pruned, 100u);  // cancel_now added no tombstone
+  EXPECT_EQ(q.stats().pruned, 101u);
 }
 
 TEST(EventQueueTest, ReserveDoesNotDisturbOrdering) {
@@ -561,7 +510,7 @@ TEST(EventQueueTest, ReserveDoesNotDisturbOrdering) {
 }
 
 // Pins the pop order of a scripted workload — mixed horizons, keyed ties,
-// periodic re-arms, lazy and eager cancels, in-callback scheduling — to the
+// periodic re-arms, cancels, in-callback scheduling — to the
 // (time, key, tag) stream the queue produced when this test was written, as
 // a 1,276-event FNV-1a checksum. Any change to the ordering contract moves it.
 TEST(EventQueueTest, MixedWorkloadMatchesGoldenStream) {
@@ -614,9 +563,7 @@ TEST(EventQueueTest, MixedWorkloadMatchesGoldenStream) {
   }
   q.run_until(2500);
   for (std::size_t i = 0; i < handles.size(); i += 3) handles[i].cancel();
-  for (std::size_t i = 1; i < handles.size(); i += 9) {
-    q.cancel_now(handles[i]);
-  }
+  for (std::size_t i = 1; i < handles.size(); i += 9) handles[i].cancel();
   q.run_until(6000);
   for (auto& h : handles) h.cancel();
   q.run_all(/*max_events=*/50'000);

@@ -1,8 +1,8 @@
 // Template images + copy-on-write hosts: an image-backed host must behave
 // exactly like a materialized host with the same content, while its own
 // delta layer holds only what the simulation actually touched. These are
-// the unit-level guarantees the epidemic bench's byte-identity pass and
-// 10⁵-host worlds stand on.
+// the scripted unit-level guarantees; host_twin_test.cpp checks the same
+// contract with seeded random scripts.
 
 #include "winsys/host_image.hpp"
 
