@@ -19,6 +19,7 @@ void PatternSet::compile() {
   next_.clear();
   out_.clear();
   out_link_.clear();
+  report_.clear();
 
   auto new_node = [&]() -> std::int32_t {
     const auto id = static_cast<std::int32_t>(out_.size());
@@ -73,6 +74,11 @@ void PatternSet::compile() {
       }
     }
   }
+  report_.resize(out_.size());
+  for (std::size_t node = 0; node < out_.size(); ++node) {
+    report_[node] = out_[node].empty() ? out_link_[node]
+                                       : static_cast<std::int32_t>(node);
+  }
   compiled_ = true;
 }
 
@@ -86,11 +92,21 @@ void PatternSet::match_presence(std::string_view data,
   if (patterns_.empty() || data.empty()) return;
   ensure_compiled();
   std::size_t unmarked = patterns_.size();
+  const std::int32_t* next = next_.data();
+  const auto* at = reinterpret_cast<const unsigned char*>(data.data());
+  const auto* const end = at + data.size();
   std::int32_t node = 0;
-  for (unsigned char c : data) {
-    node = next_[node * 256 + c];
-    for (std::int32_t v = out_[node].empty() ? out_link_[node] : node; v >= 0;
-         v = out_link_[v]) {
+  while (at != end) {
+    // Binary data keeps the automaton at the root (which has no output, as
+    // patterns are non-empty), so skip the bytes that would leave it there
+    // with independent loads instead of a chain of dependent ones.
+    if (node == 0) {
+      while (next[*at] == 0) {
+        if (++at == end) return;
+      }
+    }
+    node = next[node * 256 + *at++];
+    for (std::int32_t v = report_[node]; v >= 0; v = out_link_[v]) {
       for (const std::uint32_t p : out_[v]) {
         if (!hits[p]) {
           hits[p] = 1;

@@ -61,12 +61,14 @@ class PatternSet {
 
   // Compiled form. `next_` is the dense DFA transition table (node * 256 +
   // byte -> node), `out_` the pattern indices ending at each node, and
-  // `out_link_` the nearest suffix node with output (-1 when none) so a
-  // visit enumerates all patterns ending at the current position without
-  // merged output lists.
+  // `out_link_` the nearest proper suffix node with output (-1 when none)
+  // so a visit enumerates all patterns ending at the current position
+  // without merged output lists. `report_` is where that enumeration
+  // starts: the node itself when it has output, else its `out_link_`.
   mutable std::vector<std::int32_t> next_;
   mutable std::vector<std::vector<std::uint32_t>> out_;
   mutable std::vector<std::int32_t> out_link_;
+  mutable std::vector<std::int32_t> report_;
   mutable bool compiled_ = false;
 };
 

@@ -1,7 +1,5 @@
 #include "analysis/static_analysis.hpp"
 
-#include <cctype>
-
 namespace cyd::analysis {
 namespace {
 

@@ -7,7 +7,6 @@
 // (Shamoon's wiper-inside-TrkSvr, driver-inside-wiper), extract printable
 // strings, and judge the Authenticode signature against a trust store.
 
-#include <cctype>
 #include <memory>
 #include <optional>
 #include <string>
@@ -64,26 +63,47 @@ struct StaticReport {
   std::string summary() const;
 };
 
-/// Visits every printable ASCII run of at least `min_length` in `data`
-/// without allocating: `cb` receives a std::string_view aliasing `data`
-/// (valid only for the duration of the call). This is the hot-path form —
-/// feature extraction interns the views directly. Keep `extract_strings`
-/// for callers that need owned copies.
+/// The C-locale `isprint` set, 0x20 (space) through 0x7e (`~`), as one
+/// range compare: tab and every other control byte, DEL and all bytes
+/// >= 0x80 are binary.
+constexpr bool is_printable_ascii(unsigned char c) {
+  return static_cast<unsigned char>(c - 0x20) < 0x5f;
+}
+
+/// Visits every maximal printable ASCII run of at least `min_length` in
+/// `data`, in order, without allocating: `cb` receives a std::string_view
+/// aliasing `data` (valid only for the duration of the call). This is the
+/// hot-path form — feature extraction interns the views directly. Keep
+/// `extract_strings` for callers that need owned copies. An empty run is
+/// never a string, so `min_length` 0 behaves as 1.
+///
+/// Outside a run the scanner tests the `min_length`-byte window at the next
+/// candidate start from its far end: a binary byte there rules out every
+/// start up to and including it, so binary data is skipped up to
+/// `min_length` bytes per test instead of classified byte by byte.
 template <class Cb>
 void for_each_string(std::string_view data, std::size_t min_length, Cb&& cb) {
-  std::size_t run_start = 0;
-  std::size_t run_len = 0;
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    const unsigned char c = static_cast<unsigned char>(data[i]);
-    if (std::isprint(c) && c != '\t') {
-      if (run_len == 0) run_start = i;
-      ++run_len;
-    } else {
-      if (run_len >= min_length) cb(data.substr(run_start, run_len));
-      run_len = 0;
+  if (min_length == 0) min_length = 1;
+  const auto printable = [&](std::size_t i) {
+    return is_printable_ascii(static_cast<unsigned char>(data[i]));
+  };
+  const std::size_t n = data.size();
+  // Invariant: `start` is 0 or follows a binary byte, so a run found there
+  // is maximal on the left.
+  std::size_t start = 0;
+  while (start + min_length <= n) {
+    std::size_t probe = start + min_length;
+    while (probe > start && printable(probe - 1)) --probe;
+    if (probe > start) {
+      start = probe;  // data[probe - 1] is binary
+      continue;
     }
+    std::size_t end = start + min_length;
+    while (end < n && printable(end)) ++end;
+    cb(data.substr(start, end - start));
+    if (end == n) return;
+    start = end + 1;
   }
-  if (run_len >= min_length) cb(data.substr(run_start, run_len));
 }
 
 /// Printable ASCII runs of at least `min_length`, copied out. Compatibility

@@ -144,5 +144,110 @@ TEST(PatternSetTest, AgreesWithNaiveFindOnRandomInputs) {
   }
 }
 
+// Binary-heavy haystacks: long stretches of bytes that no pattern starts
+// with keep the automaton at the root, broken by NULs (the commonest byte
+// of a binary, and the first byte of a pattern), by bytes from the whole
+// alphabet, and by whole patterns, their prefixes and their first bytes.
+// Presence must equal naive find.
+TEST(PatternSetTest, AgreesWithNaiveFindOnBinaryHeavyInputs) {
+  const std::vector<std::string> patterns = {
+      std::string("\x00\x01\x02", 3),  // NUL first: a common byte
+      std::string("\x01\x02", 2),      // a suffix of the pattern above
+      std::string("\xff\xd8\xff", 3),  // 0xff first
+      std::string("\x9c", 1),           // one rare byte
+      "\x7f" "ELF",
+      "LF",  // a suffix ending a longer pattern
+  };
+  PatternSet set;
+  for (const auto& p : patterns) set.add(p);
+  std::string idle;  // bytes that start no pattern
+  for (int c = 0; c < 256; ++c) {
+    bool starts = false;
+    for (const auto& p : patterns) {
+      starts |= static_cast<unsigned char>(p[0]) == c;
+    }
+    if (!starts) idle.push_back(static_cast<char>(c));
+  }
+  const auto draw = [](sim::Rng& rng, const std::string& from) {
+    return from[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(from.size()) - 1))];
+  };
+  sim::Rng rng(0xb1);
+  for (int trial = 0; trial < 400; ++trial) {
+    std::string data;
+    const auto pieces = rng.uniform_int(0, 6);
+    for (std::int64_t k = 0; k < pieces; ++k) {
+      const auto stretch = rng.uniform_int(0, 96);
+      for (std::int64_t b = 0; b < stretch; ++b) {
+        const double roll = rng.next_double();
+        if (roll < 0.1) {
+          data.push_back('\0');
+        } else if (roll < 0.15) {
+          data.push_back(static_cast<char>(rng.uniform_int(0, 255)));
+        } else {
+          data.push_back(draw(rng, idle));
+        }
+      }
+      const auto& p = patterns[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(patterns.size()) - 1))];
+      // A whole pattern, a proper prefix, or its first byte alone.
+      const auto cut = static_cast<std::size_t>(
+          rng.uniform_int(1, static_cast<std::int64_t>(p.size())));
+      data += p.substr(0, cut);
+    }
+    const auto hits = presence(set, data);
+    ASSERT_EQ(hits.size(), patterns.size());
+    for (std::size_t p = 0; p < patterns.size(); ++p) {
+      EXPECT_EQ(hits[p] != 0, data.find(patterns[p]) != std::string::npos)
+          << "trial " << trial << " pattern " << p;
+    }
+  }
+}
+
+TEST(PatternSetTest, MatchesAtFirstAndLastByteOfBinaryBuffers) {
+  PatternSet set;
+  set.add(std::string("\x00\x01", 2));
+  set.add(std::string("\xff", 1));
+  set.add("Q");
+  set.add("QZ");
+  const std::string binary(50, '\x80');
+  const std::string nul(1, '\0');
+  // Each pattern at offset 0, then ending on the last byte.
+  EXPECT_EQ(presence(set, nul + "\x01" + binary),
+            (std::vector<std::uint8_t>{1, 0, 0, 0}));
+  EXPECT_EQ(presence(set, binary + nul + "\x01"),
+            (std::vector<std::uint8_t>{1, 0, 0, 0}));
+  EXPECT_EQ(presence(set, "\xff" + binary),
+            (std::vector<std::uint8_t>{0, 1, 0, 0}));
+  EXPECT_EQ(presence(set, binary + "\xff"),
+            (std::vector<std::uint8_t>{0, 1, 0, 0}));
+  EXPECT_EQ(presence(set, "QZ" + binary),
+            (std::vector<std::uint8_t>{0, 0, 1, 1}));
+  EXPECT_EQ(presence(set, binary + "Q"),
+            (std::vector<std::uint8_t>{0, 0, 1, 0}));
+  // The one-byte buffer that leaves the root on its only byte.
+  EXPECT_EQ(presence(set, "Q"), (std::vector<std::uint8_t>{0, 0, 1, 0}));
+  EXPECT_EQ(presence(set, binary), (std::vector<std::uint8_t>{0, 0, 0, 0}));
+}
+
+TEST(PatternSetTest, StopsOnlyOnceEveryPatternIsSeen) {
+  // Duplicates and a suffix pair fire on the same byte; the early exit
+  // counts each index once, so the scan runs on to the last pattern,
+  // which sits at the very end of a long binary tail.
+  PatternSet set;
+  set.add("abc");
+  set.add("abc");
+  set.add("bc");
+  set.add(std::string("\x00\xfe", 2));
+  const std::string tail(4096, '\x90');
+  EXPECT_EQ(presence(set, "abc" + tail + std::string("\x00\xfe", 2)),
+            (std::vector<std::uint8_t>{1, 1, 1, 1}));
+  EXPECT_EQ(presence(set, "abc" + tail),
+            (std::vector<std::uint8_t>{1, 1, 1, 0}));
+  // Everything seen up front: whatever follows cannot change the answer.
+  EXPECT_EQ(presence(set, std::string("\x00\xfe", 2) + "abc" + tail),
+            (std::vector<std::uint8_t>{1, 1, 1, 1}));
+}
+
 }  // namespace
 }  // namespace cyd::analysis

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <clocale>
+#include <utility>
+
 #include "malware/shamoon/shamoon.hpp"
 #include "malware/tracker.hpp"
 #include "net/network.hpp"
+#include "sim/rng.hpp"
 #include "sim/simulation.hpp"
 
 namespace cyd::analysis {
@@ -50,6 +55,131 @@ TEST(StaticAnalysisTest, ForEachStringVisitsRunsInPlace) {
   // Shim equivalence: extract_strings returns the same runs, copied.
   EXPECT_EQ(extract_strings(data, 6),
             (std::vector<std::string>{"mssecmgr.ocx", "GET_NEWS command"}));
+}
+
+// The byte-at-a-time loop for_each_string replaced, kept as the oracle:
+// every maximal run of C-locale isprint bytes (tab excluded) at least
+// `min_length` long, as (offset, length).
+std::vector<std::pair<std::size_t, std::size_t>> printable_runs_oracle(
+    std::string_view data, std::size_t min_length) {
+  std::vector<std::pair<std::size_t, std::size_t>> runs;
+  std::size_t run_start = 0;
+  std::size_t run_len = 0;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(data[i]);
+    if (std::isprint(c) && c != '\t') {
+      if (run_len == 0) run_start = i;
+      ++run_len;
+    } else {
+      if (run_len >= min_length) runs.emplace_back(run_start, run_len);
+      run_len = 0;
+    }
+  }
+  if (run_len >= min_length) runs.emplace_back(run_start, run_len);
+  return runs;
+}
+
+std::vector<std::pair<std::size_t, std::size_t>> printable_runs(
+    std::string_view data, std::size_t min_length) {
+  std::vector<std::pair<std::size_t, std::size_t>> runs;
+  for_each_string(data, min_length, [&](std::string_view s) {
+    runs.emplace_back(static_cast<std::size_t>(s.data() - data.data()),
+                      s.size());
+  });
+  return runs;
+}
+
+TEST(StaticAnalysisTest, PrintableClassifierIsCLocaleIsprint) {
+  ASSERT_STREQ(std::setlocale(LC_CTYPE, nullptr), "C");
+  for (int c = 0; c < 256; ++c) {
+    const auto byte = static_cast<unsigned char>(c);
+    EXPECT_EQ(is_printable_ascii(byte), std::isprint(c) && c != '\t')
+        << "byte 0x" << std::hex << c;
+  }
+}
+
+TEST(StaticAnalysisTest, ForEachStringMatchesBytewiseOracle) {
+  // Seeded buffers from the full byte alphabet down to nearly-all-text,
+  // plus bursty ones whose runs straddle the window: each run length is
+  // drawn around min_length, so the skip lands on, just before and just
+  // past run starts. The first and last bytes are forced printable in a
+  // third of the buffers so runs touch either end.
+  sim::Rng rng(0x57a7);
+  const std::size_t min_lengths[] = {1, 2, 3, 4, 5, 6, 7, 8, 70};
+  // A share below 0 means the uniform 0-255 alphabet.
+  const double printable_share[] = {-1.0, 0.5, 0.8, 0.97, 1.0};
+  const auto printable_byte = [&] {
+    return static_cast<char>(rng.uniform_int(0x20, 0x7e));
+  };
+  const auto binary_byte = [&] {
+    for (;;) {
+      const auto c = static_cast<unsigned char>(rng.uniform_int(0, 255));
+      if (!std::isprint(c)) return static_cast<char>(c);
+    }
+  };
+  for (const std::size_t min_length : min_lengths) {
+    // Fixed buffers first: runs exactly at, and one byte short of,
+    // min_length, against either end of the buffer or a binary pair.
+    const std::string bin("\x00\xff", 2);
+    const std::string exact(min_length, 'x');
+    const std::string short_run(min_length - 1, 'y');
+    for (const std::string& data :
+         {exact, short_run, exact + bin, bin + exact, short_run + bin + exact,
+          exact + bin + short_run, bin + short_run + bin, bin, std::string()}) {
+      ASSERT_EQ(printable_runs(data, min_length),
+                printable_runs_oracle(data, min_length))
+          << "min_length " << min_length << " size " << data.size();
+    }
+    for (int trial = 0; trial < 120; ++trial) {
+      const auto size = static_cast<std::size_t>(rng.uniform_int(0, 300));
+      std::string data;
+      data.reserve(size);
+      if (trial % 2 == 0) {
+        const double share = printable_share[trial / 2 % 5];
+        while (data.size() < size) {
+          data.push_back(share < 0 ? static_cast<char>(rng.uniform_int(0, 255))
+                         : rng.bernoulli(share) ? printable_byte()
+                                                : binary_byte());
+        }
+      } else {
+        const auto mean = static_cast<std::int64_t>(min_length);
+        while (data.size() < size) {
+          const auto run = rng.uniform_int(0, 2 * mean + 1);
+          for (std::int64_t k = 0; k < run && data.size() < size; ++k) {
+            data.push_back(printable_byte());
+          }
+          const auto gap = rng.uniform_int(1, 3);
+          for (std::int64_t k = 0; k < gap && data.size() < size; ++k) {
+            data.push_back(binary_byte());
+          }
+        }
+      }
+      if (trial % 3 == 0 && !data.empty()) {
+        data.front() = printable_byte();
+        data.back() = printable_byte();
+      }
+      ASSERT_EQ(printable_runs(data, min_length),
+                printable_runs_oracle(data, min_length))
+          << "min_length " << min_length << " trial " << trial << " size "
+          << size;
+    }
+  }
+}
+
+TEST(StaticAnalysisTest, ForEachStringMinLengthZeroActsAsOne) {
+  // An empty run is not a string: min_length 0 reports exactly the runs
+  // min_length 1 does, never an empty view (the byte-at-a-time loop
+  // emitted one at every binary byte).
+  sim::Rng rng(0x0);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::string data;
+    const auto size = rng.uniform_int(0, 64);
+    for (std::int64_t k = 0; k < size; ++k) {
+      data.push_back(static_cast<char>(rng.uniform_int(0, 255)));
+    }
+    EXPECT_EQ(printable_runs(data, 0), printable_runs(data, 1));
+    EXPECT_EQ(printable_runs(data, 0), printable_runs_oracle(data, 1));
+  }
 }
 
 TEST(StaticAnalysisTest, BruteXorRecoversKey) {

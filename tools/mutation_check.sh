@@ -11,8 +11,8 @@
 # (`Killed-by:`). Those tests must pass on the unmutated copy first, so a
 # test that fails anyway kills nothing. Then, per mutant: apply the patch,
 # build the binary, run the filter, revert. Exits 1 if any mutant survives
-# or fails to apply or build. Too slow for every push: run it by hand with
-# `cmake --build <dir> --target mutation_check`.
+# or fails to apply or build. Too slow for every push: CI runs it weekly,
+# and by hand it is `cmake --build <dir> --target mutation_check`.
 set -u
 
 usage="usage: mutation_check.sh <source-dir> <work-dir>"
