@@ -17,32 +17,26 @@
 // Two claims:
 //  (1) fidelity: on piles where the exact O(n²) path still fits, the
 //      candidate stage recovers >= 0.98 of all exact above-threshold
-//      edges, and the resulting clustering is *identical* to the exact
-//      clustering (both paths emit canonical index groups). Fatal on
-//      violation. The candidate stage is recall-bounded, not
-//      bit-identical — DESIGN.md §7 records why that is the right
+//      edges (the `recall` gate; LshRecall.MeetsFloorOnRandomKitPile pins
+//      the same floor in ctest), and the resulting clustering is
+//      *identical* to the exact clustering (both paths emit canonical index
+//      groups). Fatal on violation. The candidate stage is recall-bounded,
+//      not bit-identical — DESIGN.md §7 records why that is the right
 //      contract for a prefilter;
 //  (2) scale: a 10⁵-specimen pile clusters in seconds, with the
 //      candidate-pair reduction factor (exact-kernel invocations saved)
 //      reported and gated >= 10x. Pass --mega to also run the 10⁶ pile.
-//
-// The BM_* cases export `recall` and `candidate_reduction` as benchmark
-// counters; tools/bench_diff treats recall as a hard floor (--floor
-// recall=0.98 in CI), not a tolerance band — a recall regression is a
-// correctness bug, however fast it runs.
 
-#include "scaling_bench.hpp"
+#include "bench_util.hpp"
 #include "analysis/minhash.hpp"
 #include "analysis/similarity.hpp"
 #include "sim/rng.hpp"
 #include "sim/sweep.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <vector>
 
 using namespace cyd;
@@ -144,14 +138,6 @@ KitPile make_kit_pile(std::size_t n, std::uint64_t seed) {
   return pile;
 }
 
-double time_ms(const std::function<void()>& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fn();
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
 [[noreturn]] void fatal(const char* fmt, double a, double b) {
   std::printf("FATAL: ");
   std::printf(fmt, a, b);
@@ -212,7 +198,7 @@ void reproduce_fidelity() {
 
     std::vector<double> triangle;
     std::vector<std::vector<std::size_t>> exact_clusters;
-    const double exact_ms = time_ms([&] {
+    const double exact_ms = benchutil::time_ms([&] {
       triangle = analysis::similarity_triangle(pile.features);
       exact_clusters =
           analysis::cluster_feature_indices(pile.features, kThreshold);
@@ -220,7 +206,7 @@ void reproduce_fidelity() {
 
     analysis::LshStats stats;
     std::vector<std::vector<std::size_t>> lsh_clusters;
-    const double lsh_ms = time_ms([&] {
+    const double lsh_ms = benchutil::time_ms([&] {
       lsh_clusters = analysis::cluster_features_lsh(pile.features, kThreshold,
                                                     {}, &stats);
     });
@@ -232,10 +218,7 @@ void reproduce_fidelity() {
     const auto candidates = analysis::lsh_candidate_pairs(sketches);
     const auto recall = candidate_recall(pile, candidates, triangle);
 
-    if (recall.recall() < 0.98) {
-      fatal("LSH recall %.4f below the 0.98 floor (%.0f exact edges)",
-            recall.recall(), static_cast<double>(recall.exact_edges));
-    }
+    benchutil::gate_floor("recall", recall.recall(), 0.98);
     if (lsh_clusters != exact_clusters) {
       fatal("LSH clustering diverged from exact (%.0f vs %.0f clusters)",
             static_cast<double>(lsh_clusters.size()),
@@ -266,7 +249,7 @@ void reproduce_scale(bool mega) {
     const auto pile = make_kit_pile(n, 0x5ca1e + n);
     analysis::LshStats stats;
     std::vector<std::vector<std::size_t>> clusters;
-    const double ms = time_ms([&] {
+    const double ms = benchutil::time_ms([&] {
       clusters = analysis::cluster_features_lsh(pile.features, kThreshold,
                                                 {}, &stats);
     });
@@ -300,94 +283,13 @@ void reproduce_scale(bool mega) {
               "blocks finish scoring.\n");
 }
 
-// ---------------------------------------------------------------------------
-// google-benchmark cases for regression tracking (BENCH_*.json baselines).
-// recall / candidate_reduction ride along as counters; bench_diff gates
-// recall as a hard floor.
-
-const KitPile& bench_pile_1k() {
-  static const KitPile pile = make_kit_pile(1024, 0xc17ade1 + 1024);
-  return pile;
-}
-
-const KitPile& bench_pile_2k() {
-  static const KitPile pile = make_kit_pile(2048, 0xc17ade1 + 2048);
-  return pile;
-}
-
-/// Recall of the default-params candidate stage on the 2k pile vs the
-/// exact edge set, computed once (the exact triangle is the slow part).
-double bench_recall_2k() {
-  static const double recall = [] {
-    const auto& pile = bench_pile_2k();
-    const auto triangle = analysis::similarity_triangle(pile.features);
-    const auto sketches = sim::Sweep::map_items(
-        pile.features, [](const analysis::SpecimenFeatures& f) {
-          return analysis::minhash_sketch(f);
-        });
-    return candidate_recall(pile, analysis::lsh_candidate_pairs(sketches),
-                            triangle)
-        .recall();
-  }();
-  return recall;
-}
-
-void BM_MinHashSketchPile(benchmark::State& state) {
-  const auto& pile = bench_pile_1k();
-  for (auto _ : state) {
-    for (const auto& f : pile.features) {
-      auto sketch = analysis::minhash_sketch(f);
-      benchmark::DoNotOptimize(sketch);
-    }
-  }
-}
-BENCHMARK(BM_MinHashSketchPile)->Unit(benchmark::kMillisecond);
-
-void BM_LshCandidatePairs(benchmark::State& state) {
-  const auto& pile = bench_pile_2k();
-  const auto sketches = sim::Sweep::map_items(
-      pile.features, [](const analysis::SpecimenFeatures& f) {
-        return analysis::minhash_sketch(f);
-      });
-  for (auto _ : state) {
-    auto pairs = analysis::lsh_candidate_pairs(sketches);
-    benchmark::DoNotOptimize(pairs);
-  }
-}
-BENCHMARK(BM_LshCandidatePairs)->Unit(benchmark::kMillisecond);
-
-void BM_LshClusterPile(benchmark::State& state) {
-  const auto& pile = bench_pile_2k();
-  analysis::LshStats stats;
-  for (auto _ : state) {
-    auto clusters =
-        analysis::cluster_features_lsh(pile.features, kThreshold, {}, &stats);
-    benchmark::DoNotOptimize(clusters);
-  }
-  state.counters["recall"] = bench_recall_2k();
-  state.counters["candidate_reduction"] = stats.reduction();
-}
-BENCHMARK(BM_LshClusterPile)->Unit(benchmark::kMillisecond);
-
-void BM_ExactClusterStream(benchmark::State& state) {
-  const auto& pile = bench_pile_1k();
-  for (auto _ : state) {
-    auto clusters =
-        analysis::cluster_feature_indices(pile.features, kThreshold);
-    benchmark::DoNotOptimize(clusters);
-  }
-}
-BENCHMARK(BM_ExactClusterStream)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   benchutil::header(
       "ATTRIBUTION-SCALING: MinHash/LSH candidate stage at pile scale",
       "framework performance behind the Section I attribution workflow");
-  if (!benchutil::has_flag(argc, argv, "--no-repro")) {
-    reproduce_fidelity();
-    reproduce_scale(benchutil::has_flag(argc, argv, "--mega"));
-  }
-  return benchutil::run_benchmarks(argc, argv);
+  reproduce_fidelity();
+  reproduce_scale(benchutil::has_flag(argc, argv, "--mega"));
+  return 0;
 }

@@ -4,15 +4,20 @@
 // The 15 paper repros (fig*, trend_*, ablation_*, attribution_matrix) are
 // plain programs: each prints the reproduced table/series for its figure or
 // trend to stdout (deterministic, seed-fixed), and ctest diffs that output
-// against bench/golden/<name>.txt. The scaling benches print their report
-// the same way and then hand over to google-benchmark; the helpers only
-// they need are in scaling_bench.hpp.
+// against bench/golden/<name>.txt. The seven scaling benches print a
+// report the same way and check their own gates: a failed gate prints
+// `GATE <counter>: measured <x>, limit <y>` and exits 1, and ctest runs each
+// as `bench.<name>` under `ctest -C bench -L bench`.
 
 #include <algorithm>
+#include <chrono>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -31,6 +36,41 @@ inline void header(const std::string& title, const std::string& paper_ref) {
 
 inline void section(const std::string& name) {
   std::printf("\n-- %s --\n", name.c_str());
+}
+
+/// True when `flag` appears verbatim in argv (the scaling benches' `--mega`).
+inline bool has_flag(int argc, char** argv, std::string_view flag) {
+  for (int i = 1; i < argc; ++i) {
+    if (argv[i] == flag) return true;
+  }
+  return false;
+}
+
+/// Wall-clock milliseconds `fn` takes.
+inline double time_ms(const std::function<void()>& fn) {
+  const auto start = std::chrono::steady_clock::now();
+  fn();
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// A scaling bench's gate failed: names the counter, the measured value and
+/// the limit it broke, and exits 1 (the ctest `bench.<name>` verdict).
+/// Contract checks report 0 against a limit of 1.
+[[noreturn]] inline void gate_failed(const char* counter, double measured,
+                                     double limit) {
+  std::printf("GATE %s: measured %g, limit %g\n", counter, measured, limit);
+  std::exit(1);
+}
+
+inline void gate_floor(const char* counter, double measured, double floor) {
+  if (!(measured >= floor)) gate_failed(counter, measured, floor);
+}
+
+inline void gate_ceiling(const char* counter, double measured,
+                         double ceiling) {
+  if (!(measured <= ceiling)) gate_failed(counter, measured, ceiling);
 }
 
 /// printf-compatible sink that buffers instead of writing to stdout. The

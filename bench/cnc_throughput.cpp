@@ -6,26 +6,29 @@
 // are the ones the seed server produced on the same streams. This bench
 // reports cnc::RequestEngine's:
 //
-//  (1) Single-thread throughput: decode + handle over one beacon stream;
-//      `beacons_per_sec` exported as a bench_diff floor.
+//  (1) Single-thread throughput: decode + handle over one beacon stream,
+//      gated at `beacons_per_sec` >= 400,000: 5x the seed path's rate on
+//      the 4-vCPU reference box (~80k beacons/s) and 2.4-3.2x under the
+//      pipeline's own rate there (0.95-1.27M beacons/s).
 //  (2) Storm scaling: one engine per site shard on sim::ShardedScheduler.
 //      The merged response/state checksums must match the single-queue run
-//      at every worker count (fatal), and the sharded run must reach >=2x
-//      over it on 4+ cores (fatal when the cores exist);
-//      `cnc_storm_speedup_4core` exported on 4+-core machines.
+//      at every worker count (fatal), and the sharded run must reach
+//      `cnc_storm_speedup_4core` >= 2x over it on 4+ cores.
 //  (3) Storm + purge tail latency: per-beacon p50/p99/max with the pickup
 //      and purge cadence running; the O(pending) contract is gated
 //      structurally (total purge scan work <= purged + ticks, fatal) and
-//      `p99_handle_ns` exported as a bench_diff ceiling.
+//      `p99_handle_ns` <= 50,000, a ceiling an O(history) slip in
+//      handle/pickup/purge blows by orders of magnitude.
+//
+// The rate gates are checked once the whole report has printed.
 
-#include "scaling_bench.hpp"
+#include "bench_util.hpp"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,14 +44,6 @@
 using namespace cyd;
 
 namespace {
-
-double time_ms(const std::function<void()>& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fn();
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 [[noreturn]] void fatal(const char* what) {
   std::printf("\nFATAL: %s\n", what);
@@ -133,7 +128,7 @@ RunResult run_pipeline(const OpStream& stream) {
   cnc::RequestEngine engine;
   engine.push_news(cnc::Payload{"mod-broadcast", "broadcast module bytes"});
   RunResult result;
-  result.ms = time_ms([&] {
+  result.ms = benchutil::time_ms([&] {
     for (const Op& op : stream.ops) {
       if (op.pickup) {
         engine.take_new_entries();
@@ -208,7 +203,7 @@ StormResult run_storm_pipeline(const std::vector<OpStream>& streams,
   }
 
   StormResult result;
-  result.ms = time_ms([&] { scheduler.run_until(horizon + 1); });
+  result.ms = benchutil::time_ms([&] { scheduler.run_until(horizon + 1); });
   result.merge = cnc::merge_storm(engines);
   return result;
 }
@@ -282,7 +277,15 @@ void check_purge_cost(const LatencyResult& r) {
 // ---------------------------------------------------------------------------
 // Reproduction pass
 
-void reproduce_cnc_throughput() {
+/// The report's gated measurements.
+struct Measured {
+  double beacons_per_sec = 0.0;
+  double storm_speedup = 0.0;  // best sharded speedup over single-queue
+  double p99_handle_ns = 0.0;
+};
+
+Measured reproduce_cnc_throughput() {
+  Measured measured;
   const auto key_pair = cnc::CncKeyPair::generate(0xc2c0ffee);
   const auto upload_key = cnc::public_half(key_pair);
 
@@ -293,8 +296,10 @@ void reproduce_cnc_throughput() {
   std::printf("%zu beacons, 800 clients, pickup+purge every 20 waves\n",
               flat.beacons);
   const RunResult pipeline = run_pipeline(flat);
-  std::printf("pipeline:   %8.1f ms  (%.0f beacons/s)\n", pipeline.ms,
-              1000.0 * static_cast<double>(flat.beacons) / pipeline.ms);
+  measured.beacons_per_sec =
+      1000.0 * static_cast<double>(flat.beacons) / pipeline.ms;
+  std::printf("pipeline:   %8.1f ms  (%.0f beacons/s; gated >= 400,000)\n",
+              pipeline.ms, measured.beacons_per_sec);
 
   benchutil::section("sharded beacon storm (8 site shards)");
   const auto streams = make_storm_streams(/*shards=*/8,
@@ -314,13 +319,12 @@ void reproduce_cnc_throughput() {
   if (hw > 2) worker_counts.push_back(hw);
   std::printf("\n%-10s %-12s %-10s %-18s\n", "workers", "wall-ms", "speedup",
               "merged-checksums");
-  double best_speedup = 0.0;
   for (const unsigned workers : worker_counts) {
     const StormResult sharded = run_storm_pipeline(
         streams, sim::ShardedScheduler::Mode::kSharded, workers);
     check_storm_identity(single, sharded, "sharded vs single-queue");
     const double s = single.ms / sharded.ms;
-    best_speedup = std::max(best_speedup, s);
+    measured.storm_speedup = std::max(measured.storm_speedup, s);
     std::printf("%-10u %-12.1f %-10.2f %-18s\n", workers, sharded.ms, s,
                 "yes (bit-identical)");
   }
@@ -328,13 +332,10 @@ void reproduce_cnc_throughput() {
               "identical response/state checksums.\n",
               worker_counts.size());
   if (hw >= 4) {
-    std::printf("best storm speedup %.2fx on %u cores (target: >=2x)\n",
-                best_speedup, hw);
-    if (best_speedup < 2.0) {
-      fatal("sharded storm speedup below the 2x floor on 4+ cores");
-    }
+    std::printf("best storm speedup %.2fx on %u cores (gated >= 2x)\n",
+                measured.storm_speedup, hw);
   } else {
-    std::printf("note: only %u hardware thread(s) — the >=2x storm target "
+    std::printf("note: only %u hardware thread(s) — the >=2x storm gate "
                 "needs a 4+-core machine; identity holds on any.\n",
                 hw);
   }
@@ -346,104 +347,30 @@ void reproduce_cnc_throughput() {
   const LatencyResult lat = run_latency(tail);
   check_purge_cost(lat);
   std::printf("%zu beacons with pickup+purge every 12 waves\n", tail.beacons);
-  std::printf("handle latency: p50 %.0f ns, p99 %.0f ns, max %.0f ns\n",
+  std::printf("handle latency: p50 %.0f ns, p99 %.0f ns (gated <= 50,000), "
+              "max %.0f ns\n",
               lat.p50_ns, lat.p99_ns, lat.max_ns);
   std::printf("purge work: %llu scanned for %llu purged over %llu ticks "
               "(O(pending) gate: scanned <= purged + ticks)\n",
               static_cast<unsigned long long>(lat.purge_scanned),
               static_cast<unsigned long long>(lat.purged),
               static_cast<unsigned long long>(lat.ticks));
+  measured.p99_handle_ns = lat.p99_ns;
+  return measured;
 }
-
-// ---------------------------------------------------------------------------
-// google-benchmark cases for regression tracking (BENCH_*.json baselines)
-
-OpStream smoke_stream(const cnc::CncPublicKey& upload_key) {
-  return make_stream(0x57a7e, /*clients=*/400, /*waves=*/60, /*wave_size=*/100,
-                     sim::kMinute, /*pickup_every=*/15, upload_key, "c-");
-}
-
-const cnc::CncPublicKey& bench_key() {
-  static const cnc::CncPublicKey key =
-      cnc::public_half(cnc::CncKeyPair::generate(0xc2c0ffee));
-  return key;
-}
-
-void BM_CncPipeline(benchmark::State& state) {
-  const OpStream stream = smoke_stream(bench_key());
-  double total_ms = 0.0;
-  std::size_t beacons = 0;
-  for (auto _ : state) {
-    const RunResult r = run_pipeline(stream);
-    total_ms += r.ms;
-    beacons += stream.beacons;
-    benchmark::DoNotOptimize(r.state_checksum);
-  }
-  // Hard bench_diff floor: the decode+handle rate a single thread sustains
-  // (the floor and its rationale are in tools/bench_gate.sh).
-  if (total_ms > 0.0) {
-    state.counters["beacons_per_sec"] =
-        1000.0 * static_cast<double>(beacons) / total_ms;
-  }
-}
-BENCHMARK(BM_CncPipeline)->Unit(benchmark::kMillisecond);
-
-void BM_CncShardedStorm(benchmark::State& state) {
-  const auto streams = make_storm_streams(/*shards=*/4,
-                                          /*clients_per_shard=*/120,
-                                          /*waves=*/120, /*wave_size=*/25,
-                                          bench_key());
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  double single_ms = 0.0;
-  double sharded_ms = 0.0;
-  for (auto _ : state) {
-    const StormResult single = run_storm_pipeline(
-        streams, sim::ShardedScheduler::Mode::kSingleQueue, 1);
-    const StormResult sharded =
-        run_storm_pipeline(streams, sim::ShardedScheduler::Mode::kSharded, 0);
-    check_storm_identity(single, sharded, "sharded vs single-queue");
-    single_ms += single.ms;
-    sharded_ms += sharded.ms;
-    benchmark::DoNotOptimize(sharded.merge.state_checksum);
-  }
-  // Only meaningful with the cores; a counter the baseline lacks is legal
-  // for bench_diff, dropping one it has is not (same convention as
-  // sharded_speedup_4core).
-  if (hw >= 4 && sharded_ms > 0.0) {
-    state.counters["cnc_storm_speedup_4core"] = single_ms / sharded_ms;
-  }
-}
-// Pinned to a fixed iteration count: the speedup is a ratio of times
-// summed over the iterations, and the smoke pass's --benchmark_min_time
-// would otherwise stop after one ~15 ms iteration, where a single
-// scheduler hiccup on a shared machine decides the ratio.
-BENCHMARK(BM_CncShardedStorm)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(40);
-
-void BM_CncStormPurge(benchmark::State& state) {
-  const OpStream stream = smoke_stream(bench_key());
-  double p99 = 0.0;
-  for (auto _ : state) {
-    const LatencyResult lat = run_latency(stream);
-    check_purge_cost(lat);  // exits when purge stops being O(pending)
-    p99 = std::max(p99, lat.p99_ns);
-    benchmark::DoNotOptimize(lat.p99_ns);
-  }
-  // Hard bench_diff ceiling: an O(history) slip in handle/pickup/purge blows
-  // the tail latency by orders of magnitude, far past runner noise.
-  state.counters["p99_handle_ns"] = p99;
-}
-BENCHMARK(BM_CncStormPurge)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   benchutil::header(
       "CNC-THROUGHPUT: sharded C&C request pipeline under beacon storms",
       "framework performance for the Fig. 5 C&C platform under beacon storms");
-  if (!benchutil::has_flag(argc, argv, "--no-repro")) {
-    reproduce_cnc_throughput();
+  const Measured measured = reproduce_cnc_throughput();
+  benchutil::gate_floor("beacons_per_sec", measured.beacons_per_sec, 400'000);
+  if (std::thread::hardware_concurrency() >= 4) {
+    benchutil::gate_floor("cnc_storm_speedup_4core", measured.storm_speedup,
+                          2.0);
   }
-  return benchutil::run_benchmarks(argc, argv);
+  benchutil::gate_ceiling("p99_handle_ns", measured.p99_handle_ns, 50'000);
+  return 0;
 }

@@ -19,29 +19,26 @@
 //  (2) trend-e shape at 1:1 — the USB courier-cadence race into an
 //      air-gapped plant (§V-E), with the full 55-cascade / 9,020-centrifuge
 //      Natanz site behind the gap and a nine-month sabotage campaign.
-//  (3) memory — per-host heap for an image-backed fleet vs the same content
-//      fully materialized per host. Gated >= 10x (fatal), exported as
-//      bench_diff counters (`heap_per_host` ceiling, `cow_ratio` floor).
-//
-// The BM_* cases export `hosts_per_sec`, `heap_per_host` and `cow_ratio`;
-// CI gates hosts_per_sec as a --floor and heap_per_host as a --ceiling.
+//  (3) fleet build — one add_fleet of 10,000 office PCs, gated at
+//      `hosts_per_sec` >= 25,000, WAN routing over 512 hub-spoke sites, and
+//      the archetype image inventory. The per-host heap against a
+//      materialized host (<= 8,000 bytes, >= 10x smaller) is
+//      HostImageAllocTest in ctest: allocator counts do not depend on the
+//      machine.
 //
 // Pass --mega for the 10⁶-host world (1,250 sites).
 
-#include "heap_counter.hpp"
-#include "scaling_bench.hpp"
+#include "bench_util.hpp"
 #include "core/user_behavior.hpp"
 #include "malware/stuxnet/stuxnet.hpp"
 #include "winsys/host_image.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -51,21 +48,13 @@ namespace {
 
 constexpr const char* kFamily = malware::stuxnet::Stuxnet::kFamily;
 
-double time_ms(const std::function<void()>& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fn();
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
 [[noreturn]] void fatal(const std::string& message) {
   std::printf("FATAL: %s\n", message.c_str());
   std::exit(1);
 }
 
-/// VmRSS / VmHWM in kB from /proc/self/status (0 when unavailable) — for
-/// reporting only; the gated numbers come from the deterministic heap hook.
+/// VmRSS / VmHWM in kB from /proc/self/status (0 when unavailable), for
+/// reporting only.
 std::size_t proc_status_kb(const char* key) {
   std::ifstream status("/proc/self/status");
   std::string line;
@@ -127,7 +116,7 @@ EpiOutcome epidemic_run(const EpiConfig& cfg) {
   // scaling benches.
   std::vector<std::string> site_names;
   std::vector<core::FleetHandle> fleets;
-  outcome.build_ms = time_ms([&] {
+  outcome.build_ms = benchutil::time_ms([&] {
     auto fleet =
         benchutil::build_hub_spoke_fleet(world, cfg.sites, cfg.hosts_per_site);
     site_names = std::move(fleet.site_names);
@@ -215,7 +204,7 @@ EpiOutcome epidemic_run(const EpiConfig& cfg) {
     return inside;
   };
 
-  outcome.run_ms = time_ms([&] {
+  outcome.run_ms = benchutil::time_ms([&] {
     for (int week = 1; week <= cfg.weeks; ++week) {
       world.sim().run_for(7 * sim::kDay);
       const std::size_t victims = world.tracker().infected_count(kFamily);
@@ -430,73 +419,35 @@ void reproduce_trend_e_at_scale() {
 }
 
 // ---------------------------------------------------------------------------
-// Memory pass: per-host heap, image-backed vs fully materialized.
+// Fleet build pass: the add_fleet rate and the archetype images.
 
-struct CowMemory {
-  double image_once = 0.0;      // one-time template cost (bytes)
-  double cow_per_host = 0.0;    // marginal image-backed host (bytes)
-  double mat_per_host = 0.0;    // same content, materialized (bytes)
-  double ratio() const {
-    return cow_per_host > 0.0 ? mat_per_host / cow_per_host : 0.0;
-  }
-};
+/// Returns hosts_per_sec of one 10,000-host add_fleet (world and template
+/// image included, as a campaign's setup pays them).
+double reproduce_fleet_build() {
+  benchutil::section("fleet build: one add_fleet of 10,000 office PCs");
+  constexpr std::size_t kFleet = 10'000;
+  const double ms = benchutil::time_ms([] {
+    core::World world(0xf1ee7);
+    world.add_fleet(winsys::HostArchetype::kOfficePc, kFleet, "site");
+  });
+  const double hosts_per_sec = static_cast<double>(kFleet) / ms * 1000.0;
+  std::printf("%zu image-backed hosts in %.1f ms: %.0f hosts/s (gated >= "
+              "25,000)\n",
+              kFleet, ms, hosts_per_sec);
 
-CowMemory measure_cow_memory(std::size_t cow_hosts, std::size_t mat_hosts) {
-  CowMemory m;
-  {
-    core::World world(0x3e3);
-    const std::uint64_t before_image = benchutil::heap_bytes();
-    world.archetype_image(winsys::HostArchetype::kOfficePc);
-    m.image_once = static_cast<double>(benchutil::heap_bytes() - before_image);
-    const std::uint64_t before = benchutil::heap_bytes();
-    world.add_fleet(winsys::HostArchetype::kOfficePc, cow_hosts, "cow-site");
-    m.cow_per_host = static_cast<double>(benchutil::heap_bytes() - before) /
-                     static_cast<double>(cow_hosts);
-  }
-  {
-    // The pre-refactor substrate: every host owns the full archetype tree
-    // and a deep copy of the Microsoft certificate landscape.
-    core::World world(0x3e4);
-    const std::uint64_t before = benchutil::heap_bytes();
-    for (std::size_t i = 0; i < mat_hosts; ++i) {
-      char name[24];
-      std::snprintf(name, sizeof(name), "mat-pc%05zu", i);
-      auto& host = world.add_host(
-          name, winsys::default_os(winsys::HostArchetype::kOfficePc),
-          "mat-lan" + std::to_string(i / 256));
-      winsys::populate_archetype(winsys::HostArchetype::kOfficePc, host.fs(),
-                                 host.registry());
-      world.microsoft().install_into(host.cert_store());
-      world.microsoft().anchor_root(host.trust_store());
+  benchutil::section("WAN routing: 512 hub-spoke sites");
+  core::World routed(0x5173);
+  const auto sites =
+      benchutil::build_hub_spoke_fleet(routed, 512, 1).site_names;
+  sim::Duration latency_sum = 0;
+  const double route_ms = benchutil::time_ms([&] {
+    for (const auto& site : sites) {
+      latency_sum += routed.network().route_between(sites[0], site).latency;
     }
-    m.mat_per_host = static_cast<double>(benchutil::heap_bytes() - before) /
-                     static_cast<double>(mat_hosts);
-  }
-  return m;
-}
-
-const CowMemory& cow_memory() {
-  static const CowMemory m = measure_cow_memory(4096, 256);
-  return m;
-}
-
-void reproduce_memory() {
-  benchutil::section("per-host heap: image + COW delta vs materialized");
-  const auto& m = cow_memory();
-  std::printf("%-44s %14.0f bytes\n",
-              "office-pc template image (one-time, shared)", m.image_once);
-  std::printf("%-44s %14.0f bytes\n",
-              "image-backed host, marginal (4,096-host fleet)",
-              m.cow_per_host);
-  std::printf("%-44s %14.0f bytes\n",
-              "materialized host (same content, pre-refactor)",
-              m.mat_per_host);
-  std::printf("%-44s %14.1fx\n", "cow_ratio (gated >= 10x, fatal)",
-              m.ratio());
-  if (m.ratio() < 10.0) {
-    fatal("per-host memory ratio " + std::to_string(m.ratio()) +
-          "x is below the 10x gate");
-  }
+  });
+  std::printf("route_between from org0000 to every site: %.2f ms (latency "
+              "sum %s)\n",
+              route_ms, sim::format_duration(latency_sum).c_str());
 
   benchutil::section("archetype image inventory");
   std::printf("%-24s %-18s %s\n", "archetype", "os", "image files");
@@ -512,10 +463,10 @@ void reproduce_memory() {
   const std::size_t hwm = proc_status_kb("VmHWM");
   if (rss > 0) {
     std::printf("\nprocess VmRSS %zu kB, VmHWM %zu kB (whole bench, "
-                "reporting only — the gate above\nis the deterministic "
-                "allocator count)\n",
+                "reporting only)\n",
                 rss, hwm);
   }
+  return hosts_per_sec;
 }
 
 void reproduce_mega() {
@@ -532,64 +483,6 @@ void reproduce_mega() {
               outcome.victims, proc_status_kb("VmRSS"));
 }
 
-// ---------------------------------------------------------------------------
-// google-benchmark cases (BENCH_epidemic_scaling.json baseline). CI gates
-// hosts_per_sec with --floor, heap_per_host with --ceiling and cow_ratio
-// with --floor via tools/bench_diff.
-
-void BM_AddFleet10k(benchmark::State& state) {
-  for (auto _ : state) {
-    core::World world(0xf1ee7);
-    const auto fleet =
-        world.add_fleet(winsys::HostArchetype::kOfficePc, 10'000, "site");
-    benchmark::DoNotOptimize(fleet.count);
-  }
-  state.counters["hosts_per_sec"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * 10'000.0,
-      benchmark::Counter::kIsRate);
-  state.counters["heap_per_host"] = cow_memory().cow_per_host;
-  state.counters["cow_ratio"] = cow_memory().ratio();
-}
-BENCHMARK(BM_AddFleet10k)->Unit(benchmark::kMillisecond);
-
-void BM_EpidemicQuarter2k(benchmark::State& state) {
-  EpiConfig cfg;
-  cfg.sites = 8;
-  cfg.hosts_per_site = 256;
-  cfg.escalation_threshold = 1'500;
-  for (auto _ : state) {
-    auto outcome = epidemic_run(cfg);
-    benchmark::DoNotOptimize(outcome.victims);
-  }
-}
-BENCHMARK(BM_EpidemicQuarter2k)->Unit(benchmark::kMillisecond);
-
-void BM_SiteRouting512(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Simulation simulation;
-    net::Network network(simulation);
-    std::vector<std::string> names(512);
-    for (std::size_t s = 0; s < names.size(); ++s) {
-      names[s] = "s" + std::to_string(s);
-      network.add_site(names[s]);
-    }
-    for (std::size_t s = 8; s < names.size(); ++s) {
-      network.link_sites(names[s], names[s % 8], sim::hours(6));
-    }
-    for (std::size_t a = 0; a < 8; ++a) {
-      for (std::size_t b = a + 1; b < 8; ++b) {
-        network.link_sites(names[a], names[b], sim::hours(12));
-      }
-    }
-    sim::Duration total = 0;
-    for (std::size_t t = 0; t < names.size(); ++t) {
-      total += network.route_between(names[0], names[t]).latency;
-    }
-    benchmark::DoNotOptimize(total);
-  }
-}
-BENCHMARK(BM_SiteRouting512)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -597,11 +490,10 @@ int main(int argc, char** argv) {
       "EPIDEMIC-SCALING: template images + COW deltas at campaign scale",
       "§II / §V-B / §V-E at 1:1 — ~100k infections, the 9,020-centrifuge "
       "Natanz hall");
-  if (!benchutil::has_flag(argc, argv, "--no-repro")) {
-    reproduce_trend_b_at_scale();
-    reproduce_trend_e_at_scale();
-    reproduce_memory();
-    if (benchutil::has_flag(argc, argv, "--mega")) reproduce_mega();
-  }
-  return benchutil::run_benchmarks(argc, argv);
+  reproduce_trend_b_at_scale();
+  reproduce_trend_e_at_scale();
+  const double hosts_per_sec = reproduce_fleet_build();
+  if (benchutil::has_flag(argc, argv, "--mega")) reproduce_mega();
+  benchutil::gate_floor("hosts_per_sec", hosts_per_sec, 25'000);
+  return 0;
 }

@@ -6,14 +6,14 @@
 // callables + compact 4-ary heap + native periodic scheduling) on three
 // workloads (event_queue_workloads.hpp): schedule+drain, mixed periodic
 // (C&C-beacon-style series + one-shot churn, the shape the campaign
-// scenarios generate) and cancel-half. Identity is not checked here: at the
-// google-benchmark sizes, EventQueueTest.BenchWorkloadsMatchGoldenChecksums
-// pins each workload to the checksum the seed queue produced.
+// scenarios generate) and cancel-half. Identity is not checked here:
+// EventQueueTest.BenchWorkloadsMatchGoldenChecksums pins each workload, at
+// smaller sizes, to the checksum the seed queue produced. ctest's
+// `bench.event_queue_scaling` TIMEOUT is the time gate.
 
+#include "bench_util.hpp"
 #include "event_queue_workloads.hpp"
-#include "scaling_bench.hpp"
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 
@@ -27,17 +27,12 @@ namespace {
 // ---------------------------------------------------------------------------
 // Reproduction pass: throughput table.
 
-double time_ms(const std::function<void()>& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fn();
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
+// The workloads' checksums land here, so the timed work cannot be elided.
+volatile std::uint64_t g_sink = 0;
 
 void measure(const char* workload, std::size_t events,
              const std::function<void()>& fn) {
-  const double ms = time_ms(fn);
+  const double ms = benchutil::time_ms(fn);
   std::printf("%-18s %-12.1f %.1fM ev/s\n", workload, ms,
               static_cast<double>(events) / ms / 1000.0);
 }
@@ -56,12 +51,11 @@ void reproduce_scaling() {
   benchutil::section("schedule/cancel/drain throughput: slab core");
   std::printf("%-18s %-12s %s\n", "workload", "ms", "throughput");
   measure("schedule+drain", kReproEvents,
-          [] { benchmark::DoNotOptimize(schedule_drain(kReproEvents)); });
-  measure("mixed periodic", kMixedEvents, [] {
-    benchmark::DoNotOptimize(mixed_periodic(kReproSeries, kReproHorizon));
-  });
+          [] { g_sink = schedule_drain(kReproEvents); });
+  measure("mixed periodic", kMixedEvents,
+          [] { g_sink = mixed_periodic(kReproSeries, kReproHorizon); });
   measure("cancel half", kReproEvents,
-          [] { benchmark::DoNotOptimize(cancel_drain(kReproEvents)); });
+          [] { g_sink = cancel_drain(kReproEvents); });
 
   // Scheduler observability: the counters the slab core exports.
   sim::EventQueue q;
@@ -82,44 +76,11 @@ void reproduce_scaling() {
               stats.peak_pending);
 }
 
-// ---------------------------------------------------------------------------
-// google-benchmark cases for regression tracking (BENCH_*.json baselines).
-// The sizes are the ones EventQueueTest.BenchWorkloadsMatchGoldenChecksums
-// pins.
-
-void BM_ScheduleDrainSlab(benchmark::State& state) {
-  const auto events = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    auto h = schedule_drain(events);
-    benchmark::DoNotOptimize(h);
-  }
-}
-BENCHMARK(BM_ScheduleDrainSlab)->Arg(50'000)->Unit(benchmark::kMillisecond);
-
-void BM_MixedPeriodicSlab(benchmark::State& state) {
-  for (auto _ : state) {
-    auto h = mixed_periodic(64, 8'000);
-    benchmark::DoNotOptimize(h);
-  }
-}
-BENCHMARK(BM_MixedPeriodicSlab)->Unit(benchmark::kMillisecond);
-
-void BM_CancelDrainSlab(benchmark::State& state) {
-  const auto events = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    auto h = cancel_drain(events);
-    benchmark::DoNotOptimize(h);
-  }
-}
-BENCHMARK(BM_CancelDrainSlab)->Arg(50'000)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   benchutil::header("EVENT-QUEUE-SCALING: discrete-event core throughput",
                     "framework performance, not a paper figure");
-  if (!benchutil::has_flag(argc, argv, "--no-repro")) {
-    reproduce_scaling();
-  }
-  return benchutil::run_benchmarks(argc, argv);
+  reproduce_scaling();
+  return 0;
 }

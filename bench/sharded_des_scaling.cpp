@@ -7,29 +7,25 @@
 // hub mesh — exactly the site-partitioned traffic sim::ShardedScheduler is
 // built for.
 //
-// Two claims, both fatally asserted:
+// Two claims, both gates of this program:
 //  (1) Identity: the sharded run is indistinguishable from the single-queue
 //      run — the (time, key) trace checksum and the full world state
 //      (per-site infection counts, strain hashes, on-host file markers)
 //      match bit for bit at every worker count. Conservative windows plus
 //      the keyed merge rule make the parallel schedule a permutation of the
 //      serial one with per-shard order preserved, so this is an equality
-//      check, not a tolerance band.
-//  (2) Speedup: ≥2x wall-clock over the single-queue baseline on 4+ core
-//      hardware (checked only when the cores exist; identity holds on any).
-//
-// bench_smoke exports `sharded_trace_match` (always) and
-// `sharded_speedup_4core` (on 4+-core machines) for tools/bench_diff's hard
-// floors.
+//      check, not a tolerance band: `sharded_trace_match` at 10⁵ hosts and
+//      `mega_trace_match` at 10⁶ hosts.
+//  (2) Speedup: `sharded_speedup_4core` >= 2x wall-clock over the
+//      single-queue baseline on 4+ core hardware (checked only when the
+//      cores exist; identity holds on any).
 
-#include "scaling_bench.hpp"
+#include "bench_util.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,14 +37,6 @@
 using namespace cyd;
 
 namespace {
-
-double time_ms(const std::function<void()>& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fn();
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 // ---------------------------------------------------------------------------
 // The workload: a deterministic mass-worm epidemic over the site topology.
@@ -195,7 +183,7 @@ ModeResult run_epidemic_in(core::World& world,
                    [&epidemic, site] { epidemic.infect(site, 0); });
   }
 
-  result.run_ms = time_ms([&] {
+  result.run_ms = benchutil::time_ms([&] {
     const auto report = sched.run_until(cfg.deadline);
     result.trace_checksum = report.trace_checksum;
     result.executed = report.executed;
@@ -227,7 +215,7 @@ ModeResult run_epidemic(const EpidemicConfig& cfg,
   std::vector<core::FleetHandle> fleets;
   // The trend-b hub-spoke shape, shared with epidemic_scaling via the
   // bench_util fleet builder: site-name order == shard order.
-  const double build_ms = time_ms([&] {
+  const double build_ms = benchutil::time_ms([&] {
     fleets = benchutil::build_hub_spoke_fleet(world, cfg.sites,
                                               cfg.hosts_per_site)
                  .fleets;
@@ -242,26 +230,33 @@ ModeResult run_epidemic(const EpidemicConfig& cfg,
   std::exit(1);
 }
 
-void check_identity(const ModeResult& reference, const ModeResult& candidate) {
+/// The identity gate `counter` (sharded_trace_match, mega_trace_match):
+/// fails unless the sharded run matches the single-queue reference.
+void check_identity(const char* counter, const ModeResult& reference,
+                    const ModeResult& candidate) {
+  const char* diverged = nullptr;
   if (candidate.trace_checksum != reference.trace_checksum) {
-    fatal("sharded (time,key) trace checksum diverged from single-queue");
+    diverged = "sharded (time,key) trace checksum diverged from single-queue";
+  } else if (candidate.state_checksum != reference.state_checksum ||
+             candidate.executed != reference.executed ||
+             candidate.cross != reference.cross ||
+             candidate.infected != reference.infected ||
+             candidate.markers != reference.markers) {
+    diverged = "sharded world state diverged from single-queue";
+  } else if (candidate.markers != candidate.infected) {
+    diverged = "infection count and on-host worm markers disagree";
   }
-  if (candidate.state_checksum != reference.state_checksum ||
-      candidate.executed != reference.executed ||
-      candidate.cross != reference.cross ||
-      candidate.infected != reference.infected ||
-      candidate.markers != reference.markers) {
-    fatal("sharded world state diverged from single-queue");
-  }
-  if (candidate.markers != candidate.infected) {
-    fatal("infection count and on-host worm markers disagree");
+  if (diverged != nullptr) {
+    std::printf("\n%s\n", diverged);
+    benchutil::gate_failed(counter, 0.0, 1.0);
   }
 }
 
 // ---------------------------------------------------------------------------
 // Reproduction pass: full-scale identity + speedup table
 
-void reproduce_sharded_epidemic() {
+/// Returns the best sharded speedup over the single-queue run.
+double reproduce_sharded_epidemic() {
   benchutil::section("site-sharded DES vs single queue (trend-b shape, 1:1)");
 
   const EpidemicConfig cfg;
@@ -293,7 +288,7 @@ void reproduce_sharded_epidemic() {
   for (const unsigned workers : worker_counts) {
     const auto sharded =
         run_epidemic(cfg, sim::ShardedScheduler::Mode::kSharded, workers);
-    check_identity(reference, sharded);
+    check_identity("sharded_trace_match", reference, sharded);
     const double speedup = reference.run_ms / sharded.run_ms;
     best_speedup = std::max(best_speedup, speedup);
     std::printf("%-10u %-10zu %-12.0f %-10.2f %-16s\n", workers,
@@ -304,16 +299,14 @@ void reproduce_sharded_epidemic() {
   std::printf("\nevery sharded schedule reproduced the single-queue trace and "
               "world state bit-for-bit.\n");
   if (hw >= 4) {
-    std::printf("best speedup %.2fx on %u cores (target: >=2x)\n",
+    std::printf("best speedup %.2fx on %u cores (gated >= 2x)\n",
                 best_speedup, hw);
-    if (best_speedup < 2.0) {
-      fatal("sharded speedup below the 2x floor on 4+ cores");
-    }
   } else {
     std::printf("note: only %u hardware thread(s) here — the >=2x speedup "
-                "target needs a 4+-core machine; identity holds on any.\n",
+                "gate needs a 4+-core machine; identity holds on any.\n",
                 hw);
   }
+  return best_speedup;
 }
 
 // ---------------------------------------------------------------------------
@@ -338,38 +331,23 @@ EpidemicConfig mega_config() {
   return cfg;
 }
 
-struct MegaWorld {
-  core::World world{0x5eed};
-  std::vector<core::FleetHandle> fleets;
-  double build_ms = 0.0;
-};
-
-MegaWorld& mega_world() {
-  static MegaWorld mega;  // World is pinned in place (not movable)
-  static bool built = false;
-  if (!built) {
-    built = true;
-    const EpidemicConfig cfg = mega_config();
-    mega.build_ms = time_ms([&] {
-      mega.fleets = benchutil::build_hub_spoke_fleet(mega.world, cfg.sites,
-                                                     cfg.hosts_per_site)
-                        .fleets;
-    });
-  }
-  return mega;
-}
-
 void reproduce_mega_epidemic() {
   benchutil::section("mega: 1,048,576 hosts / 1,024 shards");
   const EpidemicConfig cfg = mega_config();
-  MegaWorld& mega = mega_world();
+  core::World world(0x5eed);
+  std::vector<core::FleetHandle> fleets;
+  const double build_ms = benchutil::time_ms([&] {
+    fleets = benchutil::build_hub_spoke_fleet(world, cfg.sites,
+                                              cfg.hosts_per_site)
+                 .fleets;
+  });
   std::printf("%zu sites x %zu hosts = %zu image-backed hosts "
               "(built in %.0f ms), %zu seeded sites, %.0f-day horizon\n",
-              cfg.sites, cfg.hosts_per_site, cfg.total_hosts(), mega.build_ms,
+              cfg.sites, cfg.hosts_per_site, cfg.total_hosts(), build_ms,
               cfg.seed_sites, static_cast<double>(cfg.deadline) / sim::kDay);
 
   const auto reference =
-      run_epidemic_in(mega.world, mega.fleets, cfg,
+      run_epidemic_in(world, fleets, cfg,
                       sim::ShardedScheduler::Mode::kSingleQueue, 1);
   std::printf("\nsingle-queue reference: %zu events, %zu cross-site "
               "hops, %zu infected, checksum %016llx (run %.0f ms)\n",
@@ -388,10 +366,9 @@ void reproduce_mega_epidemic() {
   std::printf("\n%-10s %-10s %-12s %-16s\n", "workers", "rounds", "wall-ms",
               "checksum-match");
   for (const unsigned workers : worker_counts) {
-    const auto sharded =
-        run_epidemic_in(mega.world, mega.fleets, cfg,
-                        sim::ShardedScheduler::Mode::kSharded, workers);
-    check_identity(reference, sharded);
+    const auto sharded = run_epidemic_in(
+        world, fleets, cfg, sim::ShardedScheduler::Mode::kSharded, workers);
+    check_identity("mega_trace_match", reference, sharded);
     std::printf("%-10u %-10zu %-12.0f %-16s\n", workers, sharded.rounds,
                 sharded.run_ms, "yes (bit-identical)");
   }
@@ -399,115 +376,16 @@ void reproduce_mega_epidemic() {
               "trace bit-for-bit.\n");
 }
 
-// ---------------------------------------------------------------------------
-// google-benchmark cases for regression tracking (BENCH_*.json baselines)
-
-EpidemicConfig smoke_config() {
-  EpidemicConfig cfg;
-  cfg.sites = 24;
-  cfg.hosts_per_site = 96;
-  cfg.deadline = 28 * sim::kDay;
-  return cfg;
-}
-
-void BM_ShardedIdentity(benchmark::State& state) {
-  const EpidemicConfig cfg = smoke_config();
-  for (auto _ : state) {
-    const auto reference =
-        run_epidemic(cfg, sim::ShardedScheduler::Mode::kSingleQueue, 1);
-    const auto sharded =
-        run_epidemic(cfg, sim::ShardedScheduler::Mode::kSharded, 2);
-    check_identity(reference, sharded);  // exits on divergence
-    benchmark::DoNotOptimize(sharded.trace_checksum);
-  }
-  // A hard bench_diff floor: 1.0 means every checksum matched (the process
-  // died before reporting otherwise).
-  state.counters["sharded_trace_match"] = 1.0;
-}
-BENCHMARK(BM_ShardedIdentity)->Unit(benchmark::kMillisecond);
-
-void BM_MegaShardedIdentity(benchmark::State& state) {
-  // The 10⁶-host identity gate: single-queue reference vs. the sharded run
-  // over the shared mega world. Pinned to one iteration: a single pass is
-  // already a million-host end-to-end run, and the counter (not the wall
-  // time) is what CI gates.
-  const EpidemicConfig cfg = mega_config();
-  MegaWorld& mega = mega_world();
-  for (auto _ : state) {
-    const auto reference =
-        run_epidemic_in(mega.world, mega.fleets, cfg,
-                        sim::ShardedScheduler::Mode::kSingleQueue, 1);
-    const auto sharded =
-        run_epidemic_in(mega.world, mega.fleets, cfg,
-                        sim::ShardedScheduler::Mode::kSharded, 2);
-    check_identity(reference, sharded);  // exits on divergence
-    benchmark::DoNotOptimize(sharded.trace_checksum);
-  }
-  state.counters["mega_trace_match"] = 1.0;
-  state.counters["mega_hosts"] = static_cast<double>(cfg.total_hosts());
-}
-BENCHMARK(BM_MegaShardedIdentity)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-void BM_SingleQueueEpidemic(benchmark::State& state) {
-  const EpidemicConfig cfg = smoke_config();
-  for (auto _ : state) {
-    const auto r =
-        run_epidemic(cfg, sim::ShardedScheduler::Mode::kSingleQueue, 1);
-    benchmark::DoNotOptimize(r.trace_checksum);
-  }
-}
-BENCHMARK(BM_SingleQueueEpidemic)->Unit(benchmark::kMillisecond);
-
-void BM_ShardedEpidemic(benchmark::State& state) {
-  const EpidemicConfig cfg = smoke_config();
-  for (auto _ : state) {
-    const auto r = run_epidemic(cfg, sim::ShardedScheduler::Mode::kSharded, 0);
-    benchmark::DoNotOptimize(r.trace_checksum);
-  }
-}
-BENCHMARK(BM_ShardedEpidemic)->Unit(benchmark::kMillisecond);
-
-void BM_ShardedSpeedup(benchmark::State& state) {
-  // Medium scale so the measurement is dominated by event execution, not
-  // world construction; one serial + one sharded run per iteration.
-  EpidemicConfig cfg;
-  cfg.sites = 64;
-  cfg.hosts_per_site = 256;
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  double serial_ms = 0.0;
-  double sharded_ms = 0.0;
-  for (auto _ : state) {
-    const auto reference =
-        run_epidemic(cfg, sim::ShardedScheduler::Mode::kSingleQueue, 1);
-    const auto sharded =
-        run_epidemic(cfg, sim::ShardedScheduler::Mode::kSharded, 0);
-    check_identity(reference, sharded);
-    serial_ms += reference.run_ms;
-    sharded_ms += sharded.run_ms;
-    benchmark::DoNotOptimize(sharded.trace_checksum);
-  }
-  // Gated at >=2.0 by tools/bench_diff on CI's 4-core runners; machines
-  // without the cores measure nothing meaningful and export no counter (a
-  // counter the baseline lacks is legal; dropping one it has is not).
-  if (hw >= 4 && sharded_ms > 0.0) {
-    state.counters["sharded_speedup_4core"] = serial_ms / sharded_ms;
-  }
-}
-BENCHMARK(BM_ShardedSpeedup)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   benchutil::header(
       "SHARDED-DES-SCALING: site-sharded parallel event execution",
       "framework performance for trend-b at 1:1 scale (102,400 hosts)");
-  if (!benchutil::has_flag(argc, argv, "--no-repro")) {
-    reproduce_sharded_epidemic();
-    if (benchutil::has_flag(argc, argv, "--mega")) {
-      reproduce_mega_epidemic();
-    }
+  const double speedup = reproduce_sharded_epidemic();
+  reproduce_mega_epidemic();
+  if (std::thread::hardware_concurrency() >= 4) {
+    benchutil::gate_floor("sharded_speedup_4core", speedup, 2.0);
   }
-  return benchutil::run_benchmarks(argc, argv);
+  return 0;
 }

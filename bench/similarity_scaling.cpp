@@ -15,19 +15,18 @@
 //
 // A second section times the shared Aho–Corasick PatternSet that backs
 // yara/av scanning; PatternSetTest.AgreesWithNaiveFindOnRandomInputs checks
-// it against the per-pattern std::string::find loop it replaced.
+// it against the per-pattern std::string::find loop it replaced. ctest's
+// `bench.similarity_scaling` TIMEOUT is the time gate.
 
-#include "scaling_bench.hpp"
+#include "bench_util.hpp"
 #include "analysis/pattern_set.hpp"
 #include "analysis/similarity.hpp"
 #include "pe/image.hpp"
 #include "sim/rng.hpp"
 
-#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -125,14 +124,6 @@ std::uint64_t checksum(const std::vector<double>& matrix) {
   return h;
 }
 
-double time_ms(const std::function<void()>& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fn();
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
 // The serial pairwise loop: the full n x n matrix the attribution report
 // consumes, without the sweep fan-out.
 
@@ -176,18 +167,18 @@ void reproduce_similarity() {
     analysis::FeatureDict dict;
     std::vector<analysis::SpecimenFeatures> features;
     features.reserve(n);
-    const double extract_ms = time_ms([&] {
+    const double extract_ms = benchutil::time_ms([&] {
       for (const auto& s : pile) {
         features.push_back(analysis::extract_features(s.bytes, dict));
       }
     });
     std::vector<double> serial_matrix;
-    const double pair_ms =
-        time_ms([&] { serial_matrix = interned_pairwise(features); });
+    const double pair_ms = benchutil::time_ms(
+        [&] { serial_matrix = interned_pairwise(features); });
 
     std::vector<double> sweep_matrix;
-    const double sweep_ms =
-        time_ms([&] { sweep_matrix = analysis::similarity_matrix(pile); });
+    const double sweep_ms = benchutil::time_ms(
+        [&] { sweep_matrix = analysis::similarity_matrix(pile); });
     assert_identical("parallel similarity_matrix", checksum(serial_matrix),
                      checksum(sweep_matrix));
 
@@ -244,76 +235,21 @@ void reproduce_patterns() {
   set.compile();
 
   std::uint64_t sum = 0;
-  const double ms = time_ms([&] { sum = automaton_scan(pile, set); });
-  benchmark::DoNotOptimize(sum);
-  std::printf("48 patterns x 48 specimens: automaton %.2f ms\n", ms);
+  const double ms =
+      benchutil::time_ms([&] { sum = automaton_scan(pile, set); });
+  std::printf("48 patterns x 48 specimens: automaton %.2f ms (presence "
+              "checksum %016llx)\n",
+              ms, static_cast<unsigned long long>(sum));
   std::printf("the same one-pass automaton backs RuleSet::scan and the AV "
               "products' pattern signatures.\n");
 }
 
-// ---------------------------------------------------------------------------
-// google-benchmark cases for regression tracking (BENCH_*.json baselines)
-
-constexpr std::size_t kBenchPile = 32;
-
-const std::vector<analysis::LabelledSpecimen>& bench_pile() {
-  static const auto pile = make_pile(kBenchPile, 0xd15c0 + kBenchPile);
-  return pile;
-}
-
-void BM_PairwiseInterned(benchmark::State& state) {
-  analysis::FeatureDict dict;
-  std::vector<analysis::SpecimenFeatures> features;
-  for (const auto& s : bench_pile()) {
-    features.push_back(analysis::extract_features(s.bytes, dict));
-  }
-  for (auto _ : state) {
-    auto matrix = interned_pairwise(features);
-    benchmark::DoNotOptimize(matrix);
-  }
-}
-BENCHMARK(BM_PairwiseInterned)->Unit(benchmark::kMillisecond);
-
-void BM_SimilarityMatrixSwept(benchmark::State& state) {
-  for (auto _ : state) {
-    auto matrix = analysis::similarity_matrix(bench_pile());
-    benchmark::DoNotOptimize(matrix);
-  }
-}
-BENCHMARK(BM_SimilarityMatrixSwept)->Unit(benchmark::kMillisecond);
-
-void BM_ExtractInterned(benchmark::State& state) {
-  for (auto _ : state) {
-    analysis::FeatureDict dict;
-    std::vector<analysis::SpecimenFeatures> features;
-    for (const auto& s : bench_pile()) {
-      features.push_back(analysis::extract_features(s.bytes, dict));
-    }
-    benchmark::DoNotOptimize(features);
-  }
-}
-BENCHMARK(BM_ExtractInterned)->Unit(benchmark::kMillisecond);
-
-void BM_PatternScanAutomaton(benchmark::State& state) {
-  const auto patterns = make_patterns(48);
-  analysis::PatternSet set;
-  for (const auto& p : patterns) set.add(p);
-  set.compile();
-  for (auto _ : state) {
-    auto h = automaton_scan(bench_pile(), set);
-    benchmark::DoNotOptimize(h);
-  }
-}
-BENCHMARK(BM_PatternScanAutomaton)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   benchutil::header("SIMILARITY-SCALING: attribution kernel throughput",
                     "framework performance, not a paper figure");
-  if (!benchutil::has_flag(argc, argv, "--no-repro")) {
-    reproduce_similarity();
-    reproduce_patterns();
-  }
-  return benchutil::run_benchmarks(argc, argv);
+  reproduce_similarity();
+  reproduce_patterns();
+  return 0;
 }

@@ -7,15 +7,17 @@
 //      field) must match slot for slot, on any worker count.
 //  (2) The interned TraceLog's record+query hot path: every query scans the
 //      event vector comparing 32-bit interned ids.
+//
+// Both are fatal on a wrong answer; ctest's `bench.sweep_scaling` TIMEOUT
+// is the time gate.
 
-#include "scaling_bench.hpp"
+#include "bench_util.hpp"
 #include "core/user_behavior.hpp"
 #include "malware/stuxnet/stuxnet.hpp"
 #include "sim/sweep.hpp"
 #include "sim/trace.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -68,15 +70,12 @@ void reproduce_sweep() {
   benchutil::section("64-campaign sweep: serial loop vs SweepRunner");
 
   // The serial baseline every parallel schedule must reproduce exactly.
-  const auto serial_start = std::chrono::steady_clock::now();
   std::vector<RunResult> serial(kRuns);
-  for (std::size_t i = 0; i < kRuns; ++i) {
-    serial[i] = campaign_run(sim::derive_seed(kBaseSeed, i));
-  }
-  const double serial_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - serial_start)
-          .count();
+  const double serial_ms = benchutil::time_ms([&] {
+    for (std::size_t i = 0; i < kRuns; ++i) {
+      serial[i] = campaign_run(sim::derive_seed(kBaseSeed, i));
+    }
+  });
 
   std::size_t total_events = 0;
   for (const auto& r : serial) total_events += r.trace_events;
@@ -157,15 +156,11 @@ void reproduce_trace_throughput() {
   benchutil::section("TraceLog hot path: record + query");
 
   std::size_t checksum = 0;
-  const auto start = std::chrono::steady_clock::now();
-  {
+  const double ms = benchutil::time_ms([&] {
     sim::TraceLog log;
     log.reserve(kEvents, kEvents * 12);
     checksum = exercise_log(log, kEvents);
-  }
-  const double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
+  });
   // Every event is counted once by its action, and every eighth is a
   // file.write the walk visits again.
   const std::size_t expected =
@@ -179,51 +174,12 @@ void reproduce_trace_throughput() {
               kEvents, ms, kEvents / ms * 1000.0);
 }
 
-// ---------------------------------------------------------------------------
-// google-benchmark cases for regression tracking (BENCH_*.json baselines)
-
-void BM_CampaignSweepSerial(benchmark::State& state) {
-  const auto runs = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    std::vector<RunResult> results(runs);
-    for (std::size_t i = 0; i < runs; ++i) {
-      results[i] = campaign_run(sim::derive_seed(1, i));
-    }
-    benchmark::DoNotOptimize(results);
-  }
-}
-BENCHMARK(BM_CampaignSweepSerial)->Arg(8)->Unit(benchmark::kMillisecond);
-
-void BM_CampaignSweepParallel(benchmark::State& state) {
-  const auto runs = static_cast<std::size_t>(state.range(0));
-  sim::SweepRunner runner;
-  for (auto _ : state) {
-    auto results = runner.map(runs, 1, [](const sim::SweepRun& run) {
-      return campaign_run(run.seed);
-    });
-    benchmark::DoNotOptimize(results);
-  }
-}
-BENCHMARK(BM_CampaignSweepParallel)->Arg(8)->Unit(benchmark::kMillisecond);
-
-void BM_TraceRecordQueryInterned(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::TraceLog log;
-    log.reserve(50'000, 50'000 * 12);
-    auto checksum = exercise_log(log, 50'000);
-    benchmark::DoNotOptimize(checksum);
-  }
-}
-BENCHMARK(BM_TraceRecordQueryInterned)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   benchutil::header("SWEEP-SCALING: parallel Monte-Carlo + trace hot path",
                     "framework performance, not a paper figure");
-  if (!benchutil::has_flag(argc, argv, "--no-repro")) {
-    reproduce_sweep();
-    reproduce_trace_throughput();
-  }
-  return benchutil::run_benchmarks(argc, argv);
+  reproduce_sweep();
+  reproduce_trace_throughput();
+  return 0;
 }

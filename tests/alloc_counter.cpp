@@ -1,19 +1,25 @@
-#include "heap_counter.hpp"
+#include "alloc_counter.hpp"
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
 
 namespace {
-std::atomic<std::uint64_t> g_heap_bytes{0};
+std::atomic<std::size_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
 }  // namespace
 
-std::uint64_t cyd::benchutil::heap_bytes() {
-  return g_heap_bytes.load(std::memory_order_relaxed);
+std::size_t cyd::alloc_counter::allocations() {
+  return g_allocations.load(std::memory_order_relaxed);
+}
+
+std::uint64_t cyd::alloc_counter::bytes() {
+  return g_bytes.load(std::memory_order_relaxed);
 }
 
 void* operator new(std::size_t size) {
-  g_heap_bytes.fetch_add(size, std::memory_order_relaxed);
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }

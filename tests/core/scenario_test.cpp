@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "bench_util.hpp"
 #include "cnc/attack_center.hpp"
 #include "core/user_behavior.hpp"
 #include "malware/flame/flame.hpp"
@@ -23,6 +26,16 @@ TEST(WorldTest, AddHostAssignsAddresses) {
   EXPECT_EQ(world.find_host("b"), &b);
   EXPECT_EQ(world.find_host("zz"), nullptr);
   EXPECT_EQ(world.host_count(), 3u);
+}
+
+TEST(WorldTest, HubSpokeFleetRejectsSitesPastItsNamePadding) {
+  // "org%04zu" keeps site-name order equal to build order (the shard_plan
+  // invariant) only up to 9,999 sites; the 10,000th must fail before any
+  // fleet is built, leaving the world untouched.
+  World world;
+  EXPECT_THROW(benchutil::build_hub_spoke_fleet(world, 10'000, 1),
+               std::invalid_argument);
+  EXPECT_EQ(world.host_count(), 0u);
 }
 
 TEST(WorldTest, InternetLandmarksRespond) {

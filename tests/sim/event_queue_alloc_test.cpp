@@ -1,56 +1,22 @@
 // Steady-state allocation proof for the slab-backed event queue: once the
 // slab, free list and heap have reached their working size, scheduling and
 // firing events — including every firing of a periodic series with an
-// inline-sized closure — must perform ZERO heap allocations. This binary
-// replaces the global operator new with a counting hook, so it gets its own
-// test target (alloc_tests) instead of riding in sim_tests.
+// inline-sized closure — must perform ZERO heap allocations. The counts come
+// from alloc_counter.cpp's global operator new, which is why these tests
+// live in alloc_tests instead of riding in sim_tests.
 
 #include "sim/event_queue.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
-// Sanitizer builds interpose their own allocator machinery around
-// operator new; the counts stop meaning "allocations the queue made", so the
-// zero-allocation assertions are skipped there (the behaviour half of each
-// test still runs).
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define CYD_ALLOC_COUNTS_RELIABLE 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(memory_sanitizer)
-#define CYD_ALLOC_COUNTS_RELIABLE 0
-#endif
-#endif
-#ifndef CYD_ALLOC_COUNTS_RELIABLE
-#define CYD_ALLOC_COUNTS_RELIABLE 1
-#endif
-
-namespace {
-std::atomic<std::size_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "alloc_counter.hpp"
 
 namespace cyd::sim {
 namespace {
 
-std::size_t allocation_count() {
-  return g_allocations.load(std::memory_order_relaxed);
-}
+using alloc_counter::allocations;
 
 TEST(EventQueueAllocTest, PeriodicSteadyStateAllocatesNothing) {
   EventQueue q;
@@ -66,9 +32,9 @@ TEST(EventQueueAllocTest, PeriodicSteadyStateAllocatesNothing) {
   q.run_until(100);
   ASSERT_EQ(ticks, 10u);
 
-  [[maybe_unused]] const std::size_t before = allocation_count();
+  [[maybe_unused]] const std::size_t before = allocations();
   q.run_until(100 + 10 * 1000);
-  [[maybe_unused]] const std::size_t after = allocation_count();
+  [[maybe_unused]] const std::size_t after = allocations();
   EXPECT_EQ(ticks, 1010u);
 #if CYD_ALLOC_COUNTS_RELIABLE
   EXPECT_EQ(after - before, 0u)
@@ -92,14 +58,14 @@ TEST(EventQueueAllocTest, OneShotSteadyStateReusesSlabAndHeap) {
   ASSERT_EQ(fired, 64u);
 
   // Steady state: the same batch shape must ride entirely on recycled slots.
-  [[maybe_unused]] const std::size_t before = allocation_count();
+  [[maybe_unused]] const std::size_t before = allocations();
   for (int round = 0; round < 100; ++round) {
     for (int i = 0; i < 64; ++i) {
       q.schedule_at(q.now() + 1 + i, [counter] { ++*counter; });
     }
     q.run_all();
   }
-  [[maybe_unused]] const std::size_t after = allocation_count();
+  [[maybe_unused]] const std::size_t after = allocations();
   EXPECT_EQ(fired, 64u + 100u * 64u);
 #if CYD_ALLOC_COUNTS_RELIABLE
   EXPECT_EQ(after - before, 0u)
@@ -122,7 +88,7 @@ TEST(EventQueueAllocTest, CancellationSteadyStateAllocatesNothing) {
   }
   q.run_all();
 
-  [[maybe_unused]] const std::size_t before = allocation_count();
+  [[maybe_unused]] const std::size_t before = allocations();
   for (int round = 0; round < 100; ++round) {
     auto front = q.schedule_at(q.now() + 5, [] {});
     auto behind = q.schedule_at(q.now() + 7, [] {});
@@ -131,7 +97,7 @@ TEST(EventQueueAllocTest, CancellationSteadyStateAllocatesNothing) {
     behind.cancel();
     q.run_all();
   }
-  [[maybe_unused]] const std::size_t after = allocation_count();
+  [[maybe_unused]] const std::size_t after = allocations();
   EXPECT_EQ(q.pending(), 0u);
 #if CYD_ALLOC_COUNTS_RELIABLE
   EXPECT_EQ(after - before, 0u)
@@ -148,13 +114,13 @@ TEST(EventQueueAllocTest, ReservePreSizesColdStormSetup) {
   q.reserve(4096);
   std::uint64_t fired = 0;
   std::uint64_t* counter = &fired;
-  [[maybe_unused]] const std::size_t before = allocation_count();
+  [[maybe_unused]] const std::size_t before = allocations();
   for (int i = 0; i < 4096; ++i) {
     q.schedule_at(q.now() + 1 + i, [counter] { ++*counter; });
   }
-  [[maybe_unused]] const std::size_t mid = allocation_count();
+  [[maybe_unused]] const std::size_t mid = allocations();
   q.run_all();
-  [[maybe_unused]] const std::size_t after = allocation_count();
+  [[maybe_unused]] const std::size_t after = allocations();
   EXPECT_EQ(fired, 4096u);
 #if CYD_ALLOC_COUNTS_RELIABLE
   EXPECT_EQ(mid - before, 0u)

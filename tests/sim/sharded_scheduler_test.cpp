@@ -15,6 +15,7 @@
 #include <array>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "sim/time.hpp"
 
@@ -222,6 +223,22 @@ TEST(ShardedSchedulerTest, RejectsMalformedPlans) {
   dangling.labels = {"a"};
   dangling.channels = {{0, 3, minutes(1)}};
   EXPECT_THROW(ShardedScheduler(std::move(dangling)), std::invalid_argument);
+
+  // The 12-bit origin-shard field of the event key: kMaxShards plans are
+  // legal, one more label is not. One worker, never run, so the legal plan
+  // costs no thread per shard.
+  ShardPlan widest;
+  for (std::size_t k = 0; k < ShardedScheduler::kMaxShards; ++k) {
+    widest.labels.push_back(std::to_string(k));
+  }
+  const ShardedScheduler::Options one_worker{
+      ShardedScheduler::Mode::kSharded, 1};
+  ShardPlan too_wide = widest;
+  too_wide.labels.push_back("one-too-many");
+  EXPECT_THROW(ShardedScheduler(std::move(too_wide), one_worker),
+               std::invalid_argument);
+  const ShardedScheduler at_ceiling(std::move(widest), one_worker);
+  EXPECT_EQ(at_ceiling.shard_count(), ShardedScheduler::kMaxShards);
 }
 
 TEST(ShardedSchedulerTest, IsolatedShardsFinishInOneRound) {

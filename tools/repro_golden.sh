@@ -1,11 +1,13 @@
 #!/bin/sh
-# Runs one paper repro and diffs its stdout against the committed golden
-# file; a divergence prints the changed lines in `diff -u` form.
+# Runs one paper repro or example and diffs its stdout against the
+# committed golden file; a divergence prints the changed lines in `diff -u`
+# form.
 #
 # usage: repro_golden.sh <binary> <golden>
 #
 # After an intentional output change, refresh the golden file with
 #   build/bench/<name> > bench/golden/<name>.txt
+# (build/examples/<name> > examples/golden/<name>.txt for an example).
 set -u
 usage="usage: repro_golden.sh <binary> <golden>"
 binary=${1:?$usage}
