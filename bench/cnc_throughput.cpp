@@ -13,7 +13,11 @@
 //  (2) Storm scaling: one engine per site shard on sim::ShardedScheduler.
 //      The merged response/state checksums must match the single-queue run
 //      at every worker count (fatal), and the sharded run must reach
-//      `cnc_storm_speedup_4core` >= 2x over it on 4+ cores.
+//      `cnc_storm_speedup_4core` >= 2x over it on 4+ cores. Each run is
+//      timed kStormReps times and keeps its fastest; the report shows each
+//      worker count's speedup over the single queue beside its speedup over
+//      one sharded worker, so the share that comes from partitioning into
+//      per-shard queues, rather than from running shards in parallel, shows.
 //  (3) Storm + purge tail latency: per-beacon p50/p99/max with the pickup
 //      and purge cadence running; the O(pending) contract is gated
 //      structurally (total purge scan work <= purged + ticks, fatal) and
@@ -48,6 +52,14 @@ namespace {
 [[noreturn]] void fatal(const char* what) {
   std::printf("\nFATAL: %s\n", what);
   std::exit(1);
+}
+
+/// `prefix` followed by `n`. Appending to a string, instead of
+/// `"lit" + std::to_string(n)`, stays clear of GCC 12's -Wrestrict false
+/// positive on the inlined insert-at-0 in Release builds.
+std::string numbered(std::string prefix, std::uint64_t n) {
+  prefix += std::to_string(n);
+  return prefix;
 }
 
 // ---------------------------------------------------------------------------
@@ -92,7 +104,7 @@ OpStream make_stream(std::uint64_t seed, std::size_t clients,
         r.method = "POST";
         r.params = {{"cmd", "ADD_ENTRY"}, {"client", client}, {"type", "FL"}};
         r.body = cnc::serialize_entry_upload(
-            "f" + std::to_string(w) + "-" + std::to_string(i),
+            numbered(numbered("f", w) + "-", i),
             cnc::encrypt_for(upload_key,
                              "loot " + std::to_string(rng.next_u64())));
       } else if (roll < 0.23) {
@@ -157,7 +169,7 @@ std::vector<OpStream> make_storm_streams(std::size_t shards,
     streams.push_back(make_stream(
         sim::derive_seed(0xc2c570, shard), clients_per_shard, waves,
         wave_size, sim::minutes(10), /*pickup_every=*/36, upload_key,
-        "c" + std::to_string(shard) + "-"));
+        numbered("c", shard) + "-"));
   }
   return streams;
 }
@@ -166,6 +178,10 @@ struct StormResult {
   cnc::StormMerge merge;
   double ms = 0.0;
 };
+
+/// Timed runs per storm configuration; the report keeps the fastest, so a
+/// moment of load on a shared machine does not decide the speedup.
+constexpr int kStormReps = 3;
 
 StormResult run_storm_pipeline(const std::vector<OpStream>& streams,
                                sim::ShardedScheduler::Mode mode,
@@ -218,6 +234,21 @@ void check_storm_identity(const StormResult& reference,
     std::printf("  (%s)\n", label);
     fatal("storm merged state checksum diverged");
   }
+}
+
+/// The fastest of kStormReps runs. Every run must merge to the first run's
+/// checksums, and to `reference`'s when one is given.
+StormResult fastest_storm(const std::vector<OpStream>& streams,
+                          sim::ShardedScheduler::Mode mode, unsigned workers,
+                          const StormResult* reference, const char* label) {
+  StormResult best = run_storm_pipeline(streams, mode, workers);
+  if (reference != nullptr) check_storm_identity(*reference, best, label);
+  for (int rep = 1; rep < kStormReps; ++rep) {
+    const StormResult again = run_storm_pipeline(streams, mode, workers);
+    check_storm_identity(best, again, label);
+    best.ms = std::min(best.ms, again.ms);
+  }
+  return best;
 }
 
 // ---------------------------------------------------------------------------
@@ -311,26 +342,32 @@ Measured reproduce_cnc_throughput() {
   std::printf("%zu beacons across 8 shards; 6h WAN ring lookahead\n", total);
 
   const StormResult single =
-      run_storm_pipeline(streams, sim::ShardedScheduler::Mode::kSingleQueue, 1);
-  std::printf("single-queue:     %8.1f ms (reference)\n", single.ms);
+      fastest_storm(streams, sim::ShardedScheduler::Mode::kSingleQueue, 1,
+                    nullptr, "single-queue repeat");
+  std::printf("single-queue:     %8.1f ms (reference; fastest of %d)\n",
+              single.ms, kStormReps);
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   std::vector<unsigned> worker_counts{1, 2};
   if (hw > 2) worker_counts.push_back(hw);
-  std::printf("\n%-10s %-12s %-10s %-18s\n", "workers", "wall-ms", "speedup",
-              "merged-checksums");
+  std::printf("\n%-10s %-12s %-14s %-14s %-18s\n", "workers", "wall-ms",
+              "vs-single", "vs-1-worker", "merged-checksums");
+  double one_worker_ms = 0.0;  // worker_counts starts at 1
   for (const unsigned workers : worker_counts) {
-    const StormResult sharded = run_storm_pipeline(
-        streams, sim::ShardedScheduler::Mode::kSharded, workers);
-    check_storm_identity(single, sharded, "sharded vs single-queue");
+    const StormResult sharded =
+        fastest_storm(streams, sim::ShardedScheduler::Mode::kSharded, workers,
+                      &single, "sharded vs single-queue");
+    if (workers == 1) one_worker_ms = sharded.ms;
     const double s = single.ms / sharded.ms;
     measured.storm_speedup = std::max(measured.storm_speedup, s);
-    std::printf("%-10u %-12.1f %-10.2f %-18s\n", workers, sharded.ms, s,
-                "yes (bit-identical)");
+    std::printf("%-10u %-12.1f %-14.2f %-14.2f %-18s\n", workers, sharded.ms,
+                s, one_worker_ms / sharded.ms, "yes (bit-identical)");
   }
-  std::printf("\nevery run (single-queue, sharded x%zu) merged to "
-              "identical response/state checksums.\n",
-              worker_counts.size());
+  std::printf("\nevery run (single-queue, sharded x%zu, %d times each) "
+              "merged to identical response/state checksums.\n",
+              worker_counts.size(), kStormReps);
+  std::printf("partitioning alone (1 worker): %.2fx over the single queue\n",
+              single.ms / one_worker_ms);
   if (hw >= 4) {
     std::printf("best storm speedup %.2fx on %u cores (gated >= 2x)\n",
                 measured.storm_speedup, hw);

@@ -104,16 +104,14 @@ ExecResult Host::execute_file(const Path& path, const ExecContext& ctx) {
     }
   }
 
-  auto program = programs_.create(image.program_id);
+  const Program* program = programs_.find(image.program_id);
   if (program == nullptr) return {ExecResult::Status::kUnknownProgram, 0};
 
   auto proc = std::make_unique<Process>();
   proc->pid = next_pid_++;
-  proc->name = program->process_name();
+  proc->name = program->process_name;
   proc->image_path = path;
   proc->elevated = effective.elevated;
-  Program* prog_raw = program.get();
-  proc->program = std::move(program);
   const int pid = proc->pid;
   processes_.push_back(std::move(proc));
 
@@ -122,7 +120,7 @@ ExecResult Host::execute_file(const Path& path, const ExecContext& ctx) {
         path.str() + " pid=" + std::to_string(pid) + " by=" +
             effective.launched_by);
 
-  const bool resident = prog_raw->run(*this, effective);
+  const bool resident = program->run(*this, effective);
   if (!resident) kill_process(pid);
   return {ExecResult::Status::kStarted, pid};
 }

@@ -4,12 +4,10 @@
 // The lifecycle operations live on Host (which owns the filesystem, program
 // registry reference and simulation clock); these are the records it keeps.
 
-#include <memory>
 #include <string>
 
 #include "sim/time.hpp"
 #include "winsys/path.hpp"
-#include "winsys/program.hpp"
 
 namespace cyd::winsys {
 
@@ -20,8 +18,6 @@ struct Process {
   bool elevated = false;
   /// Hidden from enumeration by a rootkit driver.
   bool hidden = false;
-  /// Alive while resident; run-to-completion programs are removed after run.
-  std::unique_ptr<Program> program;
 };
 
 struct Service {

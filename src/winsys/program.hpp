@@ -2,15 +2,14 @@
 // Executable behaviour binding.
 //
 // A simulated PE carries a `program_id`; when a host executes the file, the
-// scenario-wide ProgramRegistry maps that id to a factory producing the
-// in-sim behaviour object. Copying the file bytes to another host and
-// executing them there reproduces the behaviour — exactly how droppers
-// propagate. Benign software (Step 7, IE, services) and malware components
-// are all Programs.
+// scenario-wide ProgramRegistry maps that id to the Program bound to it: the
+// process-list name and the in-sim behaviour. Copying the file bytes to
+// another host and executing them there reproduces the behaviour — exactly
+// how droppers propagate. Benign software (Step 7, IE, services) and malware
+// components are all Programs.
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 
 #include "winsys/path.hpp"
@@ -28,38 +27,34 @@ struct ExecContext {
   bool from_autoplay = false;
 };
 
-class Program {
- public:
-  virtual ~Program() = default;
-
-  /// Runs the program on `host`. Returns true to stay resident (the process
-  /// remains in the process list until killed); false for run-to-completion.
-  virtual bool run(Host& host, const ExecContext& ctx) = 0;
-
+struct Program {
   /// Process-list name, e.g. "trksvr.exe".
-  virtual std::string process_name() const = 0;
+  std::string process_name;
+  /// Runs the program on a host. Returns true to stay resident (the process
+  /// remains in the process list until killed); false for run-to-completion.
+  std::function<bool(Host&, const ExecContext&)> run;
 };
-
-using ProgramFactory = std::function<std::unique_ptr<Program>()>;
 
 class ProgramRegistry {
  public:
-  /// Registers (or replaces) the behaviour behind a program id.
-  void register_program(std::string id, ProgramFactory factory) {
-    factories_[std::move(id)] = std::move(factory);
+  /// Binds (or rebinds) the behaviour behind a program id. Bind at set-up:
+  /// a program runs from its registry entry, so rebinding an id from inside
+  /// that id's own run would destroy the running function.
+  void register_program(std::string id, Program program) {
+    programs_[std::move(id)] = std::move(program);
   }
 
-  bool known(const std::string& id) const { return factories_.contains(id); }
+  bool known(const std::string& id) const { return programs_.contains(id); }
 
-  /// Instantiates the behaviour; nullptr for unknown ids (the file is then
+  /// The program bound to `id`; nullptr for unknown ids (the file is then
   /// inert data, like an executable for a missing runtime).
-  std::unique_ptr<Program> create(const std::string& id) const {
-    auto it = factories_.find(id);
-    return it == factories_.end() ? nullptr : it->second();
+  const Program* find(const std::string& id) const {
+    auto it = programs_.find(id);
+    return it == programs_.end() ? nullptr : &it->second;
   }
 
  private:
-  std::map<std::string, ProgramFactory> factories_;
+  std::map<std::string, Program> programs_;
 };
 
 }  // namespace cyd::winsys

@@ -35,15 +35,10 @@ Sandbox::EnvironmentSetup stuxnet_env(
 
 TEST(SandboxTest, BenignSampleScoresLow) {
   Sandbox sandbox;
-  sandbox.programs().register_program("benign.tool", [] {
-    class Noop : public winsys::Program {
-      bool run(winsys::Host&, const winsys::ExecContext&) override {
-        return false;
-      }
-      std::string process_name() const override { return "tool.exe"; }
-    };
-    return std::make_unique<Noop>();
-  });
+  sandbox.programs().register_program(
+      "benign.tool",
+      {"tool.exe",
+       [](winsys::Host&, const winsys::ExecContext&) { return false; }});
   const auto sample =
       pe::Builder{}.program("benign.tool").filename("tool.exe").build();
   const auto report = sandbox.detonate(sample.serialize());

@@ -17,20 +17,14 @@ using winsys::OsVersion;
 using winsys::Path;
 using winsys::Program;
 
-class NoteProgram : public Program {
- public:
-  explicit NoteProgram(std::vector<std::string>* log, std::string tag)
-      : log_(log), tag_(std::move(tag)) {}
-  bool run(Host& host, const ExecContext& ctx) override {
-    log_->push_back(tag_ + "@" + host.name() + " by=" + ctx.launched_by);
-    return false;
-  }
-  std::string process_name() const override { return tag_ + ".exe"; }
-
- private:
-  std::vector<std::string>* log_;
-  std::string tag_;
-};
+/// Test behaviour: notes "<tag>@<host> by=<launcher>" in `log`.
+Program note_program(std::vector<std::string>* log, std::string tag) {
+  return {tag + ".exe",
+          [log, tag](Host& host, const ExecContext& ctx) {
+            log->push_back(tag + "@" + host.name() + " by=" + ctx.launched_by);
+            return false;
+          }};
+}
 
 class NetTest : public ::testing::Test {
  protected:
@@ -42,9 +36,8 @@ class NetTest : public ::testing::Test {
     network_.attach(alpha_, "office", "10.0.0.1");
     network_.attach(bravo_, "office", "10.0.0.2");
     network_.attach(charlie_, "scada-cell", "192.168.1.1");
-    programs_.register_program("note.payload", [this] {
-      return std::make_unique<NoteProgram>(&exec_log_, "payload");
-    });
+    programs_.register_program("note.payload",
+                               note_program(&exec_log_, "payload"));
   }
 
   common::Bytes payload_exe() {

@@ -96,22 +96,14 @@ TEST_F(Step7Test, CreateAndOpenProject) {
 
 TEST_F(Step7Test, OpeningInfectedProjectExecutesDroppedDll) {
   int executions = 0;
-  class TriggerProgram : public winsys::Program {
-   public:
-    explicit TriggerProgram(int* count) : count_(count) {}
-    bool run(winsys::Host&, const winsys::ExecContext& ctx) override {
-      EXPECT_EQ(ctx.launched_by, "step7-plugin-load");
-      ++*count_;
-      return false;
-    }
-    std::string process_name() const override { return "payload"; }
-
-   private:
-    int* count_;
-  };
-  programs_.register_program("malware.step7-hook", [&executions] {
-    return std::make_unique<TriggerProgram>(&executions);
-  });
+  programs_.register_program(
+      "malware.step7-hook",
+      {"payload",
+       [&executions](winsys::Host&, const winsys::ExecContext& ctx) {
+         EXPECT_EQ(ctx.launched_by, "step7-plugin-load");
+         ++executions;
+         return false;
+       }});
 
   const auto dir = app_.create_project("infected");
   const auto evil =

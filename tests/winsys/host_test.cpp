@@ -9,21 +9,13 @@ namespace cyd::winsys {
 namespace {
 
 /// Test behaviour: bumps a counter; optionally stays resident.
-class CounterProgram : public Program {
- public:
-  CounterProgram(int* counter, bool resident, std::string name = "counter.exe")
-      : counter_(counter), resident_(resident), name_(std::move(name)) {}
-  bool run(Host&, const ExecContext&) override {
-    ++*counter_;
-    return resident_;
-  }
-  std::string process_name() const override { return name_; }
-
- private:
-  int* counter_;
-  bool resident_;
-  std::string name_;
-};
+Program counter_program(int* counter, bool resident,
+                        std::string name = "counter.exe") {
+  return {std::move(name), [counter, resident](Host&, const ExecContext&) {
+            ++*counter;
+            return resident;
+          }};
+}
 
 common::Bytes make_exe(const std::string& program_id) {
   return pe::Builder{}
@@ -37,13 +29,11 @@ common::Bytes make_exe(const std::string& program_id) {
 class HostTest : public ::testing::Test {
  protected:
   HostTest() : host_(simulation_, programs_, "ws-01", OsVersion::kWin7) {
-    programs_.register_program("test.oneshot", [this] {
-      return std::make_unique<CounterProgram>(&oneshot_runs_, false);
-    });
-    programs_.register_program("test.resident", [this] {
-      return std::make_unique<CounterProgram>(&resident_runs_, true,
-                                              "resident.exe");
-    });
+    programs_.register_program("test.oneshot",
+                               counter_program(&oneshot_runs_, false));
+    programs_.register_program(
+        "test.resident",
+        counter_program(&resident_runs_, true, "resident.exe"));
   }
 
   sim::Simulation simulation_;

@@ -33,7 +33,13 @@ void add_base_content(Registry& registry, pki::CertStore& certs) {
   for (int k = 0; k < 4; ++k) {
     const std::string key = "hklm\\software\\twin\\base" + std::to_string(k);
     for (int v = 0; v < 4; ++v) {
-      registry.set(key, "v" + std::to_string(v), "base-" + std::to_string(v));
+      // Appended, not "v" + std::to_string(v): GCC 12 flags that form with a
+      // -Wrestrict false positive in Release builds.
+      std::string name = "v";
+      name += std::to_string(v);
+      std::string data = "base-";
+      data += std::to_string(v);
+      registry.set(key, name, data);
     }
     registry.set(key + "\\sub", "leaf", std::uint32_t{7});
   }
