@@ -10,9 +10,11 @@
 # build (`Binary:`) and a gtest filter for the tests that must kill it
 # (`Killed-by:`). Those tests must pass on the unmutated copy first, so a
 # test that fails anyway kills nothing. Then, per mutant: apply the patch,
-# build the binary, run the filter, revert. Exits 1 if any mutant survives
-# or fails to apply or build. Too slow for every push: CI runs it weekly,
-# and by hand it is `cmake --build <dir> --target mutation_check`.
+# build the binary, run the filter, revert. Patches apply with --fuzz=0: a
+# mutant whose context has drifted fails to apply instead of landing on a
+# neighbouring line. Exits 1 if any mutant survives or fails to apply or
+# build. Too slow for every push: CI runs it weekly, and by hand it is
+# `cmake --build <dir> --target mutation_check`.
 set -u
 
 usage="usage: mutation_check.sh <source-dir> <work-dir>"
@@ -41,7 +43,7 @@ status=0
 for mutant in "$work"/src/tests/mutants/*.patch; do
   name=$(basename "$mutant" .patch)
   binary=$(field Binary "$mutant")
-  if ! patch -s -p1 -d "$work/src" < "$mutant"; then
+  if ! patch -s --fuzz=0 -p1 -d "$work/src" < "$mutant"; then
     echo "$name: does not apply"
     status=1
     continue
@@ -57,6 +59,6 @@ for mutant in "$work"/src/tests/mutants/*.patch; do
   else
     echo "$name: killed"
   fi
-  patch -s -R -p1 -d "$work/src" < "$mutant" || exit 1
+  patch -s -R --fuzz=0 -p1 -d "$work/src" < "$mutant" || exit 1
 done
 exit $status
