@@ -301,12 +301,9 @@ NatanzOutcome natanz_run(sim::Duration courier_cadence, int months,
   spec.cascade_count = 55;  // the full hall: 55 x 164 = 9,020 machines
   auto site = core::build_natanz_site(world, spec);
 
-  core::FleetOptions contractor_options;
-  contractor_options.vulns = {exploits::VulnId::kMs10_046_Lnk,
-                              exploits::VulnId::kMs10_073_Eop};
   const auto contractor = world.add_fleet(
       winsys::HostArchetype::kEngineeringStation, 2048, "integrator",
-      contractor_options);
+      {exploits::VulnId::kMs10_046_Lnk, exploits::VulnId::kMs10_073_Eop});
   const auto& hosts = world.hosts();
 
   malware::stuxnet::StuxnetConfig config;

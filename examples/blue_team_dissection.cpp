@@ -69,17 +69,18 @@ int main() {
 
   // --- step 2: sandbox detonation of the Stuxnet dropper ---
   std::printf("\n=== sandbox detonation: ~wtr4132.tmp ===\n");
-  analysis::Sandbox sandbox(
-      {}, [](sim::Simulation& simulation, net::Network& network,
-             winsys::ProgramRegistry& programs, winsys::Host&) {
-        static std::unique_ptr<scada::S7ProxyRegistry> proxies;
-        static std::unique_ptr<malware::InfectionTracker> tracker;
-        static std::unique_ptr<malware::stuxnet::Stuxnet> family;
-        proxies = std::make_unique<scada::S7ProxyRegistry>();
-        tracker = std::make_unique<malware::InfectionTracker>();
-        family = std::make_unique<malware::stuxnet::Stuxnet>(
-            simulation, network, programs, *proxies, *tracker);
-      });
+  analysis::Sandbox sandbox([](sim::Simulation& simulation,
+                               net::Network& network,
+                               winsys::ProgramRegistry& programs,
+                               winsys::Host&) {
+    static std::unique_ptr<scada::S7ProxyRegistry> proxies;
+    static std::unique_ptr<malware::InfectionTracker> tracker;
+    static std::unique_ptr<malware::stuxnet::Stuxnet> family;
+    proxies = std::make_unique<scada::S7ProxyRegistry>();
+    tracker = std::make_unique<malware::InfectionTracker>();
+    family = std::make_unique<malware::stuxnet::Stuxnet>(
+        simulation, network, programs, *proxies, *tracker);
+  });
   const auto behavior = sandbox.detonate(stuxnet_bytes, 72 * sim::kHour);
   std::printf("verdict: %s\n", behavior.summary().c_str());
   for (const auto& f : behavior.files_written) {

@@ -2,6 +2,9 @@
 
 namespace cyd::analysis {
 
+/// Trait score at which the heuristic exec gate blocks a binary.
+constexpr int kHeuristicThreshold = 3;
+
 void SignatureFeed::publish(std::string name, std::uint64_t content_hash,
                             sim::TimePoint when) {
   signatures_.push_back(AvSignature{std::move(name), content_hash, when});
@@ -76,8 +79,7 @@ void AvProduct::wire_hooks() {
       report(path.str(), *signature, "blocked-exec");
       return false;
     }
-    if (options_.heuristics &&
-        heuristic_score(image) >= options_.heuristic_threshold) {
+    if (options_.heuristics && heuristic_score(image) >= kHeuristicThreshold) {
       report(path.str(), "Heur.Suspicious", "blocked-heuristic");
       return false;
     }

@@ -73,12 +73,11 @@ struct AvOptions {
   sim::Duration full_scan_interval = 7 * sim::kDay;
   bool quarantine = true;  // delete on detection (vs. log-only)
   /// Signature-less exec gate: statically triage every binary before it
-  /// runs and block those whose traits cross `heuristic_threshold`
-  /// (unsigned + packed + kernel-ish imports score highest). Off by default
-  /// — era-accurate products were signature-first, and heuristics carry a
-  /// false-positive cost the benches can now measure.
+  /// runs and block those whose heuristic_score() reaches 3 (unsigned +
+  /// packed + kernel-ish imports score highest). Off by default — era-accurate
+  /// products were signature-first, and heuristics carry a false-positive
+  /// cost the benches can now measure.
   bool heuristics = false;
-  int heuristic_threshold = 3;
 };
 
 class AvProduct : public winsys::HostComponent {

@@ -5,6 +5,17 @@
 namespace cyd::analysis {
 namespace {
 
+constexpr std::uint64_t kSeed = 0x5a17d;
+
+/// The sandbox image is an internet-connected XP box left deliberately
+/// soft, so samples show themselves.
+constexpr winsys::OsVersion kOs = winsys::OsVersion::kWinXp;
+constexpr exploits::VulnId kVulnerabilities[] = {
+    exploits::VulnId::kMs10_046_Lnk,     exploits::VulnId::kMs10_061_Spooler,
+    exploits::VulnId::kMs10_073_Eop,     exploits::VulnId::kMs10_092_TaskSched,
+    exploits::VulnId::kAutorunEnabled,   exploits::VulnId::kWpadNetbios,
+    exploits::VulnId::kOpenNetworkShares};
+
 std::string domain_of(std::string_view url) {
   const auto slash = url.find('/');
   return std::string(
@@ -53,12 +64,10 @@ std::string BehaviorReport::summary() const {
   return out;
 }
 
-Sandbox::Sandbox(SandboxOptions options, EnvironmentSetup setup)
-    : options_(options), sim_(options.seed), network_(sim_) {
-  host_ = std::make_unique<winsys::Host>(sim_, programs_, "sandbox-vm",
-                                         options_.os);
-  for (auto vuln : options_.vulnerabilities) host_->make_vulnerable(vuln);
-  host_->set_internet_access(options_.internet_access);
+Sandbox::Sandbox(EnvironmentSetup setup) : sim_(kSeed), network_(sim_) {
+  host_ = std::make_unique<winsys::Host>(sim_, programs_, "sandbox-vm", kOs);
+  for (auto vuln : kVulnerabilities) host_->make_vulnerable(vuln);
+  host_->set_internet_access(true);
   network_.attach(*host_, "sandbox-net", "192.168.56.10");
   host_->stack()->add_share("c$", winsys::Path("c:"));
 
@@ -69,14 +78,13 @@ Sandbox::Sandbox(SandboxOptions options, EnvironmentSetup setup)
     });
   }
 
-  if (options_.bait_documents) {
-    host_->fs().write_file("c:\\users\\analyst\\documents\\budget.docx",
-                           "bait document alpha", 0);
-    host_->fs().write_file("c:\\users\\analyst\\documents\\plant.dwg",
-                           "bait drawing bravo", 0);
-    host_->fs().write_file("c:\\users\\analyst\\desktop\\notes.txt",
-                           "bait note charlie", 0);
-  }
+  // Bait documents catch scanners and leakers.
+  host_->fs().write_file("c:\\users\\analyst\\documents\\budget.docx",
+                         "bait document alpha", 0);
+  host_->fs().write_file("c:\\users\\analyst\\documents\\plant.dwg",
+                         "bait drawing bravo", 0);
+  host_->fs().write_file("c:\\users\\analyst\\desktop\\notes.txt",
+                         "bait note charlie", 0);
   host_->registry().set("hklm\\hardware\\audio", "microphone",
                         std::uint32_t{1});
   host_->bluetooth().present = true;

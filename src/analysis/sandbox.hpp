@@ -23,22 +23,6 @@
 
 namespace cyd::analysis {
 
-struct SandboxOptions {
-  winsys::OsVersion os = winsys::OsVersion::kWinXp;
-  /// The sandbox image is left deliberately soft so samples show themselves.
-  std::vector<exploits::VulnId> vulnerabilities{
-      exploits::VulnId::kMs10_046_Lnk, exploits::VulnId::kMs10_061_Spooler,
-      exploits::VulnId::kMs10_073_Eop, exploits::VulnId::kMs10_092_TaskSched,
-      exploits::VulnId::kAutorunEnabled, exploits::VulnId::kWpadNetbios,
-      exploits::VulnId::kOpenNetworkShares};
-  bool internet_access = true;
-  /// Plug a bait stick one virtual hour in (catches USB-arming behaviour).
-  bool bait_usb = true;
-  /// Seed bait documents (catches scanners/leakers).
-  bool bait_documents = true;
-  std::uint64_t seed = 0x5a17d;
-};
-
 struct BehaviorReport {
   bool executed = false;
   winsys::ExecResult::Status exec_status =
@@ -68,8 +52,7 @@ class Sandbox {
       sim::Simulation&, net::Network&, winsys::ProgramRegistry&,
       winsys::Host&)>;
 
-  explicit Sandbox(SandboxOptions options = {},
-                   EnvironmentSetup setup = nullptr);
+  explicit Sandbox(EnvironmentSetup setup = nullptr);
 
   winsys::Host& host() { return *host_; }
   sim::Simulation& simulation() { return sim_; }
@@ -83,7 +66,6 @@ class Sandbox {
                           sim::Duration observation = 48 * sim::kHour);
 
  private:
-  SandboxOptions options_;
   sim::Simulation sim_;
   winsys::ProgramRegistry programs_;
   net::Network network_;

@@ -2,6 +2,15 @@
 
 namespace cyd::core {
 
+// One Natanz cascade (§II-C): four frequency converters share its rotors,
+// alternating the two vendors of the fingerprint; the plant runs at the
+// 1,064 Hz the attack replays, and its safety band is 800-1,250 Hz.
+constexpr std::size_t kDrivesPerCascade = 4;
+constexpr sim::Duration kPlcScanPeriod = 5 * sim::kMinute;
+constexpr double kOperatingSetpointHz = 1064.0;
+constexpr double kSafetyLoHz = 800.0;
+constexpr double kSafetyHiHz = 1250.0;
+
 std::vector<winsys::Host*> make_office_fleet(World& world,
                                              const FleetSpec& spec) {
   std::vector<winsys::Host*> fleet;
@@ -16,10 +25,8 @@ std::vector<winsys::Host*> make_office_fleet(World& world,
     host.set_internet_access(
         static_cast<int>(i * 100 / (spec.count == 0 ? 1 : spec.count)) <
         spec.internet_pct);
-    if (spec.admin_shares) {
-      host.stack()->add_share("c$", winsys::Path("c:"));
-    }
-    if (spec.standard_pki) world.provision_standard_pki(host);
+    host.stack()->add_share("c$", winsys::Path("c:"));  // lateral movement
+    world.provision_standard_pki(host);
     for (int d = 0; d < spec.documents_per_host; ++d) {
       const std::string doc =
           "c:\\users\\staff\\documents\\report-" + std::to_string(d) +
@@ -80,32 +87,31 @@ NatanzSite build_natanz_site(World& world, const NatanzSpec& spec) {
   for (std::size_t c = 0; c < spec.cascade_count; ++c) {
     scada::Plc& plc = world.add_plc("cascade-a" + std::to_string(21 + c));
     const std::size_t rotors_per_drive =
-        spec.centrifuges_per_cascade /
-        (spec.drives_per_cascade == 0 ? 1 : spec.drives_per_cascade);
-    for (std::size_t d = 0; d < spec.drives_per_cascade; ++d) {
+        spec.centrifuges_per_cascade / kDrivesPerCascade;
+    for (std::size_t d = 0; d < kDrivesPerCascade; ++d) {
       // Alternate the two vendors — the Natanz fingerprint needs both.
       auto& drive = plc.bus().add_drive(
           "vfd-" + std::to_string(c) + "-" + std::to_string(d),
           d % 2 == 0 ? scada::DriveVendor::kFararoPaya
                      : scada::DriveVendor::kVacon);
       const std::size_t rotors =
-          d + 1 == spec.drives_per_cascade
+          d + 1 == kDrivesPerCascade
               ? spec.centrifuges_per_cascade -
-                    rotors_per_drive * (spec.drives_per_cascade - 1)
+                    rotors_per_drive * (kDrivesPerCascade - 1)
               : rotors_per_drive;
       for (std::size_t r = 0; r < rotors; ++r) {
         drive.add_centrifuge("ir1-" + std::to_string(c) + "-" +
                              std::to_string(d) + "-" + std::to_string(r));
       }
     }
-    plc.set_operator_setpoint(spec.operating_setpoint_hz);
+    plc.set_operator_setpoint(kOperatingSetpointHz);
 
-    auto safety = std::make_unique<scada::DigitalSafetySystem>(
-        spec.safety_lo_hz, spec.safety_hi_hz);
+    auto safety =
+        std::make_unique<scada::DigitalSafetySystem>(kSafetyLoHz, kSafetyHiHz);
     safety->attach(plc);
     auto hmi = std::make_unique<scada::OperatorHmi>();
     hmi->attach(plc);
-    plc.start(spec.plc_scan_period);
+    plc.start(kPlcScanPeriod);
 
     site.cascades.push_back(&plc);
     site.safeties.push_back(std::move(safety));

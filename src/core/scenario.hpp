@@ -2,8 +2,8 @@
 // Scenario builders: canned topologies matching the paper's settings.
 //
 //  * make_office_fleet — an enterprise subnet of Windows workstations with
-//    configurable patch level, shares and internet reach (the Flame/Shamoon
-//    victim population).
+//    configurable patch level and internet reach, C$ shared and the
+//    Microsoft roots trusted (the Flame/Shamoon victim population).
 //  * build_natanz_site — the Stuxnet target: an internet-facing office
 //    subnet, an air-gapped engineering cell, a Step 7 laptop cabled to
 //    cascade PLCs driving IR-1 centrifuges with the Fararo-Paya/Vacon
@@ -30,8 +30,6 @@ struct FleetSpec {
       exploits::VulnId::kMs10_073_Eop,
       exploits::VulnId::kOpenNetworkShares,
   };
-  bool admin_shares = true;  // expose C$ (lateral-movement surface)
-  bool standard_pki = true;  // Microsoft roots installed and anchored
   /// Seed a few office documents per host (exfil / wipe targets).
   int documents_per_host = 3;
 };
@@ -62,12 +60,6 @@ struct NatanzSpec {
   std::size_t cascade_count = 6;
   /// IR-1 cascades hold 164 machines; drives are shared per segment.
   std::size_t centrifuges_per_cascade = 164;
-  std::size_t drives_per_cascade = 4;
-  sim::Duration plc_scan_period = 5 * sim::kMinute;
-  double operating_setpoint_hz = 1064.0;
-  /// Safety band the plant's instrumentation enforces.
-  double safety_lo_hz = 800.0;
-  double safety_hi_hz = 1250.0;
 };
 
 NatanzSite build_natanz_site(World& world, const NatanzSpec& spec = {});

@@ -35,6 +35,11 @@ winsys::Host& World::add_host(const std::string& name, winsys::OsVersion os,
 
 namespace {
 
+/// Fleet hosts per LAN subnet within a site.
+constexpr std::size_t kFleetLanSize = 256;
+/// Event-log cap on every fleet host (see Host::log_event).
+constexpr std::size_t kFleetEventLogCap = 64;
+
 const char* archetype_stem(winsys::HostArchetype a) {
   switch (a) {
     case winsys::HostArchetype::kOfficePc: return "pc";
@@ -66,30 +71,25 @@ const std::shared_ptr<const winsys::HostImage>& World::archetype_image(
 
 FleetHandle World::add_fleet(winsys::HostArchetype archetype,
                              std::size_t count, const std::string& site,
-                             const FleetOptions& options) {
+                             const std::vector<exploits::VulnId>& vulns) {
   const auto image = archetype_image(archetype);
   network_.add_site(site);
-  const std::size_t lan_size = options.lan_size > 0 ? options.lan_size : 1;
   const FleetHandle handle{hosts_.size(), count};
   const char* stem = archetype_stem(archetype);
   std::string subnet;
   char name[96];
   for (std::size_t i = 0; i < count; ++i) {
-    if (i % lan_size == 0) {
-      subnet = site + "-lan" + std::to_string(i / lan_size);
+    if (i % kFleetLanSize == 0) {
+      subnet = site + "-lan" + std::to_string(i / kFleetLanSize);
       network_.add_lan(site, subnet);
     }
     std::snprintf(name, sizeof(name), "%s-%s%05zu", site.c_str(), stem, i);
     winsys::Host& host = register_host(
         std::make_unique<winsys::Host>(sim_, programs_, name, image),
         subnet);
-    host.set_event_log_cap(options.event_log_cap);
-    host.set_user_is_admin(options.user_is_admin);
-    if (options.internet_pct > 0 &&
-        i * 100 / count < static_cast<std::size_t>(options.internet_pct)) {
-      host.set_internet_access(true);
-    }
-    for (exploits::VulnId v : options.vulns) host.make_vulnerable(v);
+    host.set_event_log_cap(kFleetEventLogCap);
+    host.set_user_is_admin(true);
+    for (exploits::VulnId v : vulns) host.make_vulnerable(v);
   }
   return handle;
 }

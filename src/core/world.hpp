@@ -24,22 +24,6 @@
 
 namespace cyd::core {
 
-/// Knobs for add_fleet. Defaults suit epidemic-scale sweeps: hosts carry a
-/// small bounded event log and split across LANs of 256.
-struct FleetOptions {
-  /// Hosts per LAN subnet within the site.
-  std::size_t lan_size = 256;
-  /// Event-log cap applied to every fleet host (see Host::log_event).
-  std::size_t event_log_cap = 64;
-  /// Percentage of the fleet with direct internet access; host i gets it
-  /// when i*100/count < internet_pct (the make_office_fleet formula).
-  int internet_pct = 0;
-  /// Interactive users run as admin (matching the 2010-era office default).
-  bool user_is_admin = true;
-  /// Vulnerability surface applied to every fleet host.
-  std::vector<exploits::VulnId> vulns;
-};
-
 /// A contiguous run of fleet hosts inside World::hosts().
 struct FleetHandle {
   std::size_t first = 0;
@@ -62,14 +46,16 @@ class World {
   winsys::Host& add_host(const std::string& name, winsys::OsVersion os,
                          const std::string& subnet);
   /// Stamps `count` image-backed hosts of one archetype into `site`,
-  /// splitting them across LANs of options.lan_size ("<site>-lan<k>"
-  /// subnets registered with the network's site layer). Hosts share the
-  /// world's per-archetype template image — standard PKI included — so the
-  /// marginal cost per host is one empty delta, which is what makes
-  /// 10⁵–10⁶-host worlds affordable.
+  /// splitting them across LANs of 256 ("<site>-lan<k>" subnets registered
+  /// with the network's site layer), each open to `vulns`. Fleet hosts suit
+  /// epidemic-scale sweeps: no direct internet access, an admin interactive
+  /// user (the 2010-era office default) and an event log capped at 64
+  /// entries. Hosts share the world's per-archetype template image —
+  /// standard PKI included — so the marginal cost per host is one empty
+  /// delta, which is what makes 10⁵–10⁶-host worlds affordable.
   FleetHandle add_fleet(winsys::HostArchetype archetype, std::size_t count,
                         const std::string& site,
-                        const FleetOptions& options = {});
+                        const std::vector<exploits::VulnId>& vulns = {});
   /// The world's shared template image for an archetype (built lazily, with
   /// the Microsoft certificate landscape baked in).
   const std::shared_ptr<const winsys::HostImage>& archetype_image(

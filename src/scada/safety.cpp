@@ -6,6 +6,10 @@
 
 namespace cyd::scada {
 
+/// Consecutive out-of-band scans before the trip: one stray reading does
+/// not shut a cascade down.
+constexpr int kTripAfterScans = 3;
+
 void DigitalSafetySystem::attach(Plc& plc) {
   plc.add_scan_observer(
       [this](Plc& p, sim::Duration dt) { observe(p, dt); });
@@ -20,7 +24,7 @@ void DigitalSafetySystem::observe(Plc& plc, sim::Duration) {
   } else {
     consecutive_ = 0;
   }
-  if (!tripped_ && consecutive_ >= trip_after_) {
+  if (!tripped_ && consecutive_ >= kTripAfterScans) {
     tripped_ = true;
     tripped_at_ = plc.simulation().now();
     plc.simulation().log(sim::TraceCategory::kScada, plc.name(),

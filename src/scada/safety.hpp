@@ -15,11 +15,11 @@
 namespace cyd::scada {
 
 /// Trips the cascade when the reported frequency leaves the safe band for
-/// several consecutive scans; while tripped it forces every drive to zero.
+/// three consecutive scans; while tripped it forces every drive to zero.
 class DigitalSafetySystem {
  public:
-  DigitalSafetySystem(double min_hz, double max_hz, int trip_after_scans = 3)
-      : min_hz_(min_hz), max_hz_(max_hz), trip_after_(trip_after_scans) {}
+  DigitalSafetySystem(double min_hz, double max_hz)
+      : min_hz_(min_hz), max_hz_(max_hz) {}
 
   /// Registers the safety check as a scan observer on `plc`.
   void attach(Plc& plc);
@@ -35,7 +35,6 @@ class DigitalSafetySystem {
 
   double min_hz_;
   double max_hz_;
-  int trip_after_;
   int consecutive_ = 0;
   int total_violations_ = 0;
   bool tripped_ = false;

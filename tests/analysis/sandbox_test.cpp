@@ -66,7 +66,7 @@ TEST(SandboxTest, UnknownProgramIdIsInert) {
 
 TEST(SandboxTest, StuxnetDropperShowsItsBehaviour) {
   std::vector<std::unique_ptr<void, void (*)(void*)>> keepalive;
-  Sandbox sandbox({}, stuxnet_env(keepalive));
+  Sandbox sandbox(stuxnet_env(keepalive));
   // Recover the specimen the environment's family would produce.
   const auto dropper_bytes = [&] {
     sim::Simulation throwaway;
@@ -98,23 +98,22 @@ TEST(SandboxTest, StuxnetDropperShowsItsBehaviour) {
 TEST(SandboxTest, ShamoonWiperShowsMbrDestruction) {
   malware::InfectionTracker tracker;
   malware::shamoon::Shamoon* family = nullptr;
-  Sandbox sandbox(
-      {}, [&](sim::Simulation& simulation, net::Network& network,
-              winsys::ProgramRegistry& programs, winsys::Host& host) {
-        malware::shamoon::ShamoonConfig config;
-        config.kill_date = sim::kHour * 3;  // detonates inside the window
-        static std::unique_ptr<malware::shamoon::Shamoon> holder;
-        holder = std::make_unique<malware::shamoon::Shamoon>(
-            simulation, network, programs, tracker, config);
-        family = holder.get();
-        // Unsigned-driver world: sandbox VM allows unsigned loads anyway.
-        family->set_disk_driver(
-            pe::Builder{}
-                .program(malware::shamoon::Shamoon::kDriverProgram)
-                .filename("drdisk.sys")
-                .build());
-        host.set_driver_policy(winsys::DriverPolicy::kAllowUnsigned);
-      });
+  Sandbox sandbox([&](sim::Simulation& simulation, net::Network& network,
+                      winsys::ProgramRegistry& programs, winsys::Host& host) {
+    malware::shamoon::ShamoonConfig config;
+    config.kill_date = sim::kHour * 3;  // detonates inside the window
+    static std::unique_ptr<malware::shamoon::Shamoon> holder;
+    holder = std::make_unique<malware::shamoon::Shamoon>(
+        simulation, network, programs, tracker, config);
+    family = holder.get();
+    // Unsigned-driver world: sandbox VM allows unsigned loads anyway.
+    family->set_disk_driver(
+        pe::Builder{}
+            .program(malware::shamoon::Shamoon::kDriverProgram)
+            .filename("drdisk.sys")
+            .build());
+    host.set_driver_policy(winsys::DriverPolicy::kAllowUnsigned);
+  });
 
   const auto report =
       sandbox.detonate(family->build_trksvr().serialize(), 6 * sim::kHour);
@@ -147,7 +146,7 @@ TEST(SandboxTest, ShortFilenamesAreTooGenericForRules) {
 
 TEST(SandboxTest, IocExtractionFromStuxnetRun) {
   std::vector<std::unique_ptr<void, void (*)(void*)>> keepalive;
-  Sandbox sandbox({}, stuxnet_env(keepalive));
+  Sandbox sandbox(stuxnet_env(keepalive));
   const auto dropper_bytes = [&] {
     sim::Simulation throwaway;
     net::Network net(throwaway);

@@ -87,7 +87,7 @@ TEST_F(PlcTest, SafetyIgnoresParkedCascade) {
 }
 
 TEST_F(PlcTest, SafetyNeedsConsecutiveViolations) {
-  DigitalSafetySystem safety(800.0, 1250.0, /*trip_after_scans=*/3);
+  DigitalSafetySystem safety(800.0, 1250.0);  // trips on the 3rd scan
   safety.attach(plc_);
   plc_.set_operator_setpoint(1410.0);
   plc_.scan_once(sim::kMinute);
