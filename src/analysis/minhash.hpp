@@ -55,7 +55,7 @@ struct MinHashParams {
 };
 
 /// Signature slot of a specimen with no features at all: every featureless
-/// specimen sketches to all-kEmptySlot, so they band together and the
+/// specimen sketches to all-kEmptySketchSlot, so they band together and the
 /// exact confirm stage scores them 1.0 (vacuously identical feature
 /// sets) — the same verdict the exact path gives.
 inline constexpr std::uint64_t kEmptySketchSlot = ~std::uint64_t{0};

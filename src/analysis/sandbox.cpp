@@ -166,11 +166,6 @@ BehaviorReport Sandbox::detonate(const common::Bytes& specimen,
       report.files_written.push_back(p.str());
     }
   }
-  std::set<std::string> after;
-  for (const auto& p : host_->fs().all_files()) after.insert(p.str());
-  for (const auto& p : files_before) {
-    if (!after.contains(p.str())) report.files_deleted.push_back(p.str());
-  }
 
   // Did the sample arm the bait stick?
   if (stick->plugged_into() == host_.get()) {

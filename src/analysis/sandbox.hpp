@@ -29,7 +29,6 @@ struct BehaviorReport {
       winsys::ExecResult::Status::kNoSuchFile;
 
   std::vector<std::string> files_written;
-  std::vector<std::string> files_deleted;
   std::vector<std::string> services_installed;
   std::vector<std::string> drivers_loaded;
   std::vector<std::string> drivers_rejected;

@@ -70,7 +70,6 @@ StaticReport dissect(std::string_view bytes, const pki::CertStore& store,
                      const pki::TrustStore& trust, sim::TimePoint now,
                      int max_depth) {
   StaticReport report;
-  report.total_size = bytes.size();
 
   pe::Image image;
   try {

@@ -46,7 +46,6 @@ struct StaticReport {
   std::string program_id;
   std::string version_info;
   std::int64_t build_timestamp = 0;
-  std::size_t total_size = 0;
 
   std::vector<SectionInfo> sections;
   std::vector<ResourceInfo> resources;

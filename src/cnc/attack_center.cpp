@@ -39,8 +39,6 @@ std::size_t AttackCenter::collect() {
       doc.client_type = entry.client_type;
       doc.name = entry.data_name;
       doc.plaintext = std::move(*plaintext);
-      doc.uploaded_at = entry.received_at;
-      doc.collected_at = sim_.now();
       archive_.push_back(std::move(doc));
       ++archived;
     }
@@ -53,7 +51,7 @@ std::size_t AttackCenter::collect() {
 }
 
 void AttackCenter::start_collection_task(sim::Duration period) {
-  collection_handle_ = sim_.every(period, [this] { collect(); });
+  sim_.every(period, [this] { collect(); });
 }
 
 void AttackCenter::order_suicide() {

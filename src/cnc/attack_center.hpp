@@ -22,8 +22,6 @@ struct StolenDocument {
   std::string client_type;
   std::string name;
   common::Bytes plaintext;
-  sim::TimePoint uploaded_at = 0;
-  sim::TimePoint collected_at = 0;
 };
 
 class AttackCenter {
@@ -66,7 +64,6 @@ class AttackCenter {
   std::vector<CncServer*> servers_;
   std::vector<StolenDocument> archive_;
   std::size_t decrypt_failures_ = 0;
-  sim::EventHandle collection_handle_;
 };
 
 }  // namespace cyd::cnc

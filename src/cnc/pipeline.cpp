@@ -116,8 +116,7 @@ net::HttpResponse RequestEngine::do_add_entry(const DecodedRequest& d,
                                               Outcome& outcome) {
   // decode_request already validated the UPL1 body, so reaching here means
   // the upload is accepted — the one place the wire bytes are copied.
-  ClientState& s = contact(d.client, d.type, now);
-  (void)s;
+  contact(d.client, d.type, now);
   Entry entry;
   entry.id = next_entry_id_++;
   entry.client_id.assign(d.client);

@@ -96,7 +96,6 @@ class RequestEngine {
   const std::vector<std::string>& access_log() const { return access_log_; }
   /// Lines discarded so far by the cap (halving retention, newest survive).
   std::size_t access_log_dropped() const { return access_log_dropped_; }
-  std::size_t access_log_cap() const { return access_log_cap_; }
   void set_access_log_cap(std::size_t cap) { access_log_cap_ = cap; }
   /// Empties the log and zeroes the drop counter (LogWiper: the wipe starts
   /// a fresh forensic window).
@@ -105,14 +104,12 @@ class RequestEngine {
     access_log_dropped_ = 0;
   }
   void set_logging(bool enabled) { logging_enabled_ = enabled; }
-  bool logging_enabled() const { return logging_enabled_; }
 
   // --- inspection ---
   const Counters& counters() const { return counters_; }
   const ScanStats& scan_stats() const { return scan_stats_; }
   const std::vector<Entry>& entries() const { return entries_; }
   std::size_t news_count() const { return news_.size(); }
-  std::size_t retrieved_watermark() const { return retrieved_mark_; }
   ClientIndex& clients() { return index_; }
   const ClientIndex& clients() const { return index_; }
   /// Clients that have actually contacted the server (ad-only targets that

@@ -69,9 +69,6 @@ class World {
 
   winsys::UsbDrive& add_usb(const std::string& id);
   scada::Plc& add_plc(const std::string& name);
-  const std::vector<std::unique_ptr<scada::Plc>>& plcs() const {
-    return plcs_;
-  }
 
   /// Registers the benign internet: connectivity landmarks plus a genuine
   /// update.microsoft.com serving properly signed (empty-change) updates.

@@ -40,13 +40,6 @@ Stack* Network::find_stack(const std::string& host_name) const {
   return it == stacks_.end() ? nullptr : it->second.get();
 }
 
-std::vector<std::string> Network::subnets() const {
-  std::vector<std::string> out;
-  out.reserve(subnets_.size());
-  for (const auto& [name, members] : subnets_) out.push_back(name);
-  return out;
-}
-
 Site& Network::ensure_site(const std::string& name) {
   auto [it, inserted] = sites_.try_emplace(name);
   if (inserted) {
@@ -81,7 +74,7 @@ void Network::add_lan(const std::string& site, const std::string& subnet) {
     }
     return;
   }
-  ensure_site(site).lans.push_back(subnet);
+  ensure_site(site);
 }
 
 const Site* Network::site_of_subnet(const std::string& subnet) const {

@@ -42,7 +42,6 @@ struct SiteLink {
 /// world through WAN links.
 struct Site {
   std::string name;
-  std::vector<std::string> lans;  // subnet names, in registration order
   std::vector<SiteLink> links;    // outgoing WAN edges
 };
 
@@ -71,7 +70,6 @@ class Network {
   /// Stacks in a subnet, in attach order (deterministic broadcast order).
   const std::vector<Stack*>& subnet_members(const std::string& subnet) const;
   Stack* find_stack(const std::string& host_name) const;
-  std::vector<std::string> subnets() const;
 
   // --- hierarchical topology (sites over LANs) ---
   /// Get-or-create a site by name. Returns a const view: all topology

@@ -3,8 +3,8 @@
 // shares, the print-spooler service, and the Windows Update client.
 //
 // Every vector the paper describes at network level terminates here:
-//  - Stuxnet MS10-061: remote_print() drops files into %system% and runs the
-//    MOF-registered dropper on vulnerable targets.
+//  - Stuxnet MS10-061: spooler_exploit_print() drops files into %system% and
+//    runs the MOF-registered dropper on vulnerable targets.
 //  - Stuxnet/Shamoon lateral movement: SMB copy + psexec-style remote exec
 //    against hosts with open shares.
 //  - Flame SNACK: wpad_discover() broadcasts; a malicious responder on the
@@ -70,7 +70,6 @@ class Stack {
   std::optional<std::string> wpad_discover();
   /// Registers this stack as a WPAD responder (what SNACK does).
   void set_wpad_responder(bool enabled) { wpad_responder_ = enabled; }
-  bool wpad_responder() const { return wpad_responder_; }
   void set_proxy(std::optional<std::string> proxy_host);
   const std::optional<std::string>& proxy() const { return proxy_; }
 
@@ -105,7 +104,6 @@ class Stack {
 
   // --- print spooler (MS10-061) ---
   void set_print_sharing(bool enabled) { print_sharing_ = enabled; }
-  bool print_sharing() const { return print_sharing_; }
   /// Sends a crafted two-document print job. On a vulnerable target with
   /// file-and-print sharing on, the "documents" land in %system% and the MOF
   /// registration executes the dropped payload.

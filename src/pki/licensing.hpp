@@ -22,12 +22,6 @@ class MicrosoftPki {
   /// generation deterministic per scenario.
   MicrosoftPki(sim::TimePoint now, std::uint64_t seed);
 
-  /// The root every simulated Windows host anchors.
-  const Certificate& root_cert() const { return root_->certificate(); }
-  /// The weak-hash licensing intermediate (the flawed link).
-  const Certificate& licensing_intermediate_cert() const {
-    return licensing_->certificate();
-  }
   /// The production code-signing intermediate + the key Microsoft itself
   /// uses for genuine Windows Update binaries.
   const Certificate& update_signing_cert() const { return update_cert_; }

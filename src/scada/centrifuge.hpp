@@ -31,8 +31,6 @@ class Centrifuge {
 
   const std::string& id() const { return id_; }
   double stress() const { return stress_; }
-  /// This rotor's individual failure threshold.
-  double yield_stress() const { return yield_; }
   bool destroyed() const { return destroyed_; }
   /// Frequency currently commanded by the drive.
   double frequency() const { return frequency_; }

@@ -26,7 +26,6 @@ void DigitalSafetySystem::observe(Plc& plc, sim::Duration) {
   }
   if (!tripped_ && consecutive_ >= kTripAfterScans) {
     tripped_ = true;
-    tripped_at_ = plc.simulation().now();
     plc.simulation().log(sim::TraceCategory::kScada, plc.name(),
                          "safety.trip",
                          "reported=" + std::to_string(hz) + "Hz");

@@ -25,7 +25,6 @@ class DigitalSafetySystem {
   void attach(Plc& plc);
 
   bool tripped() const { return tripped_; }
-  sim::TimePoint tripped_at() const { return tripped_at_; }
   int violations_seen() const { return total_violations_; }
   /// Manual reset after inspection.
   void reset() { tripped_ = false; consecutive_ = 0; }
@@ -38,7 +37,6 @@ class DigitalSafetySystem {
   int consecutive_ = 0;
   int total_violations_ = 0;
   bool tripped_ = false;
-  sim::TimePoint tripped_at_ = 0;
 };
 
 /// Operator display: folds the reported frequency of every scan into the

@@ -102,7 +102,6 @@ class Step7App : public winsys::HostComponent {
 
   // --- PLC cable connection ---
   void connect(Plc* plc);
-  void disconnect() { plc_ = nullptr; }
   Plc* connected_plc() { return plc_; }
 
   // --- operations through the DLL ---

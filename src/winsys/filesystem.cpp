@@ -278,7 +278,7 @@ void FileSystem::for_each_file_under(const Path& dir,
 }
 
 void FileSystem::notify(const FsEvent& event) const {
-  for (const auto& observer : observers_) observer(event);
+  for (const Observer& observer : observers_) observer.fn(event);
 }
 
 }  // namespace cyd::winsys

@@ -68,9 +68,6 @@ class Volume {
  public:
   Volume() { dirs_.insert(""); }
 
-  void set_label(std::string label) { label_ = std::move(label); }
-  const std::string& label() const { return label_; }
-
   /// Layers this volume copy-on-write over an immutable base. Single-level
   /// by construction (the base must itself be base-less) so every query
   /// stays a two-map lookup. Pass nullptr to detach.
@@ -221,7 +218,6 @@ class Volume {
     return std::pair{first, keys.lower_bound(past)};
   }
 
-  std::string label_;
   std::shared_ptr<const Volume> base_;     // immutable template image layer
   std::map<std::string, FileNode> files_;  // rel path -> node (delta)
   std::set<std::string> dirs_;             // rel dir paths ("" = root)
@@ -230,8 +226,8 @@ class Volume {
   std::set<std::string> deleted_dirs_;   // whiteouts over base dirs
 };
 
-/// Observer invoked on mutating operations; the AV on-access scanner and the
-/// sandbox instrumentation register here.
+/// Observer invoked on file operations, reads included; the AV on-access
+/// scanner and infections (Stuxnet's Step 7 project hook) register here.
 struct FsEvent {
   enum class Kind { kWrite, kDelete, kRename, kRead, kExecute } kind;
   Path path;
@@ -296,9 +292,18 @@ class FileSystem {
   /// Visits the files find_files(dir) returns, in the same order.
   void for_each_file_under(const Path& dir, const FileVisitor& fn) const;
 
-  void add_observer(FsObserver observer) {
-    observers_.push_back(std::move(observer));
+  /// Registers `observer`. An `owner` tags it for remove_observers; the
+  /// default (nullptr) keeps it for the file system's lifetime.
+  void add_observer(FsObserver observer, const void* owner = nullptr) {
+    observers_.push_back({owner, std::move(observer)});
   }
+  /// Removes every observer registered with `owner` (non-null). Must not be
+  /// called from inside an observer.
+  void remove_observers(const void* owner) {
+    std::erase_if(observers_,
+                  [owner](const Observer& o) { return o.owner == owner; });
+  }
+  std::size_t observer_count() const { return observers_.size(); }
   /// Fires an event to observers (Host also calls this on execution).
   void notify(const FsEvent& event) const;
 
@@ -311,7 +316,11 @@ class FileSystem {
 
   std::map<char, std::shared_ptr<Volume>> volumes_;
   std::set<char> removable_;
-  std::vector<FsObserver> observers_;
+  struct Observer {
+    const void* owner;
+    FsObserver fn;
+  };
+  std::vector<Observer> observers_;
 };
 
 }  // namespace cyd::winsys

@@ -34,11 +34,7 @@ Host::Host(sim::Simulation& simulation, ProgramRegistry& programs,
            std::string name, OsVersion os)
     : sim_(simulation), programs_(programs), name_(std::move(name)), os_(os) {
   fs_.add_volume('c');
-  fs_.mkdirs(system_dir());
-  fs_.mkdirs(Path("c:\\users"));
-  // A few stock files tools and malware probe for (remote access checks,
-  // masquerade targets).
-  fs_.write_file(Path("c:\\windows\\win.ini"), "; for 16-bit app support", 0);
+  write_windows_skeleton(fs_);
   // 64-bit Windows enforces driver signing; earlier systems do not.
   driver_policy_ = os_ == OsVersion::kWin7x64
                        ? DriverPolicy::kRequireValidSignature
@@ -61,6 +57,14 @@ Host::Host(sim::Simulation& simulation, ProgramRegistry& programs,
   driver_policy_ = os_ == OsVersion::kWin7x64
                        ? DriverPolicy::kRequireValidSignature
                        : DriverPolicy::kAllowUnsigned;
+}
+
+void write_windows_skeleton(FileSystem& fs) {
+  fs.mkdirs(Host::system_dir());
+  fs.mkdirs(Path("c:\\users"));
+  // A stock file tools and malware probe for (remote access checks,
+  // masquerade targets).
+  fs.write_file(Path("c:\\windows\\win.ini"), "; for 16-bit app support", 0);
 }
 
 void Host::trace(sim::TraceCategory category, std::string_view action,
@@ -400,7 +404,7 @@ bool Host::plug_usb(UsbDrive& drive) {
   usb_.push_back(&drive);
   trace(sim::TraceCategory::kUsb, "usb.plug",
         drive.id() + " as " + std::string{*letter, ':'});
-  for (const auto& observer : usb_observers_) observer(drive);
+  for (const UsbObserver& observer : usb_observers_) observer.fn(drive);
   run_autoplay(drive);
   return true;
 }

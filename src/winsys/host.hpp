@@ -83,6 +83,11 @@ struct ExecResult {
 };
 const char* to_string(ExecResult::Status s);
 
+/// The Windows skeleton on a fresh 'c' volume: %system%, c:\users and the
+/// stock win.ini. A materialized Host and every template image write it,
+/// so both kinds of host start from the same tree.
+void write_windows_skeleton(FileSystem& fs);
+
 class Host {
  public:
   Host(sim::Simulation& simulation, ProgramRegistry& programs,
@@ -116,13 +121,11 @@ class Host {
   const pki::TrustStore& trust_store() const { return trust_; }
 
   static Path system_dir() { return Path("c:\\windows\\system32"); }
-  static Path windows_dir() { return Path("c:\\windows"); }
 
   // --- vulnerability surface ---
   void make_vulnerable(exploits::VulnId v) { vulns_.insert(v); }
   void patch(exploits::VulnId v) { vulns_.erase(v); }
   bool vulnerable_to(exploits::VulnId v) const { return vulns_.contains(v); }
-  const std::set<exploits::VulnId>& vulnerabilities() const { return vulns_; }
 
   // --- execution ---
   ExecResult execute_file(const Path& path, const ExecContext& ctx);
@@ -188,9 +191,20 @@ class Host {
   bool plug_usb(UsbDrive& drive);
   bool unplug_usb(UsbDrive& drive);
   std::vector<UsbDrive*> plugged_usb() const { return usb_; }
-  void add_usb_observer(std::function<void(UsbDrive&)> fn) {
-    usb_observers_.push_back(std::move(fn));
+  /// Registers `fn` for every insertion. An `owner` tags it for
+  /// remove_observers; the default (nullptr) keeps it for the host's life.
+  void add_usb_observer(std::function<void(UsbDrive&)> fn,
+                        const void* owner = nullptr) {
+    usb_observers_.push_back({owner, std::move(fn)});
   }
+  /// Removes every USB and file-system observer registered with `owner`
+  /// (non-null). Must not be called from inside an observer.
+  void remove_observers(const void* owner) {
+    std::erase_if(usb_observers_,
+                  [owner](const UsbObserver& o) { return o.owner == owner; });
+    fs_.remove_observers(owner);
+  }
+  std::size_t usb_observer_count() const { return usb_observers_.size(); }
 
   /// Explorer rendering a folder: triggers the MS10-046 LNK exploit when the
   /// host is unpatched and a crafted shortcut is present.
@@ -208,7 +222,6 @@ class Host {
   /// Explorer (autorun, LNK rendering, double-clicks) inherits this. Malware
   /// on non-admin hosts must bring its own EoP exploit.
   void set_user_is_admin(bool v) { user_is_admin_ = v; }
-  bool user_is_admin() const { return user_is_admin_; }
 
   struct Bluetooth {
     bool present = false;
@@ -255,7 +268,6 @@ class Host {
     event_log_dropped_ = 0;
   }
   void set_event_log_cap(std::size_t cap) { event_log_cap_ = cap; }
-  std::size_t event_log_cap() const { return event_log_cap_; }
   /// Entries discarded so far by the cap.
   std::size_t event_log_dropped() const { return event_log_dropped_; }
   /// Trace helper attributed to this host. Allocation-free: the log interns
@@ -290,7 +302,11 @@ class Host {
   std::vector<ExecInterceptor> exec_interceptors_;
 
   std::vector<UsbDrive*> usb_;
-  std::vector<std::function<void(UsbDrive&)>> usb_observers_;
+  struct UsbObserver {
+    const void* owner;
+    std::function<void(UsbDrive&)> fn;
+  };
+  std::vector<UsbObserver> usb_observers_;
 
   bool internet_access_ = false;
   bool user_is_admin_ = false;

@@ -51,10 +51,7 @@ void put_n(FileSystem& fs, const std::string& dir, const char* stem,
 }
 
 void populate_stock_os(FileSystem& fs, Registry& reg) {
-  // Byte-for-byte the legacy materialized Host constructor's skeleton.
-  fs.mkdirs(Path("c:\\windows\\system32"));
-  fs.mkdirs(Path("c:\\users"));
-  fs.write_file(Path("c:\\windows\\win.ini"), "; for 16-bit app support", 0);
+  write_windows_skeleton(fs);
 
   // Stock OS payload every archetype carries.
   static const char* kCoreDlls[] = {

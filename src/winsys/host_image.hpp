@@ -11,10 +11,9 @@
 // ~100k infections, the full 9,000-centrifuge Natanz cascade hall).
 //
 // The archetype trees are deterministic: populate_archetype writes the same
-// bytes every time, and its Windows skeleton is byte-for-byte what the
-// legacy materialized Host constructor creates — HostTwinTest relies on a
-// materialized host and an image-backed host starting from identical
-// state.
+// bytes every time, starting from the write_windows_skeleton a materialized
+// Host constructor also writes — HostTwinTest relies on a materialized host
+// and an image-backed host starting from identical state.
 
 #include <cstdint>
 #include <memory>

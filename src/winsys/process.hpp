@@ -21,8 +21,7 @@ struct Process {
 };
 
 struct Service {
-  std::string name;          // e.g. "TrkSvr"
-  std::string display_name;  // e.g. "Distributed Link Tracking Server"
+  std::string name;  // e.g. "TrkSvr"
   Path binary_path;
   bool autostart = true;
   bool running = false;
