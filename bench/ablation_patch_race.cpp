@@ -7,6 +7,7 @@
 // never patch). Final reach measures the exploit's decaying value.
 
 #include "bench_util.hpp"
+#include "core/scenario.hpp"
 #include "core/user_behavior.hpp"
 #include "exploits/patching.hpp"
 #include "malware/stuxnet/stuxnet.hpp"

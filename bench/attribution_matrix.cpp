@@ -11,6 +11,7 @@
 
 #include "bench_util.hpp"
 #include "analysis/similarity.hpp"
+#include "core/scenario.hpp"
 #include "malware/duqu/duqu.hpp"
 #include "malware/flame/flame.hpp"
 #include "malware/gauss/gauss.hpp"

@@ -1,5 +1,8 @@
 #pragma once
-// Shared helpers for the programs under bench/.
+// Shared helpers for the programs under bench/: report headers and the
+// buffered Report, the scaling benches' gates, argv flags, a wall-clock
+// timer and a hand-built ring shard plan. Scenarios themselves are built by
+// core/scenario.hpp.
 //
 // The 15 paper repros (fig*, trend_*, ablation_*, attribution_matrix) are
 // plain programs: each prints the reproduced table/series for its figure or
@@ -9,20 +12,14 @@
 // `GATE <counter>: measured <x>, limit <y>` and exits 1, and ctest runs each
 // as `bench.<name>` under `ctest -C bench -L bench`.
 
-#include <algorithm>
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <stdexcept>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "core/scenario.hpp"
-#include "core/world.hpp"
-#include "pki/signing.hpp"
 #include "sim/sharded_scheduler.hpp"
 
 namespace cyd::benchutil {
@@ -108,77 +105,6 @@ class Report {
  private:
   std::string text_;
 };
-
-/// A commercial code-signing ecosystem: one trusted root plus a leaf issued
-/// to `subject`. Installs the root into the given host-independent stores.
-struct SigningIdentity {
-  pki::CertificateAuthority ca;
-  pki::KeyPair key;
-  pki::Certificate cert;
-
-  static SigningIdentity make(const std::string& subject,
-                              std::uint64_t seed) {
-    auto ca = pki::CertificateAuthority::create_root(
-        "Commercial Root CA", pki::HashAlgorithm::kStrong64, 0,
-        sim::days(20000), seed);
-    auto key = pki::KeyPair::generate(seed ^ 0x99);
-    auto cert = ca.issue(subject, pki::kUsageCodeSigning,
-                         pki::HashAlgorithm::kStrong64, 0, sim::days(20000),
-                         key);
-    return SigningIdentity{std::move(ca), key, std::move(cert)};
-  }
-
-  void trust_on(winsys::Host& host) const {
-    host.cert_store().add(ca.certificate());
-    host.trust_store().trust_root(ca.certificate().serial);
-  }
-};
-
-/// The trend-b world shape shared by the scaling benches (and the first
-/// concrete step toward the ROADMAP scenario compiler): `sites` office
-/// fleets named org0000, org0001, … — zero-padded so site-name order (the
-/// shard order World::shard_plan derives) equals build order — with the
-/// first min(8, sites) sites doubling as fully-meshed regional WAN hubs at
-/// hours(12) and every other site hanging off its region at hours(6).
-struct HubSpokeFleet {
-  std::vector<std::string> site_names;
-  std::vector<core::FleetHandle> fleets;
-};
-
-inline HubSpokeFleet build_hub_spoke_fleet(
-    core::World& world, std::size_t sites, std::size_t hosts_per_site,
-    winsys::HostArchetype archetype = winsys::HostArchetype::kOfficePc) {
-  if (sites > 9999) {
-    // "org%04zu" zero-padding is what makes site-name order equal build
-    // order (the shard_plan invariant); "org10000" would sort before
-    // "org2000" and silently desynchronize shard order from fleet index.
-    throw std::invalid_argument(
-        "build_hub_spoke_fleet: sites > 9999 breaks the zero-padded "
-        "name-order == build-order invariant; widen the padding first");
-  }
-  HubSpokeFleet out;
-  out.site_names.resize(sites);
-  out.fleets.resize(sites);
-  for (std::size_t s = 0; s < sites; ++s) {
-    char name[24];  // org + zero-padded index, sized for %04zu's worst case
-    std::snprintf(name, sizeof(name), "org%04zu", s);
-    out.site_names[s] = name;
-    out.fleets[s] =
-        world.add_fleet(archetype, hosts_per_site, out.site_names[s]);
-  }
-  const std::size_t hubs = std::min<std::size_t>(8, sites);
-  for (std::size_t s = hubs; s < sites; ++s) {
-    world.network().link_sites(out.site_names[s], out.site_names[s % hubs],
-                               sim::hours(6));
-  }
-  for (std::size_t a = 0; a < hubs; ++a) {
-    for (std::size_t b = a + 1; b < hubs; ++b) {
-      world.network().link_sites(out.site_names[a], out.site_names[b],
-                                 sim::hours(12));
-    }
-  }
-  return out;
-}
 
 /// A hand-built ring shard plan ("site-0" … "site-N-1", bidirectional links)
 /// for storms whose shards never actually talk: the channels exist to give

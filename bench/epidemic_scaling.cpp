@@ -29,6 +29,7 @@
 // Pass --mega for the 10⁶-host world (1,250 sites).
 
 #include "bench_util.hpp"
+#include "core/scenario.hpp"
 #include "core/user_behavior.hpp"
 #include "malware/stuxnet/stuxnet.hpp"
 #include "winsys/host_image.hpp"
@@ -111,14 +112,13 @@ EpiOutcome epidemic_run(const EpiConfig& cfg) {
   // regional WAN hubs (fully meshed), every other site hangs off its region.
   // bench/sharded_des_scaling drives this same topology through
   // sim::ShardedScheduler — the site layer built here is the shard map there
-  // (World::shard_plan), and the WAN latencies are its lookahead. The shape
-  // itself lives in benchutil::build_hub_spoke_fleet, shared by all three
-  // scaling benches.
+  // (World::shard_plan), and the WAN latencies are its lookahead. Both benches
+  // build the shape with core::build_hub_spoke_fleet.
   std::vector<std::string> site_names;
   std::vector<core::FleetHandle> fleets;
   outcome.build_ms = benchutil::time_ms([&] {
     auto fleet =
-        benchutil::build_hub_spoke_fleet(world, cfg.sites, cfg.hosts_per_site);
+        core::build_hub_spoke_fleet(world, cfg.sites, cfg.hosts_per_site);
     site_names = std::move(fleet.site_names);
     fleets = std::move(fleet.fleets);
   });
@@ -309,8 +309,6 @@ NatanzOutcome natanz_run(sim::Duration courier_cadence, int months,
   malware::stuxnet::StuxnetConfig config;
   config.beacon_period = sim::days(4000);
   config.spread_period = sim::days(4000);
-  config.plc_timing.observe_window = sim::days(13);
-  config.plc_timing.cover_duration = sim::days(27);
   malware::stuxnet::Stuxnet stuxnet(world.sim(), world.network(),
                                     world.programs(), world.s7_registry(),
                                     world.tracker(), config);
@@ -435,7 +433,7 @@ double reproduce_fleet_build() {
   benchutil::section("WAN routing: 512 hub-spoke sites");
   core::World routed(0x5173);
   const auto sites =
-      benchutil::build_hub_spoke_fleet(routed, 512, 1).site_names;
+      core::build_hub_spoke_fleet(routed, 512, 1).site_names;
   sim::Duration latency_sum = 0;
   const double route_ms = benchutil::time_ms([&] {
     for (const auto& site : sites) {

@@ -7,6 +7,7 @@
 // operator-visible telemetry never leaves the normal band.
 
 #include "bench_util.hpp"
+#include "core/scenario.hpp"
 #include "core/user_behavior.hpp"
 #include "malware/stuxnet/stuxnet.hpp"
 #include "sim/sweep.hpp"
@@ -31,19 +32,8 @@ struct CampaignResult {
 void run_campaign(benchutil::Report& report) {
   core::World world(0x57);
   world.add_internet_landmarks();
-  core::NatanzSpec spec;
-  auto site = core::build_natanz_site(world, spec);
-
-  malware::stuxnet::StuxnetConfig config;
-  config.plc_timing.observe_window = sim::days(13);
-  config.plc_timing.cover_duration = sim::days(27);
-  malware::stuxnet::Stuxnet stuxnet(world.sim(), world.network(),
-                                    world.programs(), world.s7_registry(),
-                                    world.tracker(), config);
-
-  auto& stick = world.add_usb("integrator-stick");
-  stuxnet.arm_usb(stick);
-  core::schedule_usb_courier(world, stick,
+  auto [site, stuxnet, stick] = core::build_natanz_campaign(world);
+  core::schedule_usb_courier(world, *stick,
                              {site.office[0], site.office[3], site.eng_laptop},
                              sim::hours(8));
   for (std::size_t c = 0; c < site.cascades.size(); ++c) {
@@ -68,14 +58,14 @@ void run_campaign(benchutil::Report& report) {
     actual /= static_cast<double>(site.cascades.size());
     report.printf("%-10d %-9zu %-10zu %4zu/%-5zu %-9.0f %-8.0f %-s\n", month,
                   world.tracker().infected_count("stuxnet"),
-                  stuxnet.plc_strikes(), site.destroyed_centrifuges(),
+                  stuxnet->plc_strikes(), site.destroyed_centrifuges(),
                   site.total_centrifuges(), hmi, actual,
                   site.any_safety_tripped() ? "TRIPPED" : "quiet");
   }
 
   CampaignResult result;
   result.windows_infections = world.tracker().infected_count("stuxnet");
-  result.plc_strikes = stuxnet.plc_strikes();
+  result.plc_strikes = stuxnet->plc_strikes();
   result.destroyed = site.destroyed_centrifuges();
   result.total = site.total_centrifuges();
   result.safety_tripped = site.any_safety_tripped();
@@ -104,7 +94,7 @@ void run_campaign(benchutil::Report& report) {
   report.printf("operator saw an out-of-band value  : %s\n",
                 result.operator_saw ? "YES" : "no");
   report.printf("C&C check-ins from the site        : %zu\n",
-                stuxnet.c2().victim_count());
+                stuxnet->c2().victim_count());
 }
 
 void reproduce() {

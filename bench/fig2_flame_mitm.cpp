@@ -8,6 +8,7 @@
 // and the certificate trick on the wire.
 
 #include "bench_util.hpp"
+#include "core/scenario.hpp"
 #include "core/user_behavior.hpp"
 #include "malware/flame/flame.hpp"
 #include "pki/forgery.hpp"

@@ -9,6 +9,8 @@
 
 #include "bench_util.hpp"
 #include "pki/forgery.hpp"
+#include "pki/licensing.hpp"
+#include "pki/signing.hpp"
 #include "sim/sweep.hpp"
 
 using namespace cyd;

@@ -12,6 +12,7 @@
 #include "bench_util.hpp"
 #include "cnc/attack_center.hpp"
 #include "cnc/domains.hpp"
+#include "core/scenario.hpp"
 #include "malware/flame/flame.hpp"
 #include "sim/sweep.hpp"
 

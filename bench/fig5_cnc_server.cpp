@@ -9,6 +9,7 @@
 
 #include "bench_util.hpp"
 #include "cnc/attack_center.hpp"
+#include "core/scenario.hpp"
 #include "core/user_behavior.hpp"
 #include "malware/flame/flame.hpp"
 #include "sim/sweep.hpp"
@@ -23,20 +24,14 @@ void run_server(benchutil::Report& report) {
   core::World world(0xf15);
   world.add_internet_landmarks();
 
-  cnc::AttackCenter center(world.sim(), 0x10ad);
-  cnc::CncServer server(world.sim(), "cc-3", {"newsforyou.example"},
-                        center.upload_key());
-  server.deploy(world.network());
-  server.start_purge_task(30 * sim::kMinute);
-  center.manage(server);
-
   malware::flame::FlameConfig config;
   config.default_domains = {"newsforyou.example"};
   config.collect_period = sim::hours(8);
   config.beacon_period = sim::hours(4);
-  malware::flame::Flame flame(world.sim(), world.network(),
-                              world.programs(), world.tracker(), config);
-  flame.set_upload_key(center.upload_key());
+  auto drop = core::build_dead_drop(world, 0x10ad, config);
+  auto& center = *drop.center;
+  auto& server = *drop.server;
+  server.start_purge_task(30 * sim::kMinute);
 
   core::FleetSpec spec;
   spec.count = 100;
@@ -44,7 +39,7 @@ void run_server(benchutil::Report& report) {
   auto victims = core::make_office_fleet(world, spec);
   for (auto* host : victims) {
     core::schedule_document_work(world, *host, sim::days(1));
-    flame.infect(*host, "targeted-drop");
+    drop.flame->infect(*host, "targeted-drop");
   }
 
   // Operator workflow: commands down, loot up, every few hours.
@@ -109,7 +104,7 @@ void run_server(benchutil::Report& report) {
   for (const char* type : {cnc::kClientTypeSp, cnc::kClientTypeSpe,
                            cnc::kClientTypeIp}) {
     net::HttpRequest poll;
-    poll.host = "newsforyou.example";
+    poll.host = server.domains().front();
     poll.path = "/newsforyou";
     poll.params = {{"cmd", "GET_NEWS"},
                    {"client", std::string("client-") + type},

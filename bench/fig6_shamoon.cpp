@@ -8,6 +8,7 @@
 
 #include "bench_util.hpp"
 #include "analysis/static_analysis.hpp"
+#include "core/scenario.hpp"
 #include "malware/shamoon/shamoon.hpp"
 #include "sim/sweep.hpp"
 
@@ -41,7 +42,7 @@ void reproduce_dissection(benchutil::Report& out) {
   core::World lab(0x1ab);
   malware::shamoon::Shamoon shamoon(lab.sim(), lab.network(),
                                     lab.programs(), lab.tracker());
-  auto eldos = benchutil::SigningIdentity::make("EldoS Corporation", 0xe1d);
+  auto eldos = pki::SigningIdentity::make("EldoS Corporation", 0xe1d);
   auto driver = pe::Builder{}
                     .program(malware::shamoon::Shamoon::kDriverProgram)
                     .filename("drdisk.sys")
@@ -52,8 +53,7 @@ void reproduce_dissection(benchutil::Report& out) {
 
   pki::CertStore store;
   pki::TrustStore trust;
-  store.add(eldos.ca.certificate());
-  trust.trust_root(eldos.ca.certificate().serial);
+  eldos.trust_on(store, trust);
 
   const auto bytes = shamoon.build_trksvr().serialize();
   const auto report = analysis::dissect(bytes, store, trust,
@@ -75,27 +75,12 @@ void reproduce_detonation(benchutil::Report& out) {
   core::FleetSpec spec;
   spec.count = 1000;
   spec.name_prefix = "aramco";
-  spec.documents_per_host = 3;
-  auto fleet = core::make_office_fleet(world, spec);
-
   malware::shamoon::ShamoonConfig config;
-  config.kill_date = sim::make_date(2012, 8, 15, 8, 8);
   config.spread_period = sim::minutes(20);
-  malware::shamoon::Shamoon shamoon(world.sim(), world.network(),
-                                    world.programs(), world.tracker(),
-                                    config);
-  shamoon.deploy_reporter_sink(world.network());
-  auto eldos = benchutil::SigningIdentity::make("EldoS Corporation", 0xe1d);
-  for (auto* host : fleet) eldos.trust_on(*host);
-  auto driver = pe::Builder{}
-                    .program(malware::shamoon::Shamoon::kDriverProgram)
-                    .filename("drdisk.sys")
-                    .build();
-  pki::sign_image(driver, eldos.cert, eldos.key);
-  shamoon.set_disk_driver(driver);
+  auto [fleet, shamoon] = core::build_aramco(world, spec, config);
 
   world.sim().run_until(sim::make_date(2012, 8, 1));
-  shamoon.infect(*fleet[0], "spear-phish");
+  shamoon->infect(*fleet[0], "spear-phish");
 
   out.section("detonation timeline (1,000 hosts ~ 1:30 of Aramco)");
   out.printf("%-18s %-10s %-10s %-10s\n", "time", "infected", "bricked",
@@ -109,13 +94,13 @@ void reproduce_detonation(benchutil::Report& out) {
     out.printf("%-18s %-10zu %-10zu %-10zu\n",
                sim::format_time(checkpoint).substr(0, 16).c_str(),
                world.tracker().infected_count("shamoon"),
-               world.count_unbootable(), shamoon.reports().size());
+               world.count_unbootable(), shamoon->reports().size());
   }
   out.printf("\nfinal: %zu/%zu workstations unbootable; every report "
              "carried domain+ip+count+f1.inf, e.g.:\n",
              world.count_unbootable(), fleet.size());
-  if (!shamoon.reports().empty()) {
-    const auto& r = shamoon.reports().front();
+  if (!shamoon->reports().empty()) {
+    const auto& r = shamoon->reports().front();
     out.printf("  domain=%s ip=%s files=%d listing=%zu bytes\n",
                r.domain.c_str(), r.ip.c_str(), r.files_overwritten,
                r.f1_listing.size());

@@ -30,7 +30,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/world.hpp"
+#include "core/scenario.hpp"
 #include "sim/sharded_scheduler.hpp"
 #include "sim/sweep.hpp"
 
@@ -213,12 +213,12 @@ ModeResult run_epidemic(const EpidemicConfig& cfg,
                         sim::ShardedScheduler::Mode mode, unsigned workers) {
   core::World world(0x5eed);
   std::vector<core::FleetHandle> fleets;
-  // The trend-b hub-spoke shape, shared with epidemic_scaling via the
-  // bench_util fleet builder: site-name order == shard order.
+  // The trend-b hub-spoke shape, shared with epidemic_scaling via
+  // core::build_hub_spoke_fleet: site-name order == shard order.
   const double build_ms = benchutil::time_ms([&] {
-    fleets = benchutil::build_hub_spoke_fleet(world, cfg.sites,
-                                              cfg.hosts_per_site)
-                 .fleets;
+    fleets =
+        core::build_hub_spoke_fleet(world, cfg.sites, cfg.hosts_per_site)
+            .fleets;
   });
   ModeResult result = run_epidemic_in(world, fleets, cfg, mode, workers);
   result.build_ms = build_ms;
@@ -337,9 +337,9 @@ void reproduce_mega_epidemic() {
   core::World world(0x5eed);
   std::vector<core::FleetHandle> fleets;
   const double build_ms = benchutil::time_ms([&] {
-    fleets = benchutil::build_hub_spoke_fleet(world, cfg.sites,
-                                              cfg.hosts_per_site)
-                 .fleets;
+    fleets =
+        core::build_hub_spoke_fleet(world, cfg.sites, cfg.hosts_per_site)
+            .fleets;
   });
   std::printf("%zu sites x %zu hosts = %zu image-backed hosts "
               "(built in %.0f ms), %zu seeded sites, %.0f-day horizon\n",

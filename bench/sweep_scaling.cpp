@@ -12,6 +12,7 @@
 // is the time gate.
 
 #include "bench_util.hpp"
+#include "core/scenario.hpp"
 #include "core/user_behavior.hpp"
 #include "malware/stuxnet/stuxnet.hpp"
 #include "sim/sweep.hpp"

@@ -15,6 +15,7 @@
 //   0-day #4  MS10-092  task-scheduler EoP   -> covers 073-patched hosts
 
 #include "bench_util.hpp"
+#include "core/scenario.hpp"
 #include "core/user_behavior.hpp"
 #include "malware/stuxnet/stuxnet.hpp"
 #include "sim/sweep.hpp"

@@ -10,6 +10,7 @@
 
 #include "bench_util.hpp"
 #include "analysis/av.hpp"
+#include "core/scenario.hpp"
 #include "core/user_behavior.hpp"
 #include "malware/stuxnet/stuxnet.hpp"
 #include "sim/sweep.hpp"

@@ -9,7 +9,10 @@
 
 #include "bench_util.hpp"
 #include "pki/forgery.hpp"
+#include "pki/licensing.hpp"
+#include "pki/signing.hpp"
 #include "sim/sweep.hpp"
+#include "winsys/host.hpp"
 
 using namespace cyd;
 
@@ -22,9 +25,9 @@ struct DriverCase {
 
 void reproduce() {
   pki::MicrosoftPki ms(0, 0xc3);
-  auto vendor_root = benchutil::SigningIdentity::make(
+  auto vendor_root = pki::SigningIdentity::make(
       "Realtek Semiconductor Corp", 0x2ea1);
-  auto eldos = benchutil::SigningIdentity::make("EldoS Corporation", 0xe1d0);
+  auto eldos = pki::SigningIdentity::make("EldoS Corporation", 0xe1d0);
 
   auto make_driver = [](const char* filename) {
     return pe::Builder{}
@@ -96,8 +99,8 @@ void reproduce() {
           host.set_driver_policy(posture.policy);
           ms.install_into(host.cert_store());
           ms.anchor_root(host.trust_store());
-          vendor_root.trust_on(host);
-          eldos.trust_on(host);
+          vendor_root.trust_on(host.cert_store(), host.trust_store());
+          eldos.trust_on(host.cert_store(), host.trust_store());
           if (posture.revoke_abused) {
             host.trust_store().mark_untrusted(vendor_root.cert.serial);
             ms.apply_advisory_2718704(host.trust_store());

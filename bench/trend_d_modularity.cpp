@@ -11,7 +11,7 @@
 
 #include "bench_util.hpp"
 #include "analysis/av.hpp"
-#include "cnc/attack_center.hpp"
+#include "core/scenario.hpp"
 #include "malware/flame/flame.hpp"
 #include "sim/sweep.hpp"
 
@@ -38,17 +38,11 @@ Outcome run(Strategy strategy) {
   core::World world(0xd0 + static_cast<std::uint64_t>(strategy));
   world.add_internet_landmarks();
 
-  cnc::AttackCenter center(world.sim(), 0xd1);
-  cnc::CncServer server(world.sim(), "cc-0", {"update-zone.net"},
-                        center.upload_key());
-  server.deploy(world.network());
-  center.manage(server);
-
   malware::flame::FlameConfig config;
   config.default_domains = {"update-zone.net"};
-  malware::flame::Flame flame(world.sim(), world.network(),
-                              world.programs(), world.tracker(), config);
-  flame.set_upload_key(center.upload_key());
+  auto drop = core::build_dead_drop(world, 0xd1, config);
+  auto& center = *drop.center;
+  auto& server = *drop.server;
 
   core::FleetSpec spec;
   spec.count = 20;
@@ -66,7 +60,7 @@ Outcome run(Strategy strategy) {
     });
   }
 
-  for (auto* host : fleet) flame.infect(*host, "targeted-drop");
+  for (auto* host : fleet) drop.flame->infect(*host, "targeted-drop");
   if (strategy == Strategy::kPerVictim) {
     // Duqu-style: every victim receives a unique build via a targeted ad;
     // applying it rewrites the module files with per-victim bytes.

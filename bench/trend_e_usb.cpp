@@ -8,7 +8,7 @@
 //      Flame ferry measuring bytes exfiltrated *out* of the gap.
 
 #include "bench_util.hpp"
-#include "cnc/attack_center.hpp"
+#include "core/scenario.hpp"
 #include "core/user_behavior.hpp"
 #include "malware/flame/flame.hpp"
 #include "malware/stuxnet/stuxnet.hpp"
@@ -96,18 +96,10 @@ VectorOutcome vector_run(bool lnk_exploit, bool autorun_open) {
 std::uint64_t ferry_run(sim::Duration courier_dwell, sim::Duration horizon) {
   core::World world(0xe2);
   world.add_internet_landmarks();
-  cnc::AttackCenter center(world.sim(), 0xe3);
-  cnc::CncServer server(world.sim(), "cc", {"ferry-c2.net"},
-                        center.upload_key());
-  server.deploy(world.network());
-  center.manage(server);
-  center.start_collection_task(sim::hours(4));
-
   malware::flame::FlameConfig config;
   config.default_domains = {"ferry-c2.net"};
-  malware::flame::Flame flame(world.sim(), world.network(),
-                              world.programs(), world.tracker(), config);
-  flame.set_upload_key(center.upload_key());
+  auto [center, server, flame] = core::build_dead_drop(world, 0xe3, config);
+  center->start_collection_task(sim::hours(4));
 
   core::FleetSpec connected;
   connected.count = 2;
@@ -120,14 +112,14 @@ std::uint64_t ferry_run(sim::Duration courier_dwell, sim::Duration horizon) {
   isolated.documents_per_host = 6;
   auto cell = core::make_office_fleet(world, isolated);
 
-  flame.infect(*mules[0], "drop");
-  flame.infect(*cell[0], "drop");
+  flame->infect(*mules[0], "drop");
+  flame->infect(*cell[0], "drop");
   core::schedule_document_work(world, *cell[0], sim::days(1));
   auto& stick = world.add_usb("office-stick");
   core::schedule_usb_courier(world, stick, {mules[0], cell[0]},
                              courier_dwell);
   world.sim().run_for(horizon);
-  return center.archived_bytes();
+  return center->archived_bytes();
 }
 
 void reproduce() {

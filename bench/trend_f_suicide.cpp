@@ -8,7 +8,7 @@
 
 #include "bench_util.hpp"
 #include "analysis/forensics.hpp"
-#include "cnc/attack_center.hpp"
+#include "core/scenario.hpp"
 #include "malware/flame/flame.hpp"
 #include "sim/sweep.hpp"
 
@@ -37,31 +37,23 @@ struct Evidence {
 Evidence run(const Ending& ending) {
   core::World world(0xf0);
   world.add_internet_landmarks();
-  cnc::AttackCenter center(world.sim(), 0xf1);
-  cnc::CncServer server(world.sim(), "cc-0", {"quiet-zone.net"},
-                        center.upload_key());
-  server.deploy(world.network());
-  server.start_purge_task();
-  center.manage(server);
-  center.start_collection_task(sim::hours(6));
-
   malware::flame::FlameConfig config;
   config.default_domains = {"quiet-zone.net"};
-  malware::flame::Flame flame(world.sim(), world.network(),
-                              world.programs(), world.tracker(), config);
-  flame.set_upload_key(center.upload_key());
+  auto [center, server, flame] = core::build_dead_drop(world, 0xf1, config);
+  server->start_purge_task();
+  center->start_collection_task(sim::hours(6));
 
   core::FleetSpec spec;
   spec.count = 8;
   auto fleet = core::make_office_fleet(world, spec);
-  for (auto* host : fleet) flame.infect(*host, "targeted-drop");
+  for (auto* host : fleet) flame->infect(*host, "targeted-drop");
 
   world.sim().run_for(sim::days(30));  // a month of quiet espionage
 
   // Discovery day.
-  if (ending.order_suicide) center.order_suicide();
+  if (ending.order_suicide) center->order_suicide();
   if (ending.wipe_server_logs && !ending.order_suicide) {
-    server.run_log_wiper();
+    server->run_log_wiper();
   }
   world.sim().run_for(sim::days(2));  // kill order propagates on beacons
 
@@ -76,7 +68,7 @@ Evidence run(const Ending& ending) {
       static_cast<double>(evidence.live + evidence.recovered);
   const double total = with_content + static_cast<double>(evidence.shredded);
   evidence.recoverability = total == 0 ? 0 : with_content / total;
-  evidence.server = analysis::examine_server(server);
+  evidence.server = analysis::examine_server(*server);
   (void)ending.abandon;
   return evidence;
 }

@@ -8,14 +8,11 @@
 
 #include <cstdio>
 
-#include "cnc/attack_center.hpp"
 #include "core/scenario.hpp"
 #include "core/user_behavior.hpp"
 #include "malware/duqu/duqu.hpp"
 #include "malware/flame/flame.hpp"
 #include "malware/gauss/gauss.hpp"
-#include "malware/shamoon/shamoon.hpp"
-#include "malware/stuxnet/stuxnet.hpp"
 
 using namespace cyd;
 
@@ -37,7 +34,7 @@ int main() {
   world.add_internet_landmarks();
 
   // --- the region: an enrichment site, ministries, banks, an oil major ---
-  auto natanz = core::build_natanz_site(world, {});
+  auto [natanz, stuxnet, stick] = core::build_natanz_campaign(world);
   core::FleetSpec ministry_spec;
   ministry_spec.name_prefix = "ministry";
   ministry_spec.subnet = "ministry";
@@ -53,18 +50,13 @@ int main() {
   oil_spec.name_prefix = "oilco";
   oil_spec.subnet = "oilco";
   oil_spec.count = 60;
-  auto oilco = core::make_office_fleet(world, oil_spec);
+  auto [oilco, shamoon] = core::build_aramco(world, oil_spec);
 
   std::printf("world: %zu hosts across 4 organisations + %zu cascade PLCs\n\n",
               world.host_count(), natanz.cascades.size());
 
   // =========== 2010: Stuxnet ===========
-  malware::stuxnet::Stuxnet stuxnet(world.sim(), world.network(),
-                                    world.programs(), world.s7_registry(),
-                                    world.tracker());
-  auto& stick = world.add_usb("integrator-stick");
-  stuxnet.arm_usb(stick);
-  core::schedule_usb_courier(world, stick,
+  core::schedule_usb_courier(world, *stick,
                              {natanz.office[0], natanz.eng_laptop},
                              sim::hours(9));
   const auto project = natanz.step7->create_project("a26");
@@ -89,27 +81,20 @@ int main() {
   status(world, "2011-09: Duqu spear-phish hits two CA suppliers");
 
   // =========== 2012: Flame (already resident for years) ===========
-  cnc::AttackCenter center(world.sim(), 0x2012);
   malware::flame::FlameConfig flame_config;
   flame_config.default_domains = {"traffic-spot.biz", "quick-net.info"};
-  malware::flame::Flame flame(world.sim(), world.network(),
-                              world.programs(), world.tracker(),
-                              flame_config);
-  flame.set_upload_key(center.upload_key());
-  cnc::CncServer cc(world.sim(), "cc-0", flame_config.default_domains,
-                    center.upload_key());
-  cc.deploy(world.network());
-  cc.start_purge_task();
-  center.manage(cc);
-  center.start_collection_task(sim::hours(6));
+  auto [center, cc, flame] =
+      core::build_dead_drop(world, 0x2012, flame_config);
+  cc->start_purge_task();
+  center->start_collection_task(sim::hours(6));
   for (auto* host : {ministry[0], ministry[1], ministry[7]}) {
-    flame.infect(*host, "targeted-drop");
+    flame->infect(*host, "targeted-drop");
   }
   world.sim().run_until(sim::make_date(2012, 5, 28));
   status(world, "2012-05: Kaspersky finds Flame while hunting Wiper");
   std::printf("          -> %zu documents in the coordinator archive\n",
-              center.archive().size());
-  center.order_suicide();
+              center->archive().size());
+  center->order_suicide();
   world.sim().run_until(sim::make_date(2012, 6, 5));
   std::size_t active_flame = 0;
   for (auto* host : world.hosts()) {
@@ -123,7 +108,7 @@ int main() {
   // =========== 2012-06: Gauss ===========
   malware::gauss::Gauss gauss(world.sim(), world.network(),
                               world.programs(), world.tracker());
-  gauss.set_upload_key(center.upload_key());
+  gauss.set_upload_key(center->upload_key());
   gauss.deploy_cnc(world.network());
   for (auto* branch : {banks[0], banks[3]}) {
     branch->fs().write_file("c:\\users\\teller\\blombank-session.dat", "s",
@@ -134,35 +119,14 @@ int main() {
   status(world, "2012-06..08: Gauss works the banks");
 
   // =========== 2012-08-15 08:08: Shamoon ===========
-  malware::shamoon::Shamoon shamoon(world.sim(), world.network(),
-                                    world.programs(), world.tracker());
-  shamoon.deploy_reporter_sink(world.network());
-  auto eldos_ca = pki::CertificateAuthority::create_root(
-      "Commercial Root", pki::HashAlgorithm::kStrong64, 0, sim::days(20000),
-      9);
-  auto eldos_key = pki::KeyPair::generate(10);
-  auto eldos_cert = eldos_ca.issue("EldoS Corporation",
-                                   pki::kUsageCodeSigning,
-                                   pki::HashAlgorithm::kStrong64, 0,
-                                   sim::days(20000), eldos_key);
-  for (auto* host : oilco) {
-    host->cert_store().add(eldos_ca.certificate());
-    host->trust_store().trust_root(eldos_ca.certificate().serial);
-  }
-  auto driver = pe::Builder{}
-                    .program(malware::shamoon::Shamoon::kDriverProgram)
-                    .filename("drdisk.sys")
-                    .build();
-  pki::sign_image(driver, eldos_cert, eldos_key);
-  shamoon.set_disk_driver(driver);
-  shamoon.infect(*oilco[0], "spear-phish");
+  shamoon->infect(*oilco[0], "spear-phish");
   world.sim().run_until(sim::make_date(2012, 8, 15, 8, 7));
   status(world, "2012-08-15 08:07: one minute before the kill date");
   world.sim().run_until(sim::make_date(2012, 8, 16));
   status(world, "2012-08-16: the morning after");
   std::printf("          -> %zu oilco workstations unbootable, %zu reports "
               "reached the attackers\n",
-              world.count_unbootable(), shamoon.reports().size());
+              world.count_unbootable(), shamoon->reports().size());
 
   // =========== the historian's ledger ===========
   std::printf("\ncampaign ledger (tracker):\n");

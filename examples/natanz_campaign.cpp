@@ -15,23 +15,11 @@ int main() {
   core::World world(/*seed=*/0x57);
   world.add_internet_landmarks();
 
-  core::NatanzSpec site_spec;
-  site_spec.cascade_count = 6;
-  site_spec.centrifuges_per_cascade = 164;  // 984 machines total
-  auto site = core::build_natanz_site(world, site_spec);
-
-  malware::stuxnet::StuxnetConfig config;
-  config.plc_timing.observe_window = sim::days(13);
-  config.plc_timing.cover_duration = sim::days(27);
-  malware::stuxnet::Stuxnet stuxnet(world.sim(), world.network(),
-                                    world.programs(), world.s7_registry(),
-                                    world.tracker(), config);
-
   // Initial access: the integrator engineer's stick, armed by the attacker,
   // travels between an office PC and the air-gapped engineering laptop.
-  auto& stick = world.add_usb("integrator-stick");
-  stuxnet.arm_usb(stick);
-  core::schedule_usb_courier(world, stick,
+  auto campaign = core::build_natanz_campaign(world);
+  auto& site = campaign.site;
+  core::schedule_usb_courier(world, *campaign.stick,
                              {site.office[0], site.eng_laptop},
                              sim::hours(8));
 

@@ -7,7 +7,6 @@
 
 #include "core/scenario.hpp"
 #include "malware/shamoon/shamoon.hpp"
-#include "pki/signing.hpp"
 
 using namespace cyd;
 
@@ -16,48 +15,23 @@ int main() {
   world.add_internet_landmarks();
 
   // One corp subnet, two postures: the first 100 machines expose writable
-  // admin shares (pre-incident reality), the rest are hardened.
+  // admin shares (pre-incident reality), the rest are hardened. Every host
+  // trusts the root behind the Eldos-signed driver.
   core::FleetSpec spec;
   spec.name_prefix = "hq";
   spec.subnet = "corp";
   spec.count = 200;
   spec.documents_per_host = 5;
-  auto fleet = core::make_office_fleet(world, spec);
+  malware::shamoon::ShamoonConfig config;
+  config.spread_period = sim::minutes(30);
+  auto [fleet, shamoon] = core::build_aramco(world, spec, config);
   for (std::size_t i = 100; i < fleet.size(); ++i) {
     fleet[i]->patch(exploits::VulnId::kOpenNetworkShares);
   }
 
-  malware::shamoon::ShamoonConfig config;
-  config.kill_date = sim::make_date(2012, 8, 15, 8, 8);
-  config.spread_period = sim::minutes(30);
-  malware::shamoon::Shamoon shamoon(world.sim(), world.network(),
-                                    world.programs(), world.tracker(),
-                                    config);
-  shamoon.deploy_reporter_sink(world.network());
-
-  // The Eldos-signed driver: every host trusts the issuing root.
-  auto ca = pki::CertificateAuthority::create_root(
-      "Commercial Root CA", pki::HashAlgorithm::kStrong64, 0,
-      sim::days(20000), 7);
-  auto eldos_key = pki::KeyPair::generate(8);
-  auto eldos_cert = ca.issue("EldoS Corporation", pki::kUsageCodeSigning,
-                             pki::HashAlgorithm::kStrong64, 0,
-                             sim::days(20000), eldos_key);
-  for (auto* host : fleet) {
-    host->cert_store().add(ca.certificate());
-    host->trust_store().trust_root(ca.certificate().serial);
-  }
-  auto driver = pe::Builder{}
-                    .program(malware::shamoon::Shamoon::kDriverProgram)
-                    .filename("drdisk.sys")
-                    .section(".text", "raw disk i/o", true)
-                    .build();
-  pki::sign_image(driver, eldos_cert, eldos_key, {});
-  shamoon.set_disk_driver(driver);
-
   // Patient zero: a spear-phished workstation, three weeks before 08:08.
   world.sim().run_until(sim::make_date(2012, 7, 25));
-  shamoon.infect(*fleet[0], "spear-phish");
+  shamoon->infect(*fleet[0], "spear-phish");
 
   std::printf("%-12s %-10s %-10s %-9s\n", "date", "infected", "bricked",
               "reports");
@@ -69,7 +43,7 @@ int main() {
     std::printf("%-12s %-10zu %-10zu %-9zu\n",
                 sim::format_time(checkpoint).substr(0, 16).c_str(),
                 world.tracker().infected_count("shamoon"),
-                world.count_unbootable(), shamoon.reports().size());
+                world.count_unbootable(), shamoon->reports().size());
   }
 
   std::size_t soft_bricked = 0, hard_bricked = 0;
@@ -89,6 +63,6 @@ int main() {
                 common::to_hex(body->substr(0, 4)).c_str());
   }
   std::printf("reporter told the attacker about %zu machines before they "
-              "died\n", shamoon.reports().size());
+              "died\n", shamoon->reports().size());
   return 0;
 }

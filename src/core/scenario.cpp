@@ -1,5 +1,11 @@
 #include "core/scenario.hpp"
 
+#include <algorithm>
+#include <cstdio>
+#include <stdexcept>
+
+#include "pki/signing.hpp"
+
 namespace cyd::core {
 
 // One Natanz cascade (§II-C): four frequency converters share its rotors,
@@ -70,7 +76,6 @@ NatanzSite build_natanz_site(World& world, const NatanzSpec& spec) {
   office.subnet = "natanz-office";
   office.count = spec.office_hosts;
   office.os = winsys::OsVersion::kWinXp;
-  office.internet_pct = 100;
   site.office = make_office_fleet(world, office);
 
   // The engineering laptop lives on the air-gapped cell subnet.
@@ -118,6 +123,90 @@ NatanzSite build_natanz_site(World& world, const NatanzSpec& spec) {
     site.hmis.push_back(std::move(hmi));
   }
   return site;
+}
+
+HubSpokeFleet build_hub_spoke_fleet(World& world, std::size_t sites,
+                                    std::size_t hosts_per_site) {
+  if (sites > 9999) {
+    // "org%04zu" zero-padding is what makes site-name order equal build
+    // order (the shard_plan invariant); "org10000" would sort before
+    // "org2000" and silently desynchronize shard order from fleet index.
+    throw std::invalid_argument(
+        "build_hub_spoke_fleet: sites > 9999 breaks the zero-padded "
+        "name-order == build-order invariant; widen the padding first");
+  }
+  HubSpokeFleet out;
+  out.site_names.resize(sites);
+  out.fleets.resize(sites);
+  for (std::size_t s = 0; s < sites; ++s) {
+    char name[24];  // org + zero-padded index, sized for %04zu's worst case
+    std::snprintf(name, sizeof(name), "org%04zu", s);
+    out.site_names[s] = name;
+    out.fleets[s] = world.add_fleet(winsys::HostArchetype::kOfficePc,
+                                    hosts_per_site, out.site_names[s]);
+  }
+  const std::size_t hubs = std::min<std::size_t>(8, sites);
+  for (std::size_t s = hubs; s < sites; ++s) {
+    world.network().link_sites(out.site_names[s], out.site_names[s % hubs],
+                               sim::hours(6));
+  }
+  for (std::size_t a = 0; a < hubs; ++a) {
+    for (std::size_t b = a + 1; b < hubs; ++b) {
+      world.network().link_sites(out.site_names[a], out.site_names[b],
+                                 sim::hours(12));
+    }
+  }
+  return out;
+}
+
+Aramco build_aramco(World& world, const FleetSpec& spec,
+                    const malware::shamoon::ShamoonConfig& config) {
+  Aramco aramco;
+  aramco.fleet = make_office_fleet(world, spec);
+  aramco.shamoon = std::make_unique<malware::shamoon::Shamoon>(
+      world.sim(), world.network(), world.programs(), world.tracker(),
+      config);
+  aramco.shamoon->deploy_reporter_sink(world.network());
+  // The wiper reaches the MBR through a legitimately signed raw-disk driver
+  // (trend V-C): every workstation trusts the commercial root behind it.
+  const auto eldos = pki::SigningIdentity::make("EldoS Corporation", 0xe1d);
+  for (auto* host : aramco.fleet) {
+    eldos.trust_on(host->cert_store(), host->trust_store());
+  }
+  auto driver = pe::Builder{}
+                    .program(malware::shamoon::Shamoon::kDriverProgram)
+                    .filename("drdisk.sys")
+                    .build();
+  pki::sign_image(driver, eldos.cert, eldos.key);
+  aramco.shamoon->set_disk_driver(std::move(driver));
+  return aramco;
+}
+
+NatanzCampaign build_natanz_campaign(World& world) {
+  NatanzCampaign campaign;
+  campaign.site = build_natanz_site(world);
+  campaign.stuxnet = std::make_unique<malware::stuxnet::Stuxnet>(
+      world.sim(), world.network(), world.programs(), world.s7_registry(),
+      world.tracker());
+  campaign.stick = &world.add_usb("integrator-stick");
+  campaign.stuxnet->arm_usb(*campaign.stick);
+  return campaign;
+}
+
+DeadDrop build_dead_drop(World& world, std::uint64_t center_seed,
+                         const malware::flame::FlameConfig& config) {
+  DeadDrop drop;
+  drop.center = std::make_unique<cnc::AttackCenter>(world.sim(), center_seed);
+  drop.server = std::make_unique<cnc::CncServer>(
+      world.sim(), "cc-0", config.default_domains,
+      drop.center->upload_key());
+  drop.server->deploy(world.network());
+  drop.center->manage(*drop.server);
+  drop.flame = std::make_unique<malware::flame::Flame>(
+      world.sim(), world.network(), world.programs(), world.tracker(),
+      config);
+  drop.flame->set_upload_key(drop.center->upload_key());
+  return drop;
 }
 
 }  // namespace cyd::core

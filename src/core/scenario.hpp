@@ -8,10 +8,20 @@
 //    subnet, an air-gapped engineering cell, a Step 7 laptop cabled to
 //    cascade PLCs driving IR-1 centrifuges with the Fararo-Paya/Vacon
 //    fingerprint, HMIs and digital safety systems.
+//  * build_hub_spoke_fleet — trend-b's office sites on a hub-and-spoke WAN.
+//  * build_aramco (Fig. 6), build_natanz_campaign (Fig. 1) and
+//    build_dead_drop (Fig. 5) — one per paper setting: the hosts plus the
+//    family wired in. Callers keep courier routes, schedules, cadences,
+//    patient zero and the report loops.
 
+#include <memory>
 #include <vector>
 
+#include "cnc/attack_center.hpp"
 #include "core/world.hpp"
+#include "malware/flame/flame.hpp"
+#include "malware/shamoon/shamoon.hpp"
+#include "malware/stuxnet/stuxnet.hpp"
 #include "scada/safety.hpp"
 
 namespace cyd::core {
@@ -63,5 +73,53 @@ struct NatanzSpec {
 };
 
 NatanzSite build_natanz_site(World& world, const NatanzSpec& spec = {});
+
+/// `sites` office-PC fleets named org0000, org0001, … — zero-padded so
+/// site-name order (the shard order World::shard_plan derives) equals build
+/// order — with the first min(8, sites) sites doubling as fully-meshed
+/// regional WAN hubs at hours(12) and every other site hanging off its
+/// region at hours(6). Throws std::invalid_argument past 9,999 sites.
+struct HubSpokeFleet {
+  std::vector<std::string> site_names;
+  std::vector<FleetHandle> fleets;
+};
+
+HubSpokeFleet build_hub_spoke_fleet(World& world, std::size_t sites,
+                                    std::size_t hosts_per_site);
+
+/// Families and servers bind their own addresses into the world, so the
+/// builders hand them out behind unique_ptr.
+///
+/// The Aramco detonation: every fleet host trusts the root that signed the
+/// wiper's raw-disk driver.
+struct Aramco {
+  std::vector<winsys::Host*> fleet;
+  std::unique_ptr<malware::shamoon::Shamoon> shamoon;
+};
+
+Aramco build_aramco(World& world, const FleetSpec& spec,
+                    const malware::shamoon::ShamoonConfig& config = {});
+
+/// The Natanz campaign (the default site, Stuxnet's default config) before
+/// its first courier trip.
+struct NatanzCampaign {
+  NatanzSite site;
+  std::unique_ptr<malware::stuxnet::Stuxnet> stuxnet;
+  /// The integrator's stick, armed by the attacker.
+  winsys::UsbDrive* stick = nullptr;
+};
+
+NatanzCampaign build_natanz_campaign(World& world);
+
+/// One Flame dead drop: the server answers `config.default_domains` and is
+/// managed by the center, whose upload key Flame holds.
+struct DeadDrop {
+  std::unique_ptr<cnc::AttackCenter> center;
+  std::unique_ptr<cnc::CncServer> server;
+  std::unique_ptr<malware::flame::Flame> flame;
+};
+
+DeadDrop build_dead_drop(World& world, std::uint64_t center_seed,
+                         const malware::flame::FlameConfig& config);
 
 }  // namespace cyd::core

@@ -137,4 +137,20 @@ SignatureVerdict verify_image(const pe::Image& image, const CertStore& store,
   return verdict;
 }
 
+SigningIdentity SigningIdentity::make(const std::string& subject,
+                                      std::uint64_t seed) {
+  auto ca = CertificateAuthority::create_root(
+      "Commercial Root CA", HashAlgorithm::kStrong64, 0, sim::days(20000),
+      seed);
+  auto key = KeyPair::generate(seed ^ 0x99);
+  auto cert = ca.issue(subject, kUsageCodeSigning, HashAlgorithm::kStrong64, 0,
+                       sim::days(20000), key);
+  return SigningIdentity{std::move(ca), key, std::move(cert)};
+}
+
+void SigningIdentity::trust_on(CertStore& store, TrustStore& trust) const {
+  store.add(ca.certificate());
+  trust.trust_root(ca.certificate().serial);
+}
+
 }  // namespace cyd::pki

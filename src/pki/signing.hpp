@@ -64,4 +64,18 @@ void sign_image(pe::Image& image, const Certificate& signer,
 SignatureVerdict verify_image(const pe::Image& image, const CertStore& store,
                               const TrustStore& trust, sim::TimePoint now);
 
+/// A commercial code-signing ecosystem: one trusted root plus a leaf issued
+/// to `subject` (an EldoS or Realtek style signer). The same seed gives the
+/// same root, key and certificate.
+struct SigningIdentity {
+  CertificateAuthority ca;
+  KeyPair key;
+  Certificate cert;
+
+  static SigningIdentity make(const std::string& subject, std::uint64_t seed);
+  /// Installs the root into a host-independent certificate bundle and trust
+  /// store, so images signed by `cert` verify against them.
+  void trust_on(CertStore& store, TrustStore& trust) const;
+};
+
 }  // namespace cyd::pki

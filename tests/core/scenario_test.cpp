@@ -4,7 +4,6 @@
 
 #include <stdexcept>
 
-#include "bench_util.hpp"
 #include "cnc/attack_center.hpp"
 #include "core/user_behavior.hpp"
 #include "malware/flame/flame.hpp"
@@ -33,7 +32,7 @@ TEST(WorldTest, HubSpokeFleetRejectsSitesPastItsNamePadding) {
   // invariant) only up to 9,999 sites; the 10,000th must fail before any
   // fleet is built, leaving the world untouched.
   World world;
-  EXPECT_THROW(benchutil::build_hub_spoke_fleet(world, 10'000, 1),
+  EXPECT_THROW(build_hub_spoke_fleet(world, 10'000, 1),
                std::invalid_argument);
   EXPECT_EQ(world.host_count(), 0u);
 }
@@ -229,6 +228,71 @@ TEST(CampaignIntegrationTest, FlameEspionageAcrossFleet) {
   EXPECT_GT(center.archived_bytes(), 0u);
   // Purge keeps the server's entry folder lean.
   EXPECT_LT(server.entries().size(), 10u);
+}
+
+// --- The paper-setting builders: each wires what its callers read. ---
+TEST(ScenarioBuilderTest, AramcoWipesEveryHostAndEveryReportIsComplete) {
+  World world(0xa3a);
+  world.add_internet_landmarks();
+  FleetSpec spec;
+  spec.count = 12;
+  malware::shamoon::ShamoonConfig config;
+  config.kill_date = sim::days(3);
+  config.spread_period = sim::minutes(20);
+  auto [fleet, shamoon] = build_aramco(world, spec, config);
+  ASSERT_EQ(fleet.size(), 12u);
+  // 64-bit enforcement: drdisk.sys loads only where its signer's root is
+  // trusted, and the builder trusts it on every host, so every MBR falls.
+  for (auto* host : fleet) {
+    host->set_driver_policy(winsys::DriverPolicy::kRequireValidSignature);
+  }
+  shamoon->infect(*fleet[0], "spear-phish");
+
+  world.sim().run_until(config.kill_date + sim::kDay);
+
+  for (auto* host : fleet) {
+    EXPECT_EQ(host->state(), winsys::HostState::kUnbootable) << host->name();
+  }
+  ASSERT_EQ(shamoon->reports().size(), fleet.size());
+  for (const auto& report : shamoon->reports()) {
+    EXPECT_FALSE(report.domain.empty());
+    EXPECT_FALSE(report.ip.empty());
+    EXPECT_GT(report.files_overwritten, 0);
+    EXPECT_NE(report.f1_listing.find("report-0.docx"), std::string::npos);
+  }
+}
+
+TEST(ScenarioBuilderTest, DeadDropFlameBeaconsToItsOwnServer) {
+  World world(0xdd0);
+  world.add_internet_landmarks();
+  FleetSpec spec;
+  spec.count = 1;
+  auto fleet = make_office_fleet(world, spec);
+  malware::flame::FlameConfig config;
+  config.default_domains = {"dead-drop.example", "mirror.example"};
+  auto [center, server, flame] = build_dead_drop(world, 0xdd1, config);
+  EXPECT_EQ(flame->config().default_domains, server->domains());
+
+  ASSERT_TRUE(flame->infect(*fleet[0], "targeted-drop"));
+  world.sim().run_for(config.beacon_period);
+  EXPECT_GT(server->get_news_count(), 0u);
+}
+
+TEST(ScenarioBuilderTest, NatanzStickCarriesTheDropperToTheLaptop) {
+  World world(0x57);
+  world.add_internet_landmarks();
+  auto [site, stuxnet, stick] = build_natanz_campaign(world);
+  ASSERT_NE(stick, nullptr);
+  const auto* payload =
+      stick->volume()->find_file(malware::stuxnet::Stuxnet::kUsbPayloadName);
+  ASSERT_NE(payload, nullptr);
+  EXPECT_EQ(payload->data, stuxnet->build_dropper().serialize());
+
+  schedule_usb_courier(world, *stick, {site.office[0], site.eng_laptop},
+                       sim::hours(8));
+  world.sim().run_for(sim::days(1));
+  EXPECT_TRUE(stick->visited_hosts().contains(site.eng_laptop->name()));
+  EXPECT_NE(malware::stuxnet::Stuxnet::find(*site.eng_laptop), nullptr);
 }
 
 }  // namespace

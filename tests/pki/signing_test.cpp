@@ -181,5 +181,24 @@ TEST(SigningTest, MicrosoftPkiGenuineUpdateVerifies) {
       verify_image(update, store, trust, sim::make_date(2012, 5, 1)).valid());
 }
 
+TEST(SigningIdentityTest, VerifiesOnlyWhereTrustedAndIsSeedStable) {
+  const auto eldos = SigningIdentity::make("EldoS Corporation", 0xe1d);
+  auto driver =
+      pe::Builder{}.program("eldos.rawdisk").filename("drdisk.sys").build();
+  sign_image(driver, eldos.cert, eldos.key);
+  const sim::TimePoint now = sim::make_date(2012, 8, 15);
+
+  CertStore store;
+  TrustStore trust;
+  EXPECT_FALSE(verify_image(driver, store, trust, now).valid());
+  eldos.trust_on(store, trust);
+  const auto verdict = verify_image(driver, store, trust, now);
+  EXPECT_TRUE(verdict.valid()) << verdict.describe();
+  EXPECT_EQ(verdict.signer_subject, "EldoS Corporation");
+
+  EXPECT_EQ(SigningIdentity::make("EldoS Corporation", 0xe1d).cert.serial,
+            eldos.cert.serial);
+}
+
 }  // namespace
 }  // namespace cyd::pki
