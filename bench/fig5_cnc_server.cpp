@@ -66,9 +66,10 @@ void run_server(benchutil::Report& report) {
               "after pickup)\n", server.entries().size());
   report.printf("clients in the database     : %zu\n",
               server.known_clients().size());
+  const cnc::Database week_db = server.db();
   report.printf("database rows total         : %zu across tables:",
-              server.db().total_rows());
-  for (const auto& table : server.db().table_names()) {
+              week_db.total_rows());
+  for (const auto& table : week_db.table_names()) {
     report.printf(" %s", table.c_str());
   }
   report.printf("\naccess log lines            : %zu\n",
@@ -112,9 +113,10 @@ void run_server(benchutil::Report& report) {
     poll.client = std::string("unknown-") + type;
     server.handle(poll);
   }
+  // db() returns a snapshot: bind it before walking its rows.
+  cnc::Database db = server.db();
   std::map<std::string, int> by_type;
-  for (const auto& [id, row] :
-       server.db().table("clients").all()) {
+  for (const auto& [id, row] : db.table("clients").all()) {
     ++by_type[row->at("type")];
   }
   for (const auto& [type, count] : by_type) {

@@ -61,9 +61,12 @@ ServerForensics examine_server(const cnc::CncServer& server) {
   ServerForensics report;
   report.logs_wiped = server.logs_wiped();
   report.access_log_lines = server.access_log().size();
-  report.database_rows = server.db().total_rows();
+  // One `clients` row per contacted client beside the panel's rows: the
+  // count db() would render, read off the engine without rendering it.
+  const std::size_t clients = server.engine().contacted_clients();
+  report.database_rows = cnc::CncServer::kPanelRows + clients;
   report.entries_on_disk = server.entries().size();
-  report.client_identities = server.known_clients().size();
+  report.client_identities = clients;
   return report;
 }
 

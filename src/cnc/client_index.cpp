@@ -17,9 +17,4 @@ const ClientState* ClientIndex::find(std::string_view client_id) const {
   return id == sim::kNoString ? nullptr : &states_[id];
 }
 
-ClientState* ClientIndex::find(std::string_view client_id) {
-  const sim::StringId id = pool_.find(client_id);
-  return id == sim::kNoString ? nullptr : &states_[id];
-}
-
 }  // namespace cyd::cnc

@@ -1,19 +1,16 @@
 #pragma once
-// Interned hot-path client/session state for the C&C server.
+// Interned client/session state for the C&C server.
 //
-// The seed server kept everything a GET_NEWS needs (contacts, last_news_seq,
-// last_seen) in Database rows of std::map<string,string>, found by an
-// O(clients) select_where scan and round-tripped through stoull/to_string on
-// every beacon. ClientIndex pulls that session state into a flat vector of
-// ClientState indexed by the client id's sim::StringPool id — states are
-// created in first-sight order, exactly like pool ids, so the two always
-// coincide: one pool lookup per beacon, integer fields, no allocation on
-// the warm path. The Database stays the cold forensic store — rows are
-// created/updated write-behind from the states marked `touched` here, so
-// table dumps remain byte-identical to the eager seed path.
+// Everything a GET_NEWS needs (contacts, last_news_seq, last_seen, the
+// queued ads) lives in a flat vector of ClientState indexed by the client
+// id's sim::StringPool id — states are created in first-sight order, exactly
+// like pool ids, so the two always coincide: one pool lookup per beacon,
+// integer fields, no allocation on the warm path. This is the server's only
+// copy of a client: the forensic `clients` table (CncServer::db()) is
+// rendered from these states when it is read.
 //
 // A state is created on first sight of a client id, which can be a contact
-// (GET_NEWS/ADD_ENTRY — starts the forensic row) or a push_ad for a client
+// (GET_NEWS/ADD_ENTRY — makes it a `clients` row) or a push_ad for a client
 // that has not phoned home yet (no row until it does, exactly like the
 // seed's ads_ map). Client identity is the id alone; `type` records what the
 // first contact claimed, matching the seed's one-row-per-client semantics.
@@ -36,8 +33,6 @@ struct ClientState {
   std::uint64_t contacts = 0;
   std::uint64_t last_news_seq = 0;
   std::vector<Payload> ads;  ///< queued targeted commands, delivered once
-  std::uint64_t row_id = 0;  ///< cold-store row; 0 = not materialized yet
-  bool touched = false;      ///< queued for the next write-behind flush
 };
 
 class ClientIndex {
@@ -50,7 +45,6 @@ class ClientIndex {
 
   /// Existing state or nullptr; never allocates.
   const ClientState* find(std::string_view client_id) const;
-  ClientState* find(std::string_view client_id);
 
   ClientState& state(std::uint32_t index) { return states_[index]; }
   const ClientState& state(std::uint32_t index) const {
@@ -60,10 +54,8 @@ class ClientIndex {
     return pool_.view(s.id);
   }
 
-  /// All states in creation (first-sight) order.
+  /// All states in creation (first-sight) order, ad-only clients included.
   const std::vector<ClientState>& states() const { return states_; }
-  std::vector<ClientState>& states() { return states_; }
-  std::size_t size() const { return states_.size(); }
 
  private:
   sim::StringPool pool_;             ///< client id -> pool id == state index

@@ -2,74 +2,13 @@
 
 namespace cyd::cnc {
 
-std::uint64_t Table::insert(Row row) {
-  const std::uint64_t id = next_id_++;
-  rows_.emplace(id, std::move(row));
-  return id;
-}
-
-bool Table::erase(std::uint64_t id) { return rows_.erase(id) > 0; }
-
-std::size_t Table::erase_where(const std::string& column,
-                               const std::string& value) {
-  std::size_t removed = 0;
-  for (auto it = rows_.begin(); it != rows_.end();) {
-    auto col = it->second.find(column);
-    if (col != it->second.end() && col->second == value) {
-      it = rows_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
-  return removed;
-}
-
-const Row* Table::find(std::uint64_t id) const {
-  auto it = rows_.find(id);
-  return it == rows_.end() ? nullptr : &it->second;
-}
-
-Row* Table::find(std::uint64_t id) {
-  auto it = rows_.find(id);
-  return it == rows_.end() ? nullptr : &it->second;
-}
-
-std::vector<std::pair<std::uint64_t, const Row*>> Table::select_where(
-    const std::string& column, const std::string& value) const {
-  std::vector<std::pair<std::uint64_t, const Row*>> out;
-  for (const auto& [id, row] : rows_) {
-    auto col = row.find(column);
-    if (col != row.end() && col->second == value) out.emplace_back(id, &row);
-  }
-  return out;
-}
-
-const Row* Table::find_first_where(const std::string& column,
-                                   const std::string& value) const {
-  for (const auto& [id, row] : rows_) {
-    auto col = row.find(column);
-    if (col != row.end() && col->second == value) return &row;
-  }
-  return nullptr;
-}
-
-Row* Table::find_first_where(const std::string& column,
-                             const std::string& value) {
-  const Table* self = this;
-  return const_cast<Row*>(self->find_first_where(column, value));
-}
+void Table::insert(Row row) { rows_.emplace(next_id_++, std::move(row)); }
 
 std::vector<std::pair<std::uint64_t, const Row*>> Table::all() const {
   std::vector<std::pair<std::uint64_t, const Row*>> out;
   out.reserve(rows_.size());
   for (const auto& [id, row] : rows_) out.emplace_back(id, &row);
   return out;
-}
-
-const Table* Database::find_table(const std::string& name) const {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : &it->second;
 }
 
 std::vector<std::string> Database::table_names() const {
@@ -83,11 +22,6 @@ std::size_t Database::total_rows() const {
   std::size_t n = 0;
   for (const auto& [name, table] : tables_) n += table.size();
   return n;
-}
-
-void Database::wipe() {
-  tables_.clear();
-  wiped_ = true;
 }
 
 }  // namespace cyd::cnc

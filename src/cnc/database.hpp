@@ -1,13 +1,13 @@
 #pragma once
 // The C&C server's relational store (the MySQL analogue).
 //
-// Tracks connecting clients, packages queued per client, encryption
-// settings, and panel authentication — the tables Kaspersky's server
-// analysis enumerated (paper Fig. 5 "Database" discussion).
+// The tables Kaspersky's server analysis enumerated (paper Fig. 5
+// "Database" discussion): connecting clients, encryption settings and panel
+// authentication. CncServer::db() renders them from the request engine's
+// state; a Database is a snapshot, not a second copy the server keeps.
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,26 +17,11 @@ using Row = std::map<std::string, std::string>;
 
 class Table {
  public:
-  std::uint64_t insert(Row row);  // returns row id
-  bool erase(std::uint64_t id);
-  std::size_t erase_where(const std::string& column,
-                          const std::string& value);
-  const Row* find(std::uint64_t id) const;
-  Row* find(std::uint64_t id);
-  std::vector<std::pair<std::uint64_t, const Row*>> select_where(
-      const std::string& column, const std::string& value) const;
-  /// First row (in id order) whose `column` equals `value`, or nullptr.
-  /// Unlike select_where this stops at the first hit and never allocates —
-  /// use it for the common "look up by unique key" pattern.
-  const Row* find_first_where(const std::string& column,
-                              const std::string& value) const;
-  Row* find_first_where(const std::string& column, const std::string& value);
+  /// Appends `row` under the next id (1, 2, ...).
+  void insert(Row row);
+  /// The rows in id order.
   std::vector<std::pair<std::uint64_t, const Row*>> all() const;
-  /// Direct read-only view of the rows in id order; the allocation-free
-  /// alternative to all() for iteration.
-  const std::map<std::uint64_t, Row>& rows() const { return rows_; }
   std::size_t size() const { return rows_.size(); }
-  void clear() { rows_.clear(); }
 
  private:
   std::map<std::uint64_t, Row> rows_;
@@ -46,17 +31,12 @@ class Table {
 class Database {
  public:
   Table& table(const std::string& name) { return tables_[name]; }
-  const Table* find_table(const std::string& name) const;
   std::vector<std::string> table_names() const;
   /// Total rows across tables (server-side footprint metric).
   std::size_t total_rows() const;
-  /// DROP everything (LogWiper's final act against the evidence).
-  void wipe();
-  bool wiped() const { return wiped_; }
 
  private:
   std::map<std::string, Table> tables_;
-  bool wiped_ = false;
 };
 
 }  // namespace cyd::cnc

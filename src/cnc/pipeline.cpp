@@ -59,10 +59,6 @@ ClientState& RequestEngine::contact(std::string_view client_id,
   }
   s.last_seen = now;
   ++s.contacts;
-  if (!s.touched) {
-    s.touched = true;
-    touched_.push_back(index);
-  }
   return s;
 }
 
@@ -221,15 +217,14 @@ std::uint64_t RequestEngine::state_checksum() const {
   h = checksum_mix(h, counters_.upload_bytes);
   h = checksum_mix(h, counters_.rejected);
   h = checksum_mix(h, counters_.pending_ads);
-  // Client states in first-contact order — the order the Database table
-  // acquires rows, so the digest does not depend on hash-map layout.
-  for (const std::uint32_t index : contact_order_) {
-    const ClientState& s = index_.state(index);
-    h = checksum_mix_bytes(h, index_.id_of(s));
+  // Client states in first-contact order — the order of the `clients`
+  // table's rows, so the digest does not depend on hash-map layout.
+  for_each_contact([&h](std::string_view id, const ClientState& s) {
+    h = checksum_mix_bytes(h, id);
     h = checksum_mix_bytes(h, s.type);
     h = checksum_mix(h, s.contacts);
     h = checksum_mix(h, s.last_news_seq);
-  }
+  });
   for (const Entry& e : entries_) {
     h = checksum_mix_bytes(h, e.client_id);
     h = checksum_mix_bytes(h, e.data_name);

@@ -11,8 +11,9 @@
 // no locks), and the per-shard results merge deterministically at the round
 // barrier in shard index order (the same (origin shard, seq) discipline as
 // the keyed event merge). CncServer wraps exactly one engine and layers the
-// cold paths back on: trace logging, the purge task, and write-behind
-// Database rows so forensic table dumps stay byte-identical to the seed.
+// cold paths back on: trace logging, the purge task, and the forensic
+// Database tables, rendered from the engine's state in first-contact order
+// (for_each_contact) whenever they are read.
 //
 // Determinism contract: every response the engine produces is folded into a
 // per-engine FNV chain (fold_response), and state_checksum() digests the
@@ -110,11 +111,19 @@ class RequestEngine {
   const ScanStats& scan_stats() const { return scan_stats_; }
   const std::vector<Entry>& entries() const { return entries_; }
   std::size_t news_count() const { return news_.size(); }
-  ClientIndex& clients() { return index_; }
   const ClientIndex& clients() const { return index_; }
   /// Clients that have actually contacted the server (ad-only targets that
   /// never phoned home are excluded, as in the seed's database).
   std::size_t contacted_clients() const { return contact_order_.size(); }
+  /// Calls fn(client_id, state) for every client that has contacted the
+  /// server, in first-contact order; ad-only clients are skipped.
+  template <class Fn>
+  void for_each_contact(Fn&& fn) const {
+    for (const std::uint32_t index : contact_order_) {
+      const ClientState& s = index_.state(index);
+      fn(index_.id_of(s), s);
+    }
+  }
 
   // --- determinism contract ---
   /// Ordered FNV chain over every response produced so far.
@@ -122,21 +131,6 @@ class RequestEngine {
   /// Digest of session + entry state: counters, then client states in
   /// first-contact order, then entries in arrival order.
   std::uint64_t state_checksum() const;
-
-  // --- write-behind (cold forensic store) ---
-  /// Drains the states touched since the last call, in first-touch order,
-  /// invoking fn(state, client_id). The owner materializes/updates Database
-  /// rows from them; row creation order equals first-contact order, so table
-  /// dumps match the seed's eager updates byte for byte.
-  template <class Fn>
-  void drain_touched(Fn&& fn) {
-    for (const std::uint32_t index : touched_) {
-      ClientState& s = index_.state(index);
-      fn(s, index_.id_of(s));
-      s.touched = false;
-    }
-    touched_.clear();
-  }
 
  private:
   net::HttpResponse do_get_news(const DecodedRequest& d, sim::TimePoint now,
@@ -153,7 +147,6 @@ class RequestEngine {
                                      const net::HttpResponse& response);
 
   ClientIndex index_;
-  std::vector<std::uint32_t> touched_;        ///< write-behind queue
   std::vector<std::uint32_t> contact_order_;  ///< first-contact order
 
   std::vector<std::pair<std::uint64_t, Payload>> news_;

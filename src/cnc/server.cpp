@@ -1,8 +1,13 @@
 #include "cnc/server.hpp"
 
-#include "common/bytes.hpp"
-
 namespace cyd::cnc {
+namespace {
+
+// Fig. 5: the server's cleanup task deletes retrieved entries once they are
+// 30 minutes old.
+constexpr sim::Duration kPurgeRetention = 30 * sim::kMinute;
+
+}  // namespace
 
 CncServer::CncServer(sim::Simulation& simulation, std::string server_id,
                      std::vector<std::string> domains,
@@ -10,16 +15,30 @@ CncServer::CncServer(sim::Simulation& simulation, std::string server_id,
     : sim_(simulation),
       server_id_(std::move(server_id)),
       domains_(std::move(domains)),
-      upload_key_(upload_key) {
+      upload_key_(upload_key) {}
+
+Database CncServer::db() const {
+  Database db;
+  engine_.for_each_contact([&db](std::string_view id, const ClientState& s) {
+    Row row;
+    row["client_id"] = std::string(id);
+    row["type"] = s.type;
+    row["first_seen"] = sim::format_time(s.first_seen);
+    row["last_seen"] = sim::format_time(s.last_seen);
+    row["contacts"] = std::to_string(s.contacts);
+    row["last_news_seq"] = std::to_string(s.last_news_seq);
+    db.table("clients").insert(std::move(row));
+  });
   // The panel's auth table and encryption settings exist from day one.
   Row auth;
   auth["user"] = "operator";
   auth["password_hash"] = "5f4dcc3b";
-  db_.table("panel_auth").insert(std::move(auth));
+  db.table("panel_auth").insert(std::move(auth));
   Row settings;
   settings["upload_key_id"] = std::to_string(upload_key_.public_id);
-  settings["purge_minutes"] = "30";
-  db_.table("settings").insert(std::move(settings));
+  settings["purge_minutes"] = std::to_string(kPurgeRetention / sim::kMinute);
+  db.table("settings").insert(std::move(settings));
+  return db;
 }
 
 void CncServer::deploy(net::Network& network) {
@@ -34,27 +53,6 @@ void CncServer::deploy(net::Network& network) {
 void CncServer::undeploy(net::Network& network) {
   for (const auto& domain : domains_) network.remove_internet_service(domain);
   sim_.log(sim::TraceCategory::kCnc, server_id_, "cnc.undeploy", "");
-}
-
-void CncServer::flush_clients() const {
-  engine_.drain_touched([this](ClientState& s, std::string_view client_id) {
-    auto& clients = db_.table("clients");
-    if (s.row_id == 0) {
-      Row row;
-      row["client_id"] = std::string(client_id);
-      row["type"] = s.type;
-      row["first_seen"] = sim::format_time(s.first_seen);
-      row["last_seen"] = sim::format_time(s.last_seen);
-      row["contacts"] = std::to_string(s.contacts);
-      row["last_news_seq"] = std::to_string(s.last_news_seq);
-      s.row_id = clients.insert(std::move(row));
-    } else {
-      Row* row = clients.find(s.row_id);
-      (*row)["last_seen"] = sim::format_time(s.last_seen);
-      (*row)["contacts"] = std::to_string(s.contacts);
-      (*row)["last_news_seq"] = std::to_string(s.last_news_seq);
-    }
-  });
 }
 
 void CncServer::trace_outcome(const RequestEngine::Outcome& outcome) {
@@ -119,24 +117,6 @@ std::size_t CncServer::purge_retrieved(sim::Duration max_age) {
   return purged;
 }
 
-sim::Duration CncServer::purge_retention() const {
-  // The panel's own knob: settings.purge_minutes, seeded to 30 at install
-  // time. Read on every purge tick so operators can retune a live server;
-  // rows() iteration keeps the tick allocation-free. A malformed value, or
-  // one <= 0 (a negative retention puts the cutoff in the future and purges
-  // every retrieved entry), falls back to the install default.
-  if (const Table* settings = db_.find_table("settings")) {
-    for (const auto& [id, row] : settings->rows()) {
-      auto it = row.find("purge_minutes");
-      if (it == row.end()) continue;
-      const auto minutes = common::parse_int(it->second);
-      if (minutes && *minutes > 0) return sim::minutes(*minutes);
-      break;
-    }
-  }
-  return 30 * sim::kMinute;
-}
-
 void CncServer::start_purge_task(sim::Duration period) {
   // Cancel-then-rearm: a second start (operator re-runs the install script,
   // a seized server is restaged) must not leave two concurrent purge series
@@ -144,7 +124,7 @@ void CncServer::start_purge_task(sim::Duration period) {
   // ends before the new one is armed.
   purge_handle_.cancel();
   purge_handle_ =
-      sim_.every(period, [this] { purge_retrieved(purge_retention()); });
+      sim_.every(period, [this] { purge_retrieved(kPurgeRetention); });
 }
 
 void CncServer::stop_purge_task() {
@@ -154,7 +134,8 @@ void CncServer::stop_purge_task() {
 }
 
 void CncServer::run_log_wiper() {
-  // chkconfig off, shred the logs, remove old DB rows, rm LogWiper.sh.
+  // chkconfig off, shred the access log, rm LogWiper.sh. The database is
+  // left alone: its tables survive the wipe (Fig. 5).
   engine_.set_logging(false);
   engine_.clear_access_log();
   logs_wiped_ = true;
@@ -162,14 +143,11 @@ void CncServer::run_log_wiper() {
 }
 
 std::vector<std::string> CncServer::known_clients() const {
-  flush_clients();
   std::vector<std::string> out;
-  const Table* clients = db_.find_table("clients");
-  if (clients == nullptr) return out;
-  out.reserve(clients->rows().size());
-  for (const auto& [id, row] : clients->rows()) {
-    out.push_back(row.at("client_id"));
-  }
+  out.reserve(engine_.contacted_clients());
+  engine_.for_each_contact([&out](std::string_view id, const ClientState&) {
+    out.emplace_back(id);
+  });
   return out;
 }
 

@@ -14,10 +14,10 @@
 //
 // Internally the server is a thin simulation adapter over cnc::RequestEngine
 // (the hot request pipeline — zero-copy decode, interned session state,
-// bounded logs; see pipeline.hpp). The Database here is the *cold* forensic
-// store: client rows are materialized write-behind from the engine's session
-// states whenever the database is read, in first-contact order, so table
-// dumps are byte-identical to the seed's eager row-per-beacon updates.
+// bounded logs; see pipeline.hpp). The engine holds the server's one copy of
+// its state; db() renders the MySQL tables an investigator dumps from it
+// on every read: one `clients` row per contacted client in first-contact
+// order, plus the panel's `panel_auth` and `settings` rows.
 
 #include <cstdint>
 #include <span>
@@ -41,16 +41,13 @@ class CncServer {
   const std::string& id() const { return server_id_; }
   const std::vector<std::string>& domains() const { return domains_; }
   const CncPublicKey& upload_key() const { return upload_key_; }
-  /// The forensic store. Reading it flushes the write-behind client rows, so
-  /// the tables always look as if every beacon had updated them eagerly.
-  Database& db() {
-    flush_clients();
-    return db_;
-  }
-  const Database& db() const {
-    flush_clients();
-    return db_;
-  }
+  /// The forensic tables, rendered from the engine: `clients` (one row per
+  /// contacted client, ids 1..n in first-contact order; absent before the
+  /// first contact), `panel_auth` and `settings`. A snapshot: bind it to a
+  /// local before iterating a table.
+  Database db() const;
+  /// The rows db() holds besides the `clients` table: panel_auth, settings.
+  static constexpr std::size_t kPanelRows = 2;
 
   /// Registers every domain with the network's internet DNS.
   void deploy(net::Network& network);
@@ -75,11 +72,8 @@ class CncServer {
   /// Deletes retrieved entries older than `max_age`; the scheduled cleanup.
   /// O(purged): retrieved entries form a time-ordered prefix.
   std::size_t purge_retrieved(sim::Duration max_age);
-  /// Retention configured in the settings table (`purge_minutes`, seeded to
-  /// 30); falls back to 30 minutes when the row is missing or unparseable.
-  sim::Duration purge_retention() const;
   /// Starts the periodic purge cycle; each tick deletes retrieved entries
-  /// older than purge_retention(). Idempotent: calling it again cancels the
+  /// older than 30 minutes (Fig. 5). Idempotent: calling it again cancels the
   /// running series before arming the new one, so there is never more than
   /// one purge cycle ticking (a restage must not double-delete or skew the
   /// purge stats).
@@ -109,6 +103,7 @@ class CncServer {
   }
   std::size_t upload_count() const { return engine_.counters().uploads; }
   std::size_t get_news_count() const { return engine_.counters().get_news; }
+  /// Ids of the clients that have contacted the server, first contact first.
   std::vector<std::string> known_clients() const;
 
   /// The hot request pipeline (bench / storm instrumentation).
@@ -117,19 +112,12 @@ class CncServer {
 
  private:
   void trace_outcome(const RequestEngine::Outcome& outcome);
-  /// Write-behind: materialize/update a `clients` row for every session
-  /// state touched since the last flush, in first-touch order.
-  void flush_clients() const;
 
   sim::Simulation& sim_;
   std::string server_id_;
   std::vector<std::string> domains_;
   CncPublicKey upload_key_;
-  // Both mutable so const forensic reads (db(), known_clients()) can flush
-  // the write-behind rows; logically the flush does not change state, it
-  // only moves it between the hot and cold representations.
-  mutable RequestEngine engine_;
-  mutable Database db_;
+  RequestEngine engine_;
 
   bool logs_wiped_ = false;
   sim::EventHandle purge_handle_;

@@ -168,9 +168,11 @@ Aramco build_aramco(World& world, const FleetSpec& spec,
       config);
   aramco.shamoon->deploy_reporter_sink(world.network());
   // The wiper reaches the MBR through a legitimately signed raw-disk driver
-  // (trend V-C): every workstation trusts the commercial root behind it.
+  // (trend V-C): every workstation enforces driver signatures and trusts the
+  // commercial root behind it, so the signature decides whether disks fall.
   const auto eldos = pki::SigningIdentity::make("EldoS Corporation", 0xe1d);
   for (auto* host : aramco.fleet) {
+    host->set_driver_policy(winsys::DriverPolicy::kRequireValidSignature);
     eldos.trust_on(host->cert_store(), host->trust_store());
   }
   auto driver = pe::Builder{}

@@ -253,11 +253,16 @@ TEST(ForensicsTest, ServerExamBeforeAndAfterLogWiper) {
   req.path = "/newsforyou";
   req.params = {{"cmd", "GET_NEWS"}, {"client", "victim-a"}, {"type", "FL"}};
   server.handle(req);
+  // An ad for a client that never phoned home names no one in the tables.
+  server.push_ad("victim-b", {"module", "bytes"});
 
   auto before = examine_server(server);
   EXPECT_FALSE(before.logs_wiped);
   EXPECT_GT(before.access_log_lines, 0u);
-  EXPECT_GT(before.database_rows, 0u);
+  // panel_auth + settings, plus one `clients` row per contacted client:
+  // the rows db() renders.
+  EXPECT_EQ(before.database_rows, 2u + 1u);
+  EXPECT_EQ(before.database_rows, server.db().total_rows());
   EXPECT_EQ(before.client_identities, 1u);
 
   server.run_log_wiper();
@@ -266,7 +271,7 @@ TEST(ForensicsTest, ServerExamBeforeAndAfterLogWiper) {
   EXPECT_EQ(after.access_log_lines, 0u);
   // The database survives LogWiper (it wipes logs, not tables) — which is
   // how Kaspersky could still enumerate clients on seized boxes.
-  EXPECT_GT(after.database_rows, 0u);
+  EXPECT_EQ(after.database_rows, before.database_rows);
 }
 
 }  // namespace

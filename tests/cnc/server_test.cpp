@@ -230,8 +230,8 @@ TEST_F(CncServerTest, PurgeTaskRunsEvery30Minutes) {
 
 TEST_F(CncServerTest, PurgeTaskHonorsConfiguredRetention) {
   // Ticks at 10/20/30 minutes; the entry is retrieved immediately but must
-  // survive until it is 30 (configured) minutes old — the pre-fix task
-  // passed max_age 0 and deleted it on the very first tick.
+  // survive until it is 30 minutes old (Fig. 5's retention) — the pre-fix
+  // task passed max_age 0 and deleted it on the very first tick.
   server_.start_purge_task(10 * sim::kMinute);
   server_.handle(add_entry("a", "loot.7z", "data"));
   center_.collect();
@@ -268,45 +268,16 @@ TEST_F(CncServerTest, StopPurgeTaskSafeWhenNeverStarted) {
   EXPECT_EQ(simulation_.queue().pending(), 0u);
 }
 
-TEST_F(CncServerTest, PurgeMinutesSettingRoundTrips) {
-  EXPECT_EQ(server_.purge_retention(), 30 * sim::kMinute);
-  auto& settings = server_.db().table("settings");
-  Row* row = settings.find(settings.all().front().first);
-  ASSERT_NE(row, nullptr);
-  (*row)["purge_minutes"] = "5";
-  EXPECT_EQ(server_.purge_retention(), 5 * sim::kMinute);
-
-  server_.start_purge_task(2 * sim::kMinute);
-  server_.handle(add_entry("a", "doc", "x"));
-  center_.collect();
-  simulation_.run_for(4 * sim::kMinute);  // 4 < 5: retention still covers it
-  EXPECT_EQ(server_.entries().size(), 1u);
-  simulation_.run_for(2 * sim::kMinute);  // tick at 6 min: older than 5
-  EXPECT_TRUE(server_.entries().empty());
-}
-
-TEST_F(CncServerTest, UnparseablePurgeMinutesFallsBackToDefault) {
-  auto& settings = server_.db().table("settings");
-  Row* row = settings.find(settings.all().front().first);
-  ASSERT_NE(row, nullptr);
-  // Trailing garbage, a negative or zero retention and a value past
-  // sim::minutes' range all fall back to the install default.
-  for (const char* text :
-       {"soon(tm)", "45abc", "-5", "0", "9200000000000000000"}) {
-    (*row)["purge_minutes"] = text;
-    EXPECT_EQ(server_.purge_retention(), 30 * sim::kMinute) << text;
-  }
-  (*row)["purge_minutes"] = "45";
-  EXPECT_EQ(server_.purge_retention(), 45 * sim::kMinute);
-}
-
 TEST_F(CncServerTest, DatabaseTracksClientContacts) {
   server_.handle(get_news("victim-1"));
   server_.handle(get_news("victim-1"));
   server_.handle(add_entry("victim-1", "x", "y"));
-  const auto rows =
-      server_.db().table("clients").select_where("client_id", "victim-1");
+  // One client, one row, however often it phones home.
+  EXPECT_EQ(server_.known_clients(), (std::vector<std::string>{"victim-1"}));
+  Database db = server_.db();
+  const auto rows = db.table("clients").all();
   ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].second->at("client_id"), "victim-1");
   EXPECT_EQ(rows[0].second->at("contacts"), "3");
   EXPECT_EQ(rows[0].second->at("type"), "FL");
 }
@@ -358,8 +329,9 @@ TEST_F(CncServerTest, PlatformServesAllFourClientTypes) {
                 {"type", type}};
     EXPECT_TRUE(server_.handle(r).ok());
   }
+  Database db = server_.db();
   std::set<std::string> types;
-  for (const auto& [id, row] : server_.db().table("clients").all()) {
+  for (const auto& [id, row] : db.table("clients").all()) {
     types.insert(row->at("type"));
   }
   EXPECT_EQ(types, (std::set<std::string>{"FL", "IP", "SP", "SPE"}));
@@ -464,67 +436,75 @@ TEST_F(CncServerTest, HandleBatchMatchesPerRequestLoop) {
             twin.engine().state_checksum());
 }
 
-TEST_F(CncServerTest, WriteBehindRowsKeepFirstContactOrder) {
-  // An ad queued for a client that has not phoned home yet must not create a
-  // row (or claim an early row id): rows appear in first-contact order, like
-  // the seed's eager per-beacon updates.
+TEST_F(CncServerTest, ClientsTableRendersEngineStatesInContactOrder) {
+  // "late-target" is first seen through an ad and phones home second;
+  // "ghost" is only ever an ad target. Neither may claim a row before it
+  // contacts the server: rows follow first contact, not first sight.
   server_.push_ad("late-target", {"mod", "bytes"});
+  server_.push_ad("ghost", {"mod", "bytes"});
   EXPECT_TRUE(server_.known_clients().empty());
+  EXPECT_EQ(server_.db().table_names(),
+            (std::vector<std::string>{"panel_auth", "settings"}));
+  server_.push_news({"news-1", "bytes"});
+  simulation_.run_for(sim::kHour);
   server_.handle(get_news("a"));
+  simulation_.run_for(sim::kHour);
   server_.handle(get_news("late-target"));
-  server_.handle(get_news("b"));
-  EXPECT_EQ(server_.known_clients(),
-            (std::vector<std::string>{"a", "late-target", "b"}));
-  // The flushed row reflects the delivered ad's bookkeeping.
-  const Row* row = server_.db().table("clients").find_first_where(
-      "client_id", "late-target");
-  ASSERT_NE(row, nullptr);
-  EXPECT_EQ(row->at("contacts"), "1");
-  EXPECT_EQ(server_.pending_ads(), 0u);
+  server_.handle(add_entry("b", "doc", "x"));
+  simulation_.run_for(sim::kHour);
+  server_.handle(get_news("a"));
+
+  const std::vector<std::string> order{"a", "late-target", "b"};
+  EXPECT_EQ(server_.known_clients(), order);
+  // Four states, three rows: ghost's state holds its ad and nothing else.
+  EXPECT_EQ(server_.engine().clients().states().size(), 4u);
+  EXPECT_EQ(server_.pending_ads(), 1u);
+
+  Database db = server_.db();
+  EXPECT_EQ(db.total_rows(), CncServer::kPanelRows + order.size());
+  const auto settings = db.table("settings").all();
+  ASSERT_EQ(settings.size(), 1u);
+  EXPECT_EQ(settings[0].second->at("purge_minutes"), "30");
+  const auto rows = db.table("clients").all();
+  ASSERT_EQ(rows.size(), order.size());
+  const std::vector<std::uint64_t> contacts{2, 1, 1};
+  const std::vector<std::uint64_t> last_news_seq{1, 1, 0};
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].first, i + 1) << order[i];
+    const ClientState* s = server_.engine().clients().find(order[i]);
+    ASSERT_NE(s, nullptr) << order[i];
+    EXPECT_EQ(s->contacts, contacts[i]) << order[i];
+    EXPECT_EQ(s->last_news_seq, last_news_seq[i]) << order[i];
+    const Row expected{{"client_id", order[i]},
+                       {"type", s->type},
+                       {"first_seen", sim::format_time(s->first_seen)},
+                       {"last_seen", sim::format_time(s->last_seen)},
+                       {"contacts", std::to_string(s->contacts)},
+                       {"last_news_seq", std::to_string(s->last_news_seq)}};
+    EXPECT_EQ(*rows[i].second, expected) << order[i];
+  }
+  // "a" was first seen an hour in and last seen three hours in.
+  EXPECT_EQ(rows[0].second->at("first_seen"), sim::format_time(sim::kHour));
+  EXPECT_EQ(rows[0].second->at("last_seen"),
+            sim::format_time(3 * sim::kHour));
+  EXPECT_EQ(rows[0].second->at("type"), "FL");
 }
 
-TEST(DatabaseTest, FindFirstWhereStopsAtFirstMatch) {
+TEST(DatabaseTest, InsertNumbersRowsPerTable) {
   Database db;
-  auto& t = db.table("clients");
-  t.insert({{"client_id", "a"}, {"type", "FL"}});
-  t.insert({{"client_id", "b"}, {"type", "SP"}});
-  t.insert({{"client_id", "c"}, {"type", "SP"}});
-  const Row* hit = t.find_first_where("type", "SP");
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->at("client_id"), "b");  // lowest row id wins
-  EXPECT_EQ(t.find_first_where("type", "IP"), nullptr);
-  EXPECT_EQ(t.find_first_where("nope", "x"), nullptr);
-  // The non-const overload allows in-place updates.
-  Row* mut = t.find_first_where("client_id", "c");
-  ASSERT_NE(mut, nullptr);
-  (*mut)["type"] = "SPE";
-  EXPECT_EQ(t.select_where("type", "SP").size(), 1u);
-}
-
-TEST(DatabaseTest, InsertSelectErase) {
-  Database db;
-  auto& t = db.table("clients");
-  const auto id1 = t.insert({{"client_id", "a"}, {"type", "FL"}});
-  t.insert({{"client_id", "b"}, {"type", "SP"}});
-  EXPECT_EQ(t.size(), 2u);
-  EXPECT_EQ(t.select_where("type", "FL").size(), 1u);
-  ASSERT_NE(t.find(id1), nullptr);
-  EXPECT_EQ(t.find(id1)->at("client_id"), "a");
-  EXPECT_TRUE(t.erase(id1));
-  EXPECT_FALSE(t.erase(id1));
-  EXPECT_EQ(t.erase_where("type", "SP"), 1u);
-  EXPECT_EQ(t.size(), 0u);
-}
-
-TEST(DatabaseTest, WipeDropsEverything) {
-  Database db;
-  db.table("a").insert({{"k", "v"}});
-  db.table("b").insert({{"k", "v"}});
-  EXPECT_EQ(db.total_rows(), 2u);
-  db.wipe();
-  EXPECT_EQ(db.total_rows(), 0u);
-  EXPECT_TRUE(db.wiped());
-  EXPECT_TRUE(db.table_names().empty());
+  db.table("clients").insert({{"client_id", "a"}});
+  db.table("clients").insert({{"client_id", "b"}});
+  db.table("settings").insert({{"k", "v"}});
+  const auto rows = db.table("clients").all();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].first, 1u);
+  EXPECT_EQ(rows[1].first, 2u);
+  EXPECT_EQ(rows[1].second->at("client_id"), "b");
+  // Ids count per table.
+  EXPECT_EQ(db.table("settings").all().front().first, 1u);
+  EXPECT_EQ(db.total_rows(), 3u);
+  EXPECT_EQ(db.table_names(),
+            (std::vector<std::string>{"clients", "settings"}));
 }
 
 TEST(DomainFleetTest, GeneratesRequestedShape) {

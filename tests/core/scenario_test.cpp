@@ -241,10 +241,11 @@ TEST(ScenarioBuilderTest, AramcoWipesEveryHostAndEveryReportIsComplete) {
   config.spread_period = sim::minutes(20);
   auto [fleet, shamoon] = build_aramco(world, spec, config);
   ASSERT_EQ(fleet.size(), 12u);
-  // 64-bit enforcement: drdisk.sys loads only where its signer's root is
-  // trusted, and the builder trusts it on every host, so every MBR falls.
+  // The builder enforces driver signatures on every host and trusts
+  // drdisk.sys's signer there, so every MBR falls.
   for (auto* host : fleet) {
-    host->set_driver_policy(winsys::DriverPolicy::kRequireValidSignature);
+    EXPECT_EQ(host->driver_policy(),
+              winsys::DriverPolicy::kRequireValidSignature);
   }
   shamoon->infect(*fleet[0], "spear-phish");
 

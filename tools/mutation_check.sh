@@ -10,10 +10,11 @@
 # build (`Binary:`) and a gtest filter for the tests that must kill it
 # (`Killed-by:`). Those tests must pass on the unmutated copy first, so a
 # test that fails anyway kills nothing. Then, per mutant: apply the patch,
-# build the binary, run the filter, revert. Patches apply with --fuzz=0: a
-# mutant whose context has drifted fails to apply instead of landing on a
-# neighbouring line. Exits 1 if any mutant survives or fails to apply or
-# build. Too slow for every push: CI runs it weekly, and by hand it is
+# build the binary, run the filter, revert. A patch must apply exactly
+# (tools/mutants_apply.sh: --fuzz=0 and no hunk at an offset): a mutant
+# whose context has drifted fails instead of landing on a neighbouring line.
+# Exits 1 if any mutant survives or fails to apply or build. Too slow for
+# every push: CI runs it weekly, and by hand it is
 # `cmake --build <dir> --target mutation_check`.
 set -u
 
@@ -43,11 +44,11 @@ status=0
 for mutant in "$work"/src/tests/mutants/*.patch; do
   name=$(basename "$mutant" .patch)
   binary=$(field Binary "$mutant")
-  if ! patch -s --fuzz=0 -p1 -d "$work/src" < "$mutant"; then
-    echo "$name: does not apply"
+  if ! "$work/src/tools/mutants_apply.sh" "$work/src" "$mutant"; then
     status=1
     continue
   fi
+  patch -s --fuzz=0 -p1 -d "$work/src" < "$mutant" || exit 1
   if ! cmake --build "$work/build" --target "$binary" -j "$jobs" > /dev/null
   then
     echo "$name: does not build"
