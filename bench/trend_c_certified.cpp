@@ -13,6 +13,7 @@
 #include "pki/signing.hpp"
 #include "sim/sweep.hpp"
 #include "winsys/host.hpp"
+#include "winsys/host_image.hpp"
 
 using namespace cyd;
 
@@ -87,20 +88,23 @@ void reproduce() {
   std::printf("\n");
 
   // One parallel run per driver row. Each run builds its own Simulation,
-  // registry and probe hosts; the PKI identities are shared read-only.
+  // registry, probe image and probe hosts; the PKI identities are shared
+  // read-only. The image trusts the Microsoft, vendor and EldoS roots; each
+  // posture's edits land in its probe's delta.
   const auto rows = sim::Sweep::map_items(
       drivers, [&](const DriverCase& driver_case) {
         sim::Simulation simulation;
         winsys::ProgramRegistry programs;
+        winsys::HostImage::Builder builder(winsys::OsVersion::kWin7);
+        ms.install_into(builder.cert_store());
+        ms.anchor_root(builder.trust_store());
+        vendor_root.trust_on(builder.cert_store(), builder.trust_store());
+        eldos.trust_on(builder.cert_store(), builder.trust_store());
+        const auto image = builder.build();
         std::vector<std::string> verdicts;
         for (const auto& posture : postures) {
-          winsys::Host host(simulation, programs, "probe",
-                            winsys::OsVersion::kWin7);
+          winsys::Host host(simulation, programs, "probe", image);
           host.set_driver_policy(posture.policy);
-          ms.install_into(host.cert_store());
-          ms.anchor_root(host.trust_store());
-          vendor_root.trust_on(host.cert_store(), host.trust_store());
-          eldos.trust_on(host.cert_store(), host.trust_store());
           if (posture.revoke_abused) {
             host.trust_store().mark_untrusted(vendor_root.cert.serial);
             ms.apply_advisory_2718704(host.trust_store());

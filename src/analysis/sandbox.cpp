@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "winsys/host_image.hpp"
+
 namespace cyd::analysis {
 namespace {
 
@@ -65,7 +67,9 @@ std::string BehaviorReport::summary() const {
 }
 
 Sandbox::Sandbox(EnvironmentSetup setup) : sim_(kSeed), network_(sim_) {
-  host_ = std::make_unique<winsys::Host>(sim_, programs_, "sandbox-vm", kOs);
+  // A clean VM: the Windows skeleton and nothing else, no PKI landscape.
+  host_ = std::make_unique<winsys::Host>(
+      sim_, programs_, "sandbox-vm", winsys::HostImage::Builder(kOs).build());
   for (auto vuln : kVulnerabilities) host_->make_vulnerable(vuln);
   host_->set_internet_access(true);
   network_.attach(*host_, "sandbox-net", "192.168.56.10");

@@ -32,7 +32,6 @@ std::vector<winsys::Host*> make_office_fleet(World& world,
         static_cast<int>(i * 100 / (spec.count == 0 ? 1 : spec.count)) <
         spec.internet_pct);
     host.stack()->add_share("c$", winsys::Path("c:"));  // lateral movement
-    world.provision_standard_pki(host);
     for (int d = 0; d < spec.documents_per_host; ++d) {
       const std::string doc =
           "c:\\users\\staff\\documents\\report-" + std::to_string(d) +
@@ -85,7 +84,6 @@ NatanzSite build_natanz_site(World& world, const NatanzSpec& spec) {
   laptop.make_vulnerable(exploits::VulnId::kMs10_046_Lnk);
   laptop.make_vulnerable(exploits::VulnId::kMs10_073_Eop);
   laptop.set_internet_access(false);
-  world.provision_standard_pki(laptop);
   site.eng_laptop = &laptop;
   site.step7 = &scada::Step7App::install(laptop, world.s7_registry());
 

@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "pki/signing.hpp"
-
 namespace cyd::core {
 
 World::World(std::uint64_t seed) : sim_(seed), rng_(seed ^ 0xab1e), network_(sim_) {
@@ -27,10 +25,22 @@ winsys::Host& World::register_host(std::unique_ptr<winsys::Host> host,
   return h;
 }
 
+std::shared_ptr<const winsys::HostImage> World::bake(
+    winsys::HostImage::Builder& builder) const {
+  microsoft_->install_into(builder.cert_store());
+  microsoft_->anchor_root(builder.trust_store());
+  return builder.build();
+}
+
 winsys::Host& World::add_host(const std::string& name, winsys::OsVersion os,
                               const std::string& subnet) {
+  auto& image = os_images_[os];
+  if (image == nullptr) {
+    winsys::HostImage::Builder builder(os);
+    image = bake(builder);
+  }
   return register_host(
-      std::make_unique<winsys::Host>(sim_, programs_, name, os), subnet);
+      std::make_unique<winsys::Host>(sim_, programs_, name, image), subnet);
 }
 
 namespace {
@@ -44,12 +54,6 @@ const char* archetype_stem(winsys::HostArchetype a) {
   switch (a) {
     case winsys::HostArchetype::kOfficePc: return "pc";
     case winsys::HostArchetype::kEngineeringStation: return "eng";
-    case winsys::HostArchetype::kHmi: return "hmi";
-    case winsys::HostArchetype::kServer: return "srv";
-    case winsys::HostArchetype::kFileServer: return "fsr";
-    case winsys::HostArchetype::kDomainController: return "dc";
-    case winsys::HostArchetype::kLaptop: return "lap";
-    case winsys::HostArchetype::kKiosk: return "kio";
   }
   return "host";
 }
@@ -60,11 +64,9 @@ const std::shared_ptr<const winsys::HostImage>& World::archetype_image(
     winsys::HostArchetype archetype) {
   auto& slot = images_[archetype];
   if (slot == nullptr) {
-    winsys::HostImage::Builder builder(archetype,
-                                       winsys::default_os(archetype));
-    microsoft_->install_into(builder.cert_store());
-    microsoft_->anchor_root(builder.trust_store());
-    slot = builder.build();
+    winsys::HostImage::Builder builder(winsys::default_os(archetype));
+    winsys::populate_archetype(archetype, builder.fs(), builder.registry());
+    slot = bake(builder);
   }
   return slot;
 }
@@ -123,21 +125,6 @@ void World::add_internet_landmarks() {
   network_.register_internet_service(
       "update.microsoft.com",
       [](const net::HttpRequest&) { return net::HttpResponse{204, {}}; });
-}
-
-void World::provision_standard_pki(winsys::Host& host) {
-  // Image-backed hosts already carry the landscape through their image base.
-  if (host.cert_store().base() != nullptr) return;
-  if (standard_certs_ == nullptr) {
-    auto certs = std::make_shared<pki::CertStore>();
-    auto trust = std::make_shared<pki::TrustStore>();
-    microsoft_->install_into(*certs);
-    microsoft_->anchor_root(*trust);
-    standard_certs_ = std::move(certs);
-    standard_trust_ = std::move(trust);
-  }
-  host.cert_store().set_base(standard_certs_);
-  host.trust_store().set_base(standard_trust_);
 }
 
 std::size_t World::count_unbootable() const {

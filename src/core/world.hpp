@@ -42,7 +42,10 @@ class World {
   pki::MicrosoftPki& microsoft() { return *microsoft_; }
   sim::Rng& rng() { return rng_; }
 
-  /// Creates a host and joins it to `subnet` with an auto-assigned address.
+  /// Stamps a stock host of `os` and joins it to `subnet` with an
+  /// auto-assigned address. Every host of one OS shares the world's per-OS
+  /// image: the Windows skeleton plus the Microsoft certificate landscape,
+  /// with the host's own edits in copy-on-write deltas.
   winsys::Host& add_host(const std::string& name, winsys::OsVersion os,
                          const std::string& subnet);
   /// Stamps `count` image-backed hosts of one archetype into `site`,
@@ -74,13 +77,6 @@ class World {
   /// update.microsoft.com serving properly signed (empty-change) updates.
   void add_internet_landmarks();
 
-  /// Gives a host the stock Microsoft certificate landscape by layering its
-  /// cert/trust stores over one shared base store (built on first use) —
-  /// trust-check results are identical to the old per-host deep copy, at
-  /// zero marginal memory per host. Image-backed hosts already carry the
-  /// landscape through their image and are left untouched.
-  void provision_standard_pki(winsys::Host& host);
-
   // --- fleet-wide helpers ---
   std::size_t count_unbootable() const;
 
@@ -109,13 +105,17 @@ class World {
 
   winsys::Host& register_host(std::unique_ptr<winsys::Host> host,
                               const std::string& subnet);
+  /// Bakes the Microsoft certificate landscape into `builder` and freezes
+  /// it: the one place a World image gets its PKI.
+  std::shared_ptr<const winsys::HostImage> bake(
+      winsys::HostImage::Builder& builder) const;
 
   std::vector<winsys::Host*> host_ptrs_;               // mirrors hosts_
   std::map<std::string, winsys::Host*> host_index_;    // first name wins
   std::map<winsys::HostArchetype, std::shared_ptr<const winsys::HostImage>>
       images_;
-  std::shared_ptr<pki::CertStore> standard_certs_;     // shared PKI base
-  std::shared_ptr<pki::TrustStore> standard_trust_;
+  std::map<winsys::OsVersion, std::shared_ptr<const winsys::HostImage>>
+      os_images_;  // add_host's stock images
 };
 
 }  // namespace cyd::core

@@ -196,26 +196,27 @@ class Volume {
   template <typename Sorted, typename Fn>
   void walk_under(Sorted Volume::*layer, const std::string& prefix,
                   Fn&& fn) const {
-    const auto [d, d_end] = prefix_range(this->*layer, prefix);
-    // A base-less volume walks an empty base range.
-    const auto [b, b_end] = base_ != nullptr
-                                ? prefix_range(base_.get()->*layer, prefix)
-                                : std::pair{d_end, d_end};
-    common::merge_layers(d, d_end, b, b_end, fn);
-  }
-  /// The keys of `keys` that start with `prefix`, as an iterator range.
-  template <typename Sorted>
-  static auto prefix_range(const Sorted& keys, const std::string& prefix) {
-    auto first = keys.lower_bound(prefix);
-    // The smallest string above every key with the prefix: drop trailing
-    // 0xff bytes, then bump the last one ("" means no upper bound).
+    // The smallest string above every key with the prefix, shared by both
+    // layers: drop trailing 0xff bytes, then bump the last one ("" means no
+    // upper bound).
     std::string past = prefix;
     while (!past.empty() && static_cast<unsigned char>(past.back()) == 0xff) {
       past.pop_back();
     }
-    if (past.empty()) return std::pair{first, keys.end()};
-    ++past.back();
-    return std::pair{first, keys.lower_bound(past)};
+    if (!past.empty()) ++past.back();
+    const auto [d, d_end] = prefix_range(this->*layer, prefix, past);
+    // A base-less volume walks an empty base range.
+    const auto [b, b_end] =
+        base_ != nullptr ? prefix_range(base_.get()->*layer, prefix, past)
+                         : std::pair{d_end, d_end};
+    common::merge_layers(d, d_end, b, b_end, fn);
+  }
+  /// The keys of `keys` in [prefix, past), as an iterator range.
+  template <typename Sorted>
+  static auto prefix_range(const Sorted& keys, const std::string& prefix,
+                           const std::string& past) {
+    return std::pair{keys.lower_bound(prefix),
+                     past.empty() ? keys.end() : keys.lower_bound(past)};
   }
 
   std::shared_ptr<const Volume> base_;     // immutable template image layer

@@ -10,10 +10,8 @@ namespace cyd::winsys {
 const char* to_string(OsVersion v) {
   switch (v) {
     case OsVersion::kWinXp: return "WinXP";
-    case OsVersion::kWinVista: return "Vista";
     case OsVersion::kWin7: return "Win7";
     case OsVersion::kWin7x64: return "Win7-x64";
-    case OsVersion::kWinServer2003: return "Server2003";
   }
   return "?";
 }

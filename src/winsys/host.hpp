@@ -41,10 +41,8 @@ class UsbDrive;
 
 enum class OsVersion : std::uint8_t {
   kWinXp,
-  kWinVista,
   kWin7,
   kWin7x64,
-  kWinServer2003,
 };
 const char* to_string(OsVersion v);
 
@@ -90,12 +88,16 @@ void write_windows_skeleton(FileSystem& fs);
 
 class Host {
  public:
+  /// Materialized construction: the host owns its whole Windows skeleton
+  /// and starts with no certificates. It is the reference image-backed hosts
+  /// are tested against (HostTwinTest); programs stamp hosts from an image.
   Host(sim::Simulation& simulation, ProgramRegistry& programs,
        std::string name, OsVersion os);
   /// Image-backed construction: the host's filesystem/registry/PKI stores
   /// layer copy-on-write over the shared template image instead of
   /// materializing a full Windows tree. Behaviorally identical to a
-  /// materialized host with the image's content.
+  /// materialized host with the image's content. core::World builds every
+  /// host this way.
   Host(sim::Simulation& simulation, ProgramRegistry& programs,
        std::string name, std::shared_ptr<const HostImage> image);
 
@@ -105,8 +107,8 @@ class Host {
   // --- identity & substrate access ---
   const std::string& name() const { return name_; }
   OsVersion os() const { return os_; }
-  /// Template image this host was stamped from; nullptr for materialized
-  /// hosts.
+  /// Template image this host was stamped from; nullptr only for a
+  /// materialized host (the tests' reference).
   const HostImage* image() const { return image_.get(); }
   HostState state() const { return state_; }
   sim::Simulation& simulation() { return sim_; }

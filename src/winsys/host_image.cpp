@@ -8,12 +8,6 @@ const char* to_string(HostArchetype a) {
   switch (a) {
     case HostArchetype::kOfficePc: return "office-pc";
     case HostArchetype::kEngineeringStation: return "engineering-station";
-    case HostArchetype::kHmi: return "hmi";
-    case HostArchetype::kServer: return "server";
-    case HostArchetype::kFileServer: return "file-server";
-    case HostArchetype::kDomainController: return "domain-controller";
-    case HostArchetype::kLaptop: return "laptop";
-    case HostArchetype::kKiosk: return "kiosk";
   }
   return "?";
 }
@@ -22,12 +16,6 @@ OsVersion default_os(HostArchetype a) {
   switch (a) {
     case HostArchetype::kOfficePc: return OsVersion::kWin7;
     case HostArchetype::kEngineeringStation: return OsVersion::kWinXp;
-    case HostArchetype::kHmi: return OsVersion::kWinXp;
-    case HostArchetype::kServer: return OsVersion::kWinServer2003;
-    case HostArchetype::kFileServer: return OsVersion::kWinServer2003;
-    case HostArchetype::kDomainController: return OsVersion::kWinServer2003;
-    case HostArchetype::kLaptop: return OsVersion::kWin7;
-    case HostArchetype::kKiosk: return OsVersion::kWinXp;
   }
   return OsVersion::kWin7;
 }
@@ -51,8 +39,6 @@ void put_n(FileSystem& fs, const std::string& dir, const char* stem,
 }
 
 void populate_stock_os(FileSystem& fs, Registry& reg) {
-  write_windows_skeleton(fs);
-
   // Stock OS payload every archetype carries.
   static const char* kCoreDlls[] = {
       "ntdll.dll",    "kernel32.dll", "user32.dll",  "gdi32.dll",
@@ -102,44 +88,6 @@ void populate_software(HostArchetype a, FileSystem& fs, Registry& reg) {
       put_n(fs, "c:\\projects\\archive", "line", "s7p", 10);
       reg.set("hklm\\software\\siemens\\step7", "Version", "5.4");
       break;
-    case HostArchetype::kHmi:
-      put_n(fs, "c:\\program files\\siemens\\wincc\\bin", "cc", "dll", 20);
-      put(fs, "c:\\program files\\siemens\\wincc\\bin\\wincc.exe");
-      put_n(fs, "c:\\wincc_projects\\hall_a", "screen", "pdl", 12);
-      reg.set("hklm\\software\\siemens\\wincc", "Version", "7.0");
-      break;
-    case HostArchetype::kServer:
-      put_n(fs, "c:\\inetpub\\wwwroot", "page", "htm", 16);
-      put(fs, "c:\\windows\\system32\\inetsrv\\w3wp.exe");
-      reg.set("hklm\\system\\currentcontrolset\\services\\w3svc", "Start",
-              std::uint32_t{2});
-      break;
-    case HostArchetype::kFileServer:
-      put_n(fs, "c:\\shares\\public", "archive", "zip", 24);
-      put_n(fs, "c:\\shares\\engineering", "drawing", "dwg", 16);
-      reg.set("hklm\\system\\currentcontrolset\\services\\lanmanserver"
-              "\\shares",
-              "public", "c:\\shares\\public");
-      break;
-    case HostArchetype::kDomainController:
-      put(fs, "c:\\windows\\ntds\\ntds.dit");
-      put(fs, "c:\\windows\\sysvol\\policies\\default.pol");
-      put_n(fs, "c:\\windows\\sysvol\\scripts", "logon", "bat", 8);
-      reg.set("hklm\\system\\currentcontrolset\\services\\ntds", "Start",
-              std::uint32_t{2});
-      break;
-    case HostArchetype::kLaptop:
-      put_n(fs, "c:\\program files\\office12", "mso", "dll", 24);
-      put(fs, "c:\\program files\\office12\\winword.exe");
-      put_n(fs, "c:\\users\\public\\documents", "notes", "doc", 8);
-      put(fs, "c:\\program files\\vpnclient\\vpnui.exe");
-      reg.set("hklm\\software\\vpnclient", "Profile", "corp");
-      break;
-    case HostArchetype::kKiosk:
-      put(fs, "c:\\program files\\kiosk\\shell.exe");
-      put_n(fs, "c:\\program files\\kiosk\\content", "slide", "bmp", 10);
-      reg.set("hklm\\software\\kiosk", "AutoStart", std::uint32_t{1});
-      break;
   }
 }
 
@@ -150,15 +98,13 @@ void populate_archetype(HostArchetype a, FileSystem& fs, Registry& registry) {
   populate_software(a, fs, registry);
 }
 
-HostImage::Builder::Builder(HostArchetype archetype, OsVersion os)
-    : archetype_(archetype), os_(os) {
+HostImage::Builder::Builder(OsVersion os) : os_(os) {
   fs_.add_volume('c');
-  populate_archetype(archetype_, fs_, registry_);
+  write_windows_skeleton(fs_);
 }
 
 std::shared_ptr<const HostImage> HostImage::Builder::build() {
   auto image = std::shared_ptr<HostImage>(new HostImage());
-  image->archetype_ = archetype_;
   image->os_ = os_;
   // The builder's FileSystem owns the volume; freeze a copy so the image is
   // self-contained and immutable from here on.
@@ -170,7 +116,8 @@ std::shared_ptr<const HostImage> HostImage::Builder::build() {
 }
 
 std::shared_ptr<const HostImage> make_archetype_image(HostArchetype a) {
-  HostImage::Builder builder(a, default_os(a));
+  HostImage::Builder builder(default_os(a));
+  populate_archetype(a, builder.fs(), builder.registry());
   return builder.build();
 }
 

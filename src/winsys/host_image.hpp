@@ -10,10 +10,10 @@
 // worlds from 1:30 scale to the paper's real campaign sizes (Stuxnet's
 // ~100k infections, the full 9,000-centrifuge Natanz cascade hall).
 //
-// The archetype trees are deterministic: populate_archetype writes the same
-// bytes every time, starting from the write_windows_skeleton a materialized
-// Host constructor also writes — HostTwinTest relies on a materialized host
-// and an image-backed host starting from identical state.
+// Every image starts from the write_windows_skeleton a materialized Host
+// constructor also writes; archetype images add populate_archetype on top,
+// which writes the same bytes every time. HostTwinTest relies on a
+// materialized host and an image-backed host starting from identical state.
 
 #include <cstdint>
 #include <memory>
@@ -27,26 +27,17 @@
 
 namespace cyd::winsys {
 
-/// Machine archetypes the campaign scenarios draw from. The first four are
-/// the paper's cast (victim offices, Step 7 engineering stations, WinCC
-/// HMIs, infrastructure servers); the rest round out enterprise fleets.
+/// Machine archetypes the campaign fleets are stamped from: the paper's
+/// victim offices and the Step 7 engineering stations Stuxnet hunted.
 enum class HostArchetype : std::uint8_t {
   kOfficePc,
   kEngineeringStation,
-  kHmi,
-  kServer,
-  kFileServer,
-  kDomainController,
-  kLaptop,
-  kKiosk,
 };
-
-constexpr int kHostArchetypeCount = 8;
 
 const char* to_string(HostArchetype a);
 
-/// Default OS for an archetype (engineering stations and HMIs ran the older
-/// 32-bit systems the exploits targeted; servers ran server SKUs).
+/// Default OS for an archetype (engineering stations ran the older 32-bit
+/// systems the exploits targeted).
 OsVersion default_os(HostArchetype a);
 
 /// One immutable template image. Construct through HostImage::Builder; the
@@ -55,10 +46,11 @@ OsVersion default_os(HostArchetype a);
 class HostImage {
  public:
   /// Accumulates image content through the ordinary FileSystem/Registry
-  /// APIs (a 'c' volume is pre-mounted), then freezes it with build().
+  /// APIs, starting from write_windows_skeleton on a fresh 'c' volume, then
+  /// freezes it with build().
   class Builder {
    public:
-    Builder(HostArchetype archetype, OsVersion os);
+    explicit Builder(OsVersion os);
 
     FileSystem& fs() { return fs_; }
     Registry& registry() { return registry_; }
@@ -70,7 +62,6 @@ class HostImage {
     std::shared_ptr<const HostImage> build();
 
    private:
-    HostArchetype archetype_;
     OsVersion os_;
     FileSystem fs_;
     Registry registry_;
@@ -78,7 +69,6 @@ class HostImage {
     pki::TrustStore trust_;
   };
 
-  HostArchetype archetype() const { return archetype_; }
   OsVersion os() const { return os_; }
   const std::shared_ptr<const Volume>& system_volume() const {
     return volume_;
@@ -98,7 +88,6 @@ class HostImage {
  private:
   HostImage() = default;
 
-  HostArchetype archetype_ = HostArchetype::kOfficePc;
   OsVersion os_ = OsVersion::kWin7;
   std::shared_ptr<const Volume> volume_;
   std::shared_ptr<const Registry> registry_;
@@ -106,11 +95,10 @@ class HostImage {
   std::shared_ptr<const pki::TrustStore> trust_;
 };
 
-/// Writes the archetype's baseline state into fs/registry: the legacy Host
-/// constructor's Windows skeleton (byte-identical), a stock OS payload, and
-/// the archetype's software footprint. Deterministic. Shared by the image
-/// builder, the epidemic bench's fully-materialized baseline fleet and the
-/// materialized side of HostTwinTest.
+/// Writes the archetype's baseline state over the Windows skeleton in
+/// fs/registry: a stock OS payload and the archetype's software footprint.
+/// Deterministic. Shared by archetype image builds and the materialized
+/// hosts the tests compare image-backed hosts against.
 void populate_archetype(HostArchetype a, FileSystem& fs, Registry& registry);
 
 /// Builds the standard image for an archetype: populate_archetype content at

