@@ -5,13 +5,16 @@
 namespace cyd::cnc {
 namespace {
 
-/// Deterministic keystream for a blob. Seeded from the *private* scalar so
-/// that, at the model level, producing the stream requires key possession;
-/// encrypt_for gets the same stream through the wrap value provisioned into
-/// the public half.
-common::Bytes keystream(std::uint64_t seed, std::size_t n) {
-  sim::Rng rng(seed ^ 0xc0dec0dec0dec0deULL);
-  return common::random_bytes(rng, n);
+/// `data` XORed with the key's stream from offset 0, in one copy. The stream
+/// is seeded from the wrap value, which derives from the *private* scalar,
+/// so at the model level producing it requires key possession; encrypt_for
+/// gets the same stream through the wrap provisioned into the public half.
+/// Encryption and decryption are the same call.
+common::Bytes xor_with_stream(std::uint64_t wrap, std::string_view data) {
+  sim::Rng rng(wrap ^ 0xc0dec0dec0dec0deULL);
+  common::Bytes out(data);
+  common::xor_random_bytes(rng, out);
+  return out;
 }
 
 std::uint64_t derive_public(std::uint64_t private_scalar) {
@@ -66,17 +69,14 @@ EncryptedBlob encrypt_for(const CncPublicKey& recipient,
                           std::string_view plaintext) {
   EncryptedBlob blob;
   blob.key_id = recipient.public_id;
-  blob.ciphertext = common::xor_cipher(
-      plaintext, keystream(recipient.wrap, plaintext.size()));
+  blob.ciphertext = xor_with_stream(recipient.wrap, plaintext);
   return blob;
 }
 
 std::optional<common::Bytes> decrypt(const CncKeyPair& key,
                                      const EncryptedBlob& blob) {
   if (derive_public(key.private_scalar) != blob.key_id) return std::nullopt;
-  return common::xor_cipher(
-      blob.ciphertext,
-      keystream(derive_wrap(key.private_scalar), blob.ciphertext.size()));
+  return xor_with_stream(derive_wrap(key.private_scalar), blob.ciphertext);
 }
 
 }  // namespace cyd::cnc

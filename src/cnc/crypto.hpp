@@ -7,6 +7,11 @@
 // the pki module, crypto is possession-based: decryption requires the
 // CncKeyPair value, and ciphertext is an XOR stream keyed off the private
 // scalar so holding only the public id is useless.
+//
+// All blobs encrypted to one key share one stream: each is XORed with it
+// from offset 0, with no per-blob nonce, so two blobs under one key leak the
+// XOR of their plaintexts. The model keeps this; a nonce would move every
+// ciphertext byte that CncCryptoTest.CiphertextKnownAnswer pins.
 
 #include <cstdint>
 #include <optional>

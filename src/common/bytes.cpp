@@ -84,16 +84,27 @@ double shannon_entropy(std::string_view data) {
   return entropy;
 }
 
-Bytes random_bytes(sim::Rng& rng, std::size_t n) {
-  Bytes out;
-  out.reserve(n);
-  while (out.size() < n) {
-    std::uint64_t v = rng.next_u64();
-    for (int i = 0; i < 8 && out.size() < n; ++i) {
-      out.push_back(static_cast<char>(v & 0xff));
-      v >>= 8;
+void xor_random_bytes(sim::Rng& rng, Bytes& data) {
+  char* const p = data.data();
+  const std::size_t n = data.size();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const std::uint64_t v = rng.next_u64();
+    for (std::size_t k = 0; k < 8; ++k) {
+      p[i + k] ^= static_cast<char>((v >> (8 * k)) & 0xff);
     }
   }
+  if (i < n) {  // a partial tail still spends one whole draw
+    const std::uint64_t v = rng.next_u64();
+    for (std::size_t k = 0; i + k < n; ++k) {
+      p[i + k] ^= static_cast<char>((v >> (8 * k)) & 0xff);
+    }
+  }
+}
+
+Bytes random_bytes(sim::Rng& rng, std::size_t n) {
+  Bytes out(n, '\0');
+  xor_random_bytes(rng, out);
   return out;
 }
 

@@ -43,8 +43,14 @@ std::uint32_t weak_digest32(std::string_view data);
 /// high; the analysis heuristics use this exactly like real PE triage does.
 double shannon_entropy(std::string_view data);
 
-/// Deterministic pseudo-random buffer from the given stream.
+/// Deterministic pseudo-random buffer from the given stream: byte 8j + k is
+/// byte k (little-endian) of the stream's j-th 64-bit draw, on any host. A
+/// partial last word still spends a whole draw.
 Bytes random_bytes(sim::Rng& rng, std::size_t n);
+
+/// XORs `data` in place with random_bytes(rng, data.size()), drawing from
+/// `rng` exactly as that call would, without building the second buffer.
+void xor_random_bytes(sim::Rng& rng, Bytes& data);
 
 /// True if `needle` occurs in `haystack`.
 bool contains(std::string_view haystack, std::string_view needle);

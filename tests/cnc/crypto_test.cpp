@@ -64,5 +64,38 @@ TEST(CncCryptoTest, LargePayloadRoundTrip) {
   EXPECT_EQ(decrypt(key, blob), big);
 }
 
+// Pins ciphertext bytes: the round-trip tests above pass for any symmetric
+// stream. Every blob under one key starts at offset 0 of the same stream.
+// The lengths straddle the 8-byte draw; 4,097 ends on a one-byte tail, so
+// its last 17 bytes and the hash of the whole are pinned.
+TEST(CncCryptoTest, CiphertextKnownAnswer) {
+  const auto recipient = public_half(CncKeyPair::generate(42));
+  auto plaintext = [](std::size_t n) {
+    common::Bytes out;
+    for (std::size_t i = 0; i < n; ++i) {
+      out.push_back(static_cast<char>((i * 7 + 1) & 0xff));
+    }
+    return out;
+  };
+  const std::pair<std::size_t, const char*> expected[] = {
+      {0, ""},
+      {1, "c2"},
+      {7, "c2fbdfd7f519d6"},
+      {8, "c2fbdfd7f519d679"},
+      {9, "c2fbdfd7f519d67966"},
+      {17, "c2fbdfd7f519d6796627f26a6e4276b94c"},
+  };
+  for (const auto& [n, hex] : expected) {
+    EXPECT_EQ(common::to_hex(encrypt_for(recipient, plaintext(n)).ciphertext),
+              hex)
+        << "n=" << n;
+  }
+  const auto large = encrypt_for(recipient, plaintext(4097)).ciphertext;
+  ASSERT_EQ(large.size(), 4097u);
+  EXPECT_EQ(common::to_hex(large.substr(4080)),
+            "9148adbe4bb07cf34f83797a49f511354e");
+  EXPECT_EQ(common::fnv1a64(large), 0x32d3000197e16d74ULL);
+}
+
 }  // namespace
 }  // namespace cyd::cnc

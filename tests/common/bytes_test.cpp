@@ -99,6 +99,28 @@ TEST(BytesTest, RandomBytesExactLength) {
   EXPECT_EQ(random_bytes(rng, 9).size(), 9u);
 }
 
+// Byte k of each 64-bit draw is (v >> 8k) & 0xff, whatever the host's byte
+// order; C&C ciphertext and Flame's padding are built from these bytes.
+TEST(BytesTest, RandomBytesAreLittleEndianDraws) {
+  for (const std::size_t n : {1u, 7u, 8u, 9u, 17u}) {
+    sim::Rng fill(1);
+    sim::Rng draws(1);
+    Bytes expected;
+    while (expected.size() < n) put_u64(expected, draws.next_u64());
+    expected.resize(n);
+    EXPECT_EQ(random_bytes(fill, n), expected) << "n=" << n;
+  }
+}
+
+TEST(BytesTest, RandomBytesPartialTailConsumesAWholeDraw) {
+  sim::Rng rng(1);
+  (void)random_bytes(rng, 9);
+  sim::Rng fresh(1);
+  fresh.next_u64();
+  fresh.next_u64();
+  EXPECT_EQ(rng.next_u64(), fresh.next_u64());
+}
+
 TEST(BytesTest, ContainsFindsSubstring) {
   EXPECT_TRUE(contains("mssecmgr.ocx", "secmgr"));
   EXPECT_FALSE(contains("mssecmgr.ocx", "stuxnet"));
