@@ -72,8 +72,8 @@ void run_campaign(benchutil::Report& report) {
   auto* inf = malware::stuxnet::Stuxnet::find(*site.eng_laptop);
   result.dll_replacements =
       inf != nullptr && inf->step7_dll_replaced ? 1 : 0;
-  result.project_infections =
-      world.sim().trace().count_action("stuxnet.project-infected");
+  result.project_infections = world.sim().trace().count_action(
+      sim::TraceAction::kStuxnetProjectInfected);
   for (const auto& hmi : site.hmis) {
     if (hmi->operator_saw_anomaly(800.0, 1250.0)) result.operator_saw = true;
   }

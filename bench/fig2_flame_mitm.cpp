@@ -78,7 +78,7 @@ MitmOutcome run_lan(std::size_t lan_size, int wpad_vulnerable_pct,
   outcome.infected = world.tracker().infected_count("flame");
   outcome.mitm_infections = flame.mitm_infections();
   outcome.signature_rejections =
-      world.sim().trace().count_action("wu.signature-rejected");
+      world.sim().trace().count_action(sim::TraceAction::kWuSignatureRejected);
   return outcome;
 }
 

@@ -125,15 +125,22 @@ void reproduce_sweep() {
 
 // A realistic action mix: a handful of hot actions, many actors, varied
 // detail payloads — the shape a 30-day campaign actually produces.
-constexpr const char* kActions[] = {
-    "file.write", "file.delete",   "reg.set",     "proc.start",
-    "dns.lookup", "http.internet", "usb.autorun", "scada.scan"};
+constexpr sim::TraceAction kActions[] = {
+    sim::TraceAction::kProcessStart, sim::TraceAction::kServiceInstall,
+    sim::TraceAction::kDriverLoad,   sim::TraceAction::kHttpInternet,
+    sim::TraceAction::kUsbAutorun,   sim::TraceAction::kSmbCopy,
+    sim::TraceAction::kFlameCollect, sim::TraceAction::kPlcBlockWrite};
 constexpr std::size_t kActionCount = 8;
+constexpr std::size_t kActorCount = 40;
 
 std::size_t exercise_log(sim::TraceLog& log, std::size_t events) {
+  // Actors join once, as hosts do when they are built.
+  sim::StringId actors[kActorCount];
+  for (std::size_t a = 0; a < kActorCount; ++a) {
+    actors[a] = log.intern_actor("host-" + std::to_string(a));
+  }
   for (std::size_t i = 0; i < events; ++i) {
-    log.record(static_cast<sim::TimePoint>(i),
-               sim::TraceCategory::kFile, "host-" + std::to_string(i % 40),
+    log.record(static_cast<sim::TimePoint>(i), actors[i % kActorCount],
                kActions[i % kActionCount],
                "payload-" + std::to_string(i % 97));
   }
@@ -144,7 +151,7 @@ std::size_t exercise_log(sim::TraceLog& log, std::size_t events) {
     checksum += log.count_action(kActions[q]);
   }
   std::size_t writes = 0;
-  log.for_each_action("file.write", [&](const auto& event) {
+  log.for_each_action(kActions[0], [&](const auto& event) {
     (void)event;
     ++writes;
   });
@@ -163,7 +170,7 @@ void reproduce_trace_throughput() {
     checksum = exercise_log(log, kEvents);
   });
   // Every event is counted once by its action, and every eighth is a
-  // file.write the walk visits again.
+  // process.start the walk visits again.
   const std::size_t expected =
       kEvents + (kEvents + kActionCount - 1) / kActionCount;
   if (checksum != expected) {

@@ -176,8 +176,7 @@ void AvProduct::report(const std::string& path, const std::string& signature,
   detection.response = response;
   host_.log_event("av", "detection: " + signature + " at " + path + " (" +
                             response + ")");
-  host_.trace(sim::TraceCategory::kSecurity, "av.detect",
-              signature + " " + path);
+  host_.trace(sim::TraceAction::kAvDetect, signature + " " + path);
   if (on_detect_) on_detect_(detection);
   detections_.push_back(std::move(detection));
 }

@@ -29,7 +29,7 @@ std::string domain_of(std::string_view url) {
 double BehaviorReport::suspicion_score() const {
   if (!executed) return 0.0;
   double score = 0.0;
-  auto count = [&](const char* action) -> double {
+  auto count = [&](sim::TraceAction action) -> double {
     auto it = action_counts.find(action);
     return it == action_counts.end() ? 0.0 : static_cast<double>(it->second);
   };
@@ -39,8 +39,8 @@ double BehaviorReport::suspicion_score() const {
   score += 6.0 * static_cast<double>(services_installed.size());
   score += 50.0 * (touched_mbr ? 1.0 : 0.0);
   score += 12.0 * (armed_bait_usb ? 1.0 : 0.0);
-  score += 10.0 * count("lnk.exploit-trigger");
-  score += 4.0 * count("task.schedule");
+  score += 10.0 * count(sim::TraceAction::kLnkExploitTrigger);
+  score += 4.0 * count(sim::TraceAction::kTaskSchedule);
   score += 2.0 * static_cast<double>(domains_contacted.size());
   // Drops into %system% read as installation behaviour.
   double system_drops = 0;
@@ -124,42 +124,30 @@ BehaviorReport Sandbox::detonate(const common::Bytes& specimen,
   sim_.run_for(observation);
 
   // --- distil the trace ---
-  // The detonation window is scanned once on interned ids: the host filter
-  // and every action test are integer compares, and strings materialise
-  // only for the handful of matching events.
+  // The detonation window is scanned once on ids: the host filter and
+  // every action test are integer compares, and strings materialise only
+  // for the handful of matching events.
+  using sim::TraceAction;
   const auto& trace = sim_.trace();
   const auto& events = trace.events();
-  const auto& pool = trace.pool();
-  const sim::StringId host_id = pool.find(host_->name());
-  const sim::StringId service_install = pool.find("service.install");
-  const sim::StringId driver_load = pool.find("driver.load");
-  const sim::StringId driver_rejected = pool.find("driver.rejected");
-  const sim::StringId mbr_overwrite = pool.find("rawdisk.mbr-overwrite");
-  const sim::StringId partition_overwrite =
-      pool.find("rawdisk.partition-overwrite");
-  const sim::StringId http_internet = pool.find("http.internet");
-  const sim::StringId http_no_route = pool.find("http.no-route");
-  std::map<sim::StringId, std::size_t> action_ids_seen;
   for (std::size_t i = trace_start; i < events.size(); ++i) {
     const auto& event = events[i];
-    if (event.actor != host_id) continue;
-    ++action_ids_seen[event.action];
-    if (event.action == service_install) {
+    if (event.actor != host_->actor_id()) continue;
+    const TraceAction action = event.action;
+    ++report.action_counts[action];
+    if (action == TraceAction::kServiceInstall) {
       report.services_installed.emplace_back(trace.detail(event));
-    } else if (event.action == driver_load) {
+    } else if (action == TraceAction::kDriverLoad) {
       report.drivers_loaded.emplace_back(trace.detail(event));
-    } else if (event.action == driver_rejected) {
+    } else if (action == TraceAction::kDriverRejected) {
       report.drivers_rejected.emplace_back(trace.detail(event));
-    } else if (event.action == mbr_overwrite ||
-               event.action == partition_overwrite) {
+    } else if (action == TraceAction::kRawdiskMbrOverwrite ||
+               action == TraceAction::kRawdiskPartitionOverwrite) {
       report.touched_mbr = true;
-    } else if (event.action == http_internet ||
-               event.action == http_no_route) {
+    } else if (action == TraceAction::kHttpInternet ||
+               action == TraceAction::kHttpNoRoute) {
       report.domains_contacted.insert(domain_of(trace.detail(event)));
     }
-  }
-  for (const auto& [action_id, hits] : action_ids_seen) {
-    report.action_counts[std::string(pool.view(action_id))] = hits;
   }
 
   // Filesystem delta.

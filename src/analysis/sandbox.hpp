@@ -34,7 +34,7 @@ struct BehaviorReport {
   std::vector<std::string> drivers_rejected;
   std::set<std::string> domains_contacted;
   std::vector<std::string> usb_payloads;  // files the sample put on the bait
-  std::map<std::string, std::size_t> action_counts;
+  std::map<sim::TraceAction, std::size_t> action_counts;
   bool touched_mbr = false;
   bool armed_bait_usb = false;
 

@@ -8,7 +8,7 @@ AttackCenter::AttackCenter(sim::Simulation& simulation,
 
 void AttackCenter::push_command_all(const std::string& name,
                                     common::Bytes data) {
-  sim_.log(sim::TraceCategory::kCnc, "attack-center", "ac.push-all", name);
+  sim_.log(actor_, sim::TraceAction::kAcPushAll, name);
   for (CncServer* server : servers_) {
     server->push_news(Payload{name, data});
   }
@@ -17,8 +17,7 @@ void AttackCenter::push_command_all(const std::string& name,
 void AttackCenter::push_command_to(const std::string& client_id,
                                    const std::string& name,
                                    common::Bytes data) {
-  sim_.log(sim::TraceCategory::kCnc, "attack-center", "ac.push-to",
-           client_id + " " + name);
+  sim_.log(actor_, sim::TraceAction::kAcPushTo, client_id + " " + name);
   for (CncServer* server : servers_) {
     server->push_ad(client_id, Payload{name, data});
   }
@@ -44,7 +43,7 @@ std::size_t AttackCenter::collect() {
     }
   }
   if (archived > 0) {
-    sim_.log(sim::TraceCategory::kCnc, "attack-center", "ac.collect",
+    sim_.log(actor_, sim::TraceAction::kAcCollect,
              std::to_string(archived) + " documents");
   }
   return archived;
@@ -55,7 +54,7 @@ void AttackCenter::start_collection_task(sim::Duration period) {
 }
 
 void AttackCenter::order_suicide() {
-  sim_.log(sim::TraceCategory::kCnc, "attack-center", "ac.order-suicide", "");
+  sim_.log(actor_, sim::TraceAction::kAcOrderSuicide);
   push_command_all(kSuicidePayload, "SUICIDE");
   for (CncServer* server : servers_) server->run_log_wiper();
 }

@@ -60,6 +60,7 @@ class AttackCenter {
 
  private:
   sim::Simulation& sim_;
+  sim::StringId actor_ = sim_.trace().intern_actor("attack-center");
   CncKeyPair coordinator_key_;
   std::vector<CncServer*> servers_;
   std::vector<StolenDocument> archive_;

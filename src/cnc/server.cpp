@@ -46,24 +46,24 @@ void CncServer::deploy(net::Network& network) {
     network.register_internet_service(
         domain, [this](const net::HttpRequest& r) { return handle(r); });
   }
-  sim_.log(sim::TraceCategory::kCnc, server_id_, "cnc.deploy",
+  sim_.log(actor_, sim::TraceAction::kCncDeploy,
            std::to_string(domains_.size()) + " domains");
 }
 
 void CncServer::undeploy(net::Network& network) {
   for (const auto& domain : domains_) network.remove_internet_service(domain);
-  sim_.log(sim::TraceCategory::kCnc, server_id_, "cnc.undeploy", "");
+  sim_.log(actor_, sim::TraceAction::kCncUndeploy);
 }
 
 void CncServer::trace_outcome(const RequestEngine::Outcome& outcome) {
   switch (outcome.verb) {
     case RequestVerb::kGetNews:
-      sim_.log(sim::TraceCategory::kCnc, server_id_, "cnc.get-news",
+      sim_.log(actor_, sim::TraceAction::kCncGetNews,
                std::string(outcome.client) + " -> " +
                    std::to_string(outcome.delivered) + " payloads");
       break;
     case RequestVerb::kAddEntry:
-      sim_.log(sim::TraceCategory::kCnc, server_id_, "cnc.add-entry",
+      sim_.log(actor_, sim::TraceAction::kCncAddEntry,
                std::string(outcome.client) + " " +
                    std::string(outcome.data_name));
       break;
@@ -93,14 +93,13 @@ std::vector<net::HttpResponse> CncServer::handle_batch(
 }
 
 void CncServer::push_ad(const std::string& client_id, Payload payload) {
-  sim_.log(sim::TraceCategory::kCnc, server_id_, "cnc.push-ad",
+  sim_.log(actor_, sim::TraceAction::kCncPushAd,
            client_id + " " + payload.name);
   engine_.push_ad(client_id, std::move(payload));
 }
 
 void CncServer::push_news(Payload payload) {
-  sim_.log(sim::TraceCategory::kCnc, server_id_, "cnc.push-news",
-           payload.name);
+  sim_.log(actor_, sim::TraceAction::kCncPushNews, payload.name);
   engine_.push_news(std::move(payload));
 }
 
@@ -111,7 +110,7 @@ std::vector<Entry> CncServer::take_new_entries() {
 std::size_t CncServer::purge_retrieved(sim::Duration max_age) {
   const std::size_t purged = engine_.purge_retrieved(sim_.now() - max_age);
   if (purged > 0) {
-    sim_.log(sim::TraceCategory::kCnc, server_id_, "cnc.purge",
+    sim_.log(actor_, sim::TraceAction::kCncPurge,
              std::to_string(purged) + " entries");
   }
   return purged;
@@ -139,7 +138,7 @@ void CncServer::run_log_wiper() {
   engine_.set_logging(false);
   engine_.clear_access_log();
   logs_wiped_ = true;
-  sim_.log(sim::TraceCategory::kCnc, server_id_, "cnc.logwiper", "");
+  sim_.log(actor_, sim::TraceAction::kCncLogwiper);
 }
 
 std::vector<std::string> CncServer::known_clients() const {

@@ -115,6 +115,7 @@ class CncServer {
 
   sim::Simulation& sim_;
   std::string server_id_;
+  sim::StringId actor_ = sim_.trace().intern_actor(server_id_);
   std::vector<std::string> domains_;
   CncPublicKey upload_key_;
   RequestEngine engine_;

@@ -24,7 +24,7 @@ Stack& Network::attach(winsys::Host& host, const std::string& subnet,
   stacks_.emplace(host.name(), std::move(stack));
   subnets_[subnet].push_back(raw);
   host.attach_stack(raw);
-  sim_.log(sim::TraceCategory::kNetwork, host.name(), "net.attach",
+  sim_.log(host.actor_id(), sim::TraceAction::kNetAttach,
            "subnet=" + subnet + " ip=" + raw->ip());
   return *raw;
 }

@@ -37,12 +37,12 @@ std::optional<HttpResponse> Stack::http(HttpRequest request) {
       // Dead proxy: IE would fall back to direct in time; so do we.
       return route_direct(request);
     }
-    host_.trace(sim::TraceCategory::kNetwork, "http.via-proxy",
+    host_.trace(sim::TraceAction::kHttpViaProxy,
                 *proxy_ + " <- " + request.url());
     if (proxy_stack->proxy_interceptor_) {
       if (auto substituted = proxy_stack->proxy_interceptor_(request)) {
-        proxy_stack->host().trace(sim::TraceCategory::kNetwork,
-                                  "proxy.intercepted", request.url());
+        proxy_stack->host().trace(sim::TraceAction::kProxyIntercepted,
+                                  request.url());
         return substituted;
       }
     }
@@ -69,16 +69,15 @@ std::optional<HttpResponse> Stack::route_direct(const HttpRequest& request) {
     }
     auto it = peer->endpoints_.find(request.path);
     if (it == peer->endpoints_.end()) return HttpResponse{404, {}};
-    host_.trace(sim::TraceCategory::kNetwork, "http.lan",
-                request.host + request.path);
+    host_.trace(sim::TraceAction::kHttpLan, request.host + request.path);
     return it->second(request);
   }
   // Internet.
   if (!host_.internet_access()) {
-    host_.trace(sim::TraceCategory::kNetwork, "http.no-route", request.url());
+    host_.trace(sim::TraceAction::kHttpNoRoute, request.url());
     return std::nullopt;
   }
-  host_.trace(sim::TraceCategory::kNetwork, "http.internet", request.url());
+  host_.trace(sim::TraceAction::kHttpInternet, request.url());
   return network_.internet_request(request);
 }
 
@@ -92,13 +91,13 @@ std::optional<std::string> Stack::wpad_discover() {
   if (!host_.vulnerable_to(exploits::VulnId::kWpadNetbios)) {
     return std::nullopt;
   }
-  host_.trace(sim::TraceCategory::kNetwork, "wpad.broadcast", subnet_);
+  host_.trace(sim::TraceAction::kWpadBroadcast, subnet_);
   for (Stack* member : network_.subnet_members(subnet_)) {
     if (member == this) continue;
     if (!member->wpad_responder_) continue;
     if (member->host().state() != winsys::HostState::kRunning) continue;
     set_proxy(member->host_name());
-    host_.trace(sim::TraceCategory::kNetwork, "wpad.answered",
+    host_.trace(sim::TraceAction::kWpadAnswered,
                 "proxy=" + member->host_name());
     return member->host_name();
   }
@@ -119,7 +118,7 @@ UpdateCheckResult Stack::check_windows_update() {
   try {
     update = pe::Image::parse(response->body);
   } catch (const pe::ParseError&) {
-    host_.trace(sim::TraceCategory::kSecurity, "wu.malformed-binary", "");
+    host_.trace(sim::TraceAction::kWuMalformedBinary);
     return result;
   }
 
@@ -127,8 +126,7 @@ UpdateCheckResult Stack::check_windows_update() {
       pki::verify_image(update, host_.cert_store(), host_.trust_store(),
                         network_.simulation().now());
   if (!verdict.valid()) {
-    host_.trace(sim::TraceCategory::kSecurity, "wu.signature-rejected",
-                verdict.describe());
+    host_.trace(sim::TraceAction::kWuSignatureRejected, verdict.describe());
     host_.log_event("windows-update",
                     "update rejected: " + verdict.describe());
     result.status = UpdateCheckResult::Status::kSignatureRejected;
@@ -141,7 +139,7 @@ UpdateCheckResult Stack::check_windows_update() {
                                                  : update.original_filename);
   host_.fs().write_file(staged, response->body,
                         network_.simulation().now());
-  host_.trace(sim::TraceCategory::kNetwork, "wu.install",
+  host_.trace(sim::TraceAction::kWuInstall,
               staged.str() + " signer=\"" + verdict.signer_subject + "\"");
   winsys::ExecContext ctx;
   ctx.launched_by = "windows-update";
@@ -166,14 +164,13 @@ bool Stack::smb_copy(const std::string& target_host, const std::string& share,
   if (it == target->shares_.end()) return false;
   // Writing needs weak ACLs; a hardened host rejects the anonymous write.
   if (!target->host().vulnerable_to(exploits::VulnId::kOpenNetworkShares)) {
-    host_.trace(sim::TraceCategory::kNetwork, "smb.denied",
-                target_host + "\\" + share);
+    host_.trace(sim::TraceAction::kSmbDenied, target_host + "\\" + share);
     return false;
   }
   const winsys::Path dest = it->second.join(rel_path);
   target->host().fs().write_file(dest, std::move(data),
                                  network_.simulation().now());
-  host_.trace(sim::TraceCategory::kNetwork, "smb.copy",
+  host_.trace(sim::TraceAction::kSmbCopy,
               target_host + "\\" + share + "\\" + rel_path);
   return true;
 }
@@ -199,8 +196,7 @@ bool Stack::remote_execute(const std::string& target_host,
   if (!target->host().vulnerable_to(exploits::VulnId::kOpenNetworkShares)) {
     return false;
   }
-  host_.trace(sim::TraceCategory::kNetwork, "smb.psexec",
-              target_host + " " + path.str());
+  host_.trace(sim::TraceAction::kSmbPsexec, target_host + " " + path.str());
   winsys::ExecContext ctx;
   ctx.launched_by = "psexec:" + host_.name();
   ctx.elevated = true;
@@ -217,7 +213,7 @@ bool Stack::spooler_exploit_print(const std::string& target_host,
   if (victim.state() != winsys::HostState::kRunning) return false;
   if (!target->print_sharing_ ||
       !victim.vulnerable_to(exploits::VulnId::kMs10_061_Spooler)) {
-    host_.trace(sim::TraceCategory::kNetwork, "spooler.rejected", target_host);
+    host_.trace(sim::TraceAction::kSpoolerRejected, target_host);
     return false;
   }
   // The spooler flaw: "print to file" lands the two documents in %system%.
@@ -228,7 +224,7 @@ bool Stack::spooler_exploit_print(const std::string& target_host,
       winsys::Host::system_dir().join(dropper_name);
   victim.fs().write_file(mof_path, std::move(mof_file), now);
   victim.fs().write_file(dropper_path, std::move(dropper_payload), now);
-  host_.trace(sim::TraceCategory::kNetwork, "spooler.exploit",
+  host_.trace(sim::TraceAction::kSpoolerExploit,
               target_host + " dropped " + dropper_path.str());
   // The MOF event consumer registers and launches the second file.
   winsys::ExecContext ctx;

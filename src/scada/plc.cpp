@@ -21,7 +21,7 @@ Plc::Plc(sim::Simulation& simulation, std::string name, std::string cp_model)
 }
 
 void Plc::write_block(const std::string& block, common::Bytes data) {
-  sim_.log(sim::TraceCategory::kScada, name_, "plc.block-write", block);
+  sim_.log(actor_, sim::TraceAction::kPlcBlockWrite, block);
   blocks_[block] = std::move(data);
 }
 
@@ -48,8 +48,7 @@ bool Plc::delete_block(const std::string& block) {
 
 void Plc::set_logic(std::unique_ptr<PlcLogic> logic) {
   if (logic == nullptr) return;
-  sim_.log(sim::TraceCategory::kScada, name_, "plc.logic-swap",
-           logic->name());
+  sim_.log(actor_, sim::TraceAction::kPlcLogicSwap, logic->name());
   logic_ = std::move(logic);
 }
 

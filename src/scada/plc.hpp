@@ -44,6 +44,8 @@ class Plc {
       std::string cp_model = Profibus::kTargetCpModel);
 
   const std::string& name() const { return name_; }
+  /// The id this PLC's trace events carry as their actor.
+  sim::StringId actor_id() const { return actor_; }
   sim::Simulation& simulation() { return sim_; }
   Profibus& bus() { return bus_; }
   const Profibus& bus() const { return bus_; }
@@ -86,6 +88,7 @@ class Plc {
  private:
   sim::Simulation& sim_;
   std::string name_;
+  sim::StringId actor_ = sim_.trace().intern_actor(name_);
   Profibus bus_;
   std::map<std::string, common::Bytes> blocks_;
   std::unique_ptr<PlcLogic> logic_;

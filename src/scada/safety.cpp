@@ -26,8 +26,7 @@ void DigitalSafetySystem::observe(Plc& plc, sim::Duration) {
   }
   if (!tripped_ && consecutive_ >= kTripAfterScans) {
     tripped_ = true;
-    plc.simulation().log(sim::TraceCategory::kScada, plc.name(),
-                         "safety.trip",
+    plc.simulation().log(plc.actor_id(), sim::TraceAction::kSafetyTrip,
                          "reported=" + std::to_string(hz) + "Hz");
   }
   if (tripped_) {

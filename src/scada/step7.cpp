@@ -42,7 +42,7 @@ Step7App& Step7App::install(winsys::Host& host, S7ProxyRegistry& registry) {
   host.fs().write_file(dll_path(), dll.serialize(), host.simulation().now());
   host.fs().mkdirs(winsys::Path("c:\\projects"));
   host.attach_component(kComponentKey, std::move(app));
-  host.trace(sim::TraceCategory::kScada, "step7.install", dll_path().str());
+  host.trace(sim::TraceAction::kStep7Install, dll_path().str());
   return *raw;
 }
 
@@ -62,8 +62,7 @@ winsys::Path Step7App::create_project(const std::string& project_name) {
 
 bool Step7App::open_project(const winsys::Path& project_dir) {
   if (!host_.fs().is_dir(project_dir)) return false;
-  host_.trace(sim::TraceCategory::kScada, "step7.open-project",
-              project_dir.str());
+  host_.trace(sim::TraceAction::kStep7OpenProject, project_dir.str());
   opened_projects_.push_back(project_dir);
 
   // Read the project descriptor through the filesystem API — the observable
@@ -96,7 +95,7 @@ bool Step7App::open_project(const winsys::Path& project_dir) {
 void Step7App::connect(Plc* plc) {
   plc_ = plc;
   if (plc != nullptr) {
-    host_.trace(sim::TraceCategory::kScada, "step7.connect", plc->name());
+    host_.trace(sim::TraceAction::kStep7Connect, plc->name());
   }
 }
 

@@ -5,7 +5,7 @@ namespace cyd::sim {
 std::size_t Simulation::run_all(std::size_t max_events) {
   const auto result = queue_.run_all(max_events);
   if (result.truncated) {
-    log(TraceCategory::kSim, "sim", "queue.truncated",
+    log(actor_, TraceAction::kQueueTruncated,
         "run_all stopped after " + std::to_string(result.executed) +
             " events with runnable work still pending");
   }

@@ -61,11 +61,10 @@ class Simulation {
                                    : (period > 0 ? period : 1)));
   }
 
-  /// Convenience trace append stamped with the current virtual time.
-  /// Allocation-free for already-interned actor/action strings.
-  void log(TraceCategory category, std::string_view actor,
-           std::string_view action, std::string_view detail = {}) {
-    trace_.record(now(), category, actor, action, detail);
+  /// Trace append stamped with the current virtual time. `actor` comes
+  /// from trace().intern_actor().
+  void log(StringId actor, TraceAction action, std::string_view detail = {}) {
+    trace_.record(now(), actor, action, detail);
   }
 
   std::size_t run_until(TimePoint deadline) { return queue_.run_until(deadline); }
@@ -80,6 +79,7 @@ class Simulation {
   EventQueue queue_;
   Rng rng_;
   TraceLog trace_;
+  StringId actor_ = trace_.intern_actor("sim");
 };
 
 }  // namespace cyd::sim

@@ -15,9 +15,4 @@ StringId StringPool::find(std::string_view s) const {
   return it == ids_.end() ? kNoString : it->second;
 }
 
-void StringPool::clear() {
-  strings_.clear();
-  ids_.clear();
-}
-
 }  // namespace cyd::sim

@@ -1,14 +1,13 @@
 #pragma once
 // Deduplicating append-only string storage.
 //
-// The one intern table of the code base. The trace log interns every
-// actor/action string once and stores 32-bit ids in its events, so the
-// record hot path stops allocating and equality tests compress to integer
-// compares; analysis::FeatureDict and cnc::ClientIndex wrap one as well.
+// The one intern table of the code base. The trace log keeps one for actor
+// names, interned once when each tracing object joins its Simulation, so
+// its events store 32-bit ids and record() hashes nothing;
+// analysis::FeatureDict and cnc::ClientIndex wrap one as well.
 // Ids are assigned in first-seen order, which keeps interning
-// deterministic: two logs fed the same record sequence produce the same ids
-// (and therefore byte-identical event vectors — the determinism tests rely
-// on this).
+// deterministic: two worlds built in the same order give their actors the
+// same ids (and therefore byte-identical event vectors).
 
 #include <cstdint>
 #include <deque>
@@ -37,13 +36,12 @@ class StringPool {
   /// allocates (heterogeneous lookup).
   StringId find(std::string_view s) const;
 
-  /// The string behind an id. Views stay valid until clear(): entries live
-  /// in a deque, so later interning never moves them.
+  /// The string behind an id. Views stay valid for the pool's lifetime:
+  /// entries live in a deque, so later interning never moves them.
   std::string_view view(StringId id) const { return strings_[id]; }
 
   std::size_t size() const { return strings_.size(); }
   bool empty() const { return strings_.empty(); }
-  void clear();
 
   /// Pre-sizes the id table for `expected` distinct strings, so a large
   /// serial intern stage does not pay rehash churn. A hint, not a cap.

@@ -40,15 +40,11 @@ const char* to_string(TraceCategory c) {
   return "?";
 }
 
-void TraceLog::record(TimePoint time, TraceCategory category,
-                      std::string_view actor, std::string_view action,
+void TraceLog::record(TimePoint time, StringId actor, TraceAction action,
                       std::string_view detail) {
-  const StringId actor_id = pool_.intern(actor);
-  const StringId action_id = pool_.intern(action);
   const auto detail_offset = static_cast<std::uint32_t>(details_.size());
   details_.append(detail);
-  events_.push_back(TraceEvent{time, category, actor_id, action_id,
-                               detail_offset,
+  events_.push_back(TraceEvent{time, actor, action, detail_offset,
                                static_cast<std::uint32_t>(detail.size())});
 }
 
@@ -59,7 +55,6 @@ void TraceLog::reserve(std::size_t events, std::size_t detail_bytes) {
 
 void TraceLog::clear() {
   events_.clear();
-  pool_.clear();
   details_.clear();
 }
 
@@ -67,9 +62,9 @@ std::uint64_t TraceLog::fingerprint() const {
   std::uint64_t h = kFnvOffset;
   for (const auto& e : events_) {
     fnv_mix(h, static_cast<std::uint64_t>(e.time));
-    fnv_mix(h, static_cast<std::uint64_t>(e.category));
+    fnv_mix(h, static_cast<std::uint64_t>(category_of(e.action)));
     fnv_mix(h, actor(e));
-    fnv_mix(h, action(e));
+    fnv_mix(h, to_string(e.action));
     fnv_mix(h, detail(e));
   }
   return h;
@@ -80,9 +75,8 @@ bool TraceLog::operator==(const TraceLog& other) const {
   for (std::size_t i = 0; i < events_.size(); ++i) {
     const auto& a = events_[i];
     const auto& b = other.events_[i];
-    if (a.time != b.time || a.category != b.category ||
-        actor(a) != other.actor(b) || action(a) != other.action(b) ||
-        detail(a) != other.detail(b)) {
+    if (a.time != b.time || a.action != b.action ||
+        actor(a) != other.actor(b) || detail(a) != other.detail(b)) {
       return false;
     }
   }
@@ -96,18 +90,18 @@ std::string TraceLog::render_tail(std::size_t max_lines) const {
   std::size_t bytes = 0;
   for (std::size_t i = start; i < events_.size(); ++i) {
     const auto& e = events_[i];
-    bytes += 40 + actor(e).size() + action(e).size() + e.detail_size;
+    bytes += 40 + actor(e).size() + to_string(e.action).size() + e.detail_size;
   }
   out.reserve(bytes);
   for (std::size_t i = start; i < events_.size(); ++i) {
     const auto& e = events_[i];
     format_time_to(out, e.time);
     out += " [";
-    out += to_string(e.category);
+    out += to_string(category_of(e.action));
     out += "] ";
     out += actor(e);
     out += ' ';
-    out += action(e);
+    out += to_string(e.action);
     if (e.detail_size > 0) {
       out += ' ';
       out += detail(e);

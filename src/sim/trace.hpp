@@ -8,11 +8,12 @@
 // determinism tests compare fingerprints.
 //
 // The log is the hottest data structure in the repo: every simulated action
-// funnels through record(). It is one append-only event vector: events
-// store interned 32-bit string ids (see StringPool) instead of owning
-// strings, and free-form detail bytes go into one shared arena. Queries are
-// linear scans that compare ids, the same pattern the sandbox uses; none of
-// them allocates.
+// funnels through record(), which hashes nothing. Actions are TraceAction
+// enumerators from one table (trace_actions.hpp) that also fixes each
+// action's category; actors are StringIds a tracing object (a host, a PLC, a
+// family, a C&C server) takes once from intern_actor() when it joins its
+// Simulation. Free-form detail bytes go into one arena. Queries are linear
+// scans that compare ids; none of them allocates.
 
 #include <cstdint>
 #include <string>
@@ -21,6 +22,7 @@
 
 #include "sim/string_pool.hpp"
 #include "sim/time.hpp"
+#include "sim/trace_actions.hpp"
 
 namespace cyd::sim {
 
@@ -43,22 +45,46 @@ enum class TraceCategory : std::uint8_t {
 
 const char* to_string(TraceCategory c);
 
-/// Compact event record: 32 bytes, no owned strings. `actor` and `action`
-/// are ids into the owning log's StringPool; `detail` is a slice of the
-/// log's detail arena. Resolve them through TraceLog::actor/action/detail
-/// (or a TraceEventRef).
+// Generated from trace_actions.hpp: the enum, and each enumerator's string
+// and category indexed by its value.
+#define CYD_TRACE_ACTION_ENUMERATOR(name, cat, str) name,
+#define CYD_TRACE_ACTION_STRING(name, cat, str) str,
+#define CYD_TRACE_ACTION_CATEGORY(name, cat, str) TraceCategory::cat,
+
+/// Every action a model records.
+enum class TraceAction : std::uint8_t {
+  CYD_TRACE_ACTIONS(CYD_TRACE_ACTION_ENUMERATOR)
+};
+inline constexpr std::string_view kTraceActionStrings[] = {
+    CYD_TRACE_ACTIONS(CYD_TRACE_ACTION_STRING)};
+inline constexpr TraceCategory kTraceActionCategories[] = {
+    CYD_TRACE_ACTIONS(CYD_TRACE_ACTION_CATEGORY)};
+
+#undef CYD_TRACE_ACTION_ENUMERATOR
+#undef CYD_TRACE_ACTION_STRING
+#undef CYD_TRACE_ACTION_CATEGORY
+
+constexpr std::string_view to_string(TraceAction a) {
+  return kTraceActionStrings[static_cast<std::size_t>(a)];
+}
+constexpr TraceCategory category_of(TraceAction a) {
+  return kTraceActionCategories[static_cast<std::size_t>(a)];
+}
+
+/// Compact event record: 24 bytes, no owned strings. `actor` is an id into
+/// the owning log's actor pool; `detail` is a slice of the log's detail
+/// arena. Resolve them through TraceLog::actor/detail (or a TraceEventRef).
 struct TraceEvent {
   TimePoint time = 0;
-  TraceCategory category = TraceCategory::kSim;
   StringId actor = kNoString;
-  StringId action = kNoString;
+  TraceAction action{};
   std::uint32_t detail_offset = 0;
   std::uint32_t detail_size = 0;
 };
 
 class TraceLog;
 
-/// Lightweight accessor pairing an event with its owning log so the interned
+/// Lightweight accessor pairing an event with its owning log so the id
 /// fields read back as strings. Views are valid while the log is alive and
 /// not cleared; record() calls may invalidate detail() views (arena growth),
 /// so don't hold one across a mutation.
@@ -68,9 +94,9 @@ class TraceEventRef {
       : log_(&log), event_(&event) {}
 
   TimePoint time() const { return event_->time; }
-  TraceCategory category() const { return event_->category; }
+  TraceAction action() const { return event_->action; }
+  TraceCategory category() const { return category_of(event_->action); }
   std::string_view actor() const;
-  std::string_view action() const;
   std::string_view detail() const;
   const TraceEvent& raw() const { return *event_; }
 
@@ -81,8 +107,14 @@ class TraceEventRef {
 
 class TraceLog {
  public:
-  void record(TimePoint time, TraceCategory category, std::string_view actor,
-              std::string_view action, std::string_view detail = {});
+  /// The id `actor` records under. Interning happens here, once per
+  /// tracing object, never in record().
+  StringId intern_actor(std::string_view actor) {
+    return actors_.intern(actor);
+  }
+
+  void record(TimePoint time, StringId actor, TraceAction action,
+              std::string_view detail = {});
 
   /// Pre-sizes the event vector (and optionally the detail arena) so long
   /// campaigns don't pay reallocation on the record hot path.
@@ -91,15 +123,13 @@ class TraceLog {
   const std::vector<TraceEvent>& events() const { return events_; }
   std::size_t size() const { return events_.size(); }
   bool empty() const { return events_.empty(); }
+  /// Drops every event and detail byte. Actor ids stay valid: the objects
+  /// holding them keep recording under them.
   void clear();
 
   // --- string resolution ---
-  const StringPool& pool() const { return pool_; }
   std::string_view actor(const TraceEvent& e) const {
-    return pool_.view(e.actor);
-  }
-  std::string_view action(const TraceEvent& e) const {
-    return pool_.view(e.action);
+    return actors_.view(e.actor);
   }
   std::string_view detail(const TraceEvent& e) const {
     return {details_.data() + e.detail_offset, e.detail_size};
@@ -108,10 +138,8 @@ class TraceLog {
     return TraceEventRef(*this, events_[index]);
   }
 
-  // --- scans: one pool lookup, then 32-bit id compares over the events ---
-  /// Events recorded with `action` as their action (a string recorded only
-  /// as an actor counts 0).
-  std::size_t count_action(std::string_view action) const {
+  // --- scans: id compares over the events ---
+  std::size_t count_action(TraceAction action) const {
     std::size_t n = 0;
     for_each_action(action, [&n](const TraceEventRef&) { ++n; });
     return n;
@@ -124,19 +152,20 @@ class TraceLog {
     for (const auto& e : events_) fn(TraceEventRef(*this, e));
   }
   template <class Fn>
-  void for_each_action(std::string_view action, Fn&& fn) const {
-    const StringId id = pool_.find(action);  // kNoString matches no event
+  void for_each_action(TraceAction action, Fn&& fn) const {
     for (const auto& e : events_) {
-      if (e.action == id) fn(TraceEventRef(*this, e));
+      if (e.action == action) fn(TraceEventRef(*this, e));
     }
   }
 
-  /// Order-sensitive FNV-1a hash over every field of every event. Two runs
-  /// of the same seeded scenario produce equal fingerprints iff their logs
-  /// are identical; the determinism tests and sweep benches aggregate this.
+  /// Order-sensitive FNV-1a hash over every event's time, category, and
+  /// actor, action and detail strings. Two runs of the same seeded scenario
+  /// produce equal fingerprints iff their logs are identical; the
+  /// determinism tests and sweep benches aggregate this.
   std::uint64_t fingerprint() const;
 
-  /// Deep semantic equality (times, categories, resolved strings).
+  /// Deep semantic equality (times, actions, resolved actor and detail
+  /// strings), independent of the order actors were interned in.
   bool operator==(const TraceLog& other) const;
 
   /// Renders the trailing `max_lines` events into one output buffer; used by
@@ -145,15 +174,12 @@ class TraceLog {
 
  private:
   std::vector<TraceEvent> events_;
-  StringPool pool_;      // actor + action strings, shared
+  StringPool actors_;    // actor names, interned once per tracing object
   std::string details_;  // free-form detail bytes, one arena, no dedup
 };
 
 inline std::string_view TraceEventRef::actor() const {
   return log_->actor(*event_);
-}
-inline std::string_view TraceEventRef::action() const {
-  return log_->action(*event_);
 }
 inline std::string_view TraceEventRef::detail() const {
   return log_->detail(*event_);

@@ -65,9 +65,8 @@ void write_windows_skeleton(FileSystem& fs) {
   fs.write_file(Path("c:\\windows\\win.ini"), "; for 16-bit app support", 0);
 }
 
-void Host::trace(sim::TraceCategory category, std::string_view action,
-                 std::string_view detail) {
-  sim_.log(category, name_, action, detail);
+void Host::trace(sim::TraceAction action, std::string_view detail) {
+  sim_.log(actor_, action, detail);
 }
 
 void Host::log_event(const std::string& source, const std::string& message) {
@@ -101,7 +100,7 @@ ExecResult Host::execute_file(const Path& path, const ExecContext& ctx) {
 
   for (const auto& interceptor : exec_interceptors_) {
     if (!interceptor(path, image, effective)) {
-      trace(sim::TraceCategory::kSecurity, "exec.blocked", path.str());
+      trace(sim::TraceAction::kExecBlocked, path.str());
       return {ExecResult::Status::kBlockedByPolicy, 0};
     }
   }
@@ -118,7 +117,7 @@ ExecResult Host::execute_file(const Path& path, const ExecContext& ctx) {
   processes_.push_back(std::move(proc));
 
   fs_.notify(FsEvent{FsEvent::Kind::kExecute, path, nullptr});
-  trace(sim::TraceCategory::kProcess, "process.start",
+  trace(sim::TraceAction::kProcessStart,
         path.str() + " pid=" + std::to_string(pid) + " by=" +
             effective.launched_by);
 
@@ -172,7 +171,7 @@ bool Host::install_service(Service service) {
   if (services_.contains(service.name)) return false;
   registry_.set("hklm\\system\\currentcontrolset\\services\\" + service.name,
                 "ImagePath", service.binary_path.str());
-  trace(sim::TraceCategory::kProcess, "service.install",
+  trace(sim::TraceAction::kServiceInstall,
         service.name + " -> " + service.binary_path.str());
   services_.emplace(service.name, std::move(service));
   return true;
@@ -186,7 +185,7 @@ bool Host::start_service(const std::string& name) {
   ctx.elevated = true;  // services run as SYSTEM
   const auto result = execute_file(it->second.binary_path, ctx);
   if (!result.started()) {
-    trace(sim::TraceCategory::kProcess, "service.start-failed",
+    trace(sim::TraceAction::kServiceStartFailed,
           name + " (" + to_string(result.status) + ")");
     return false;
   }
@@ -235,7 +234,7 @@ void Host::schedule_task(std::string task_name, const Path& binary,
   task->at = at;
   task->period = period;
   tasks_.push_back(task);
-  trace(sim::TraceCategory::kProcess, "task.schedule",
+  trace(sim::TraceAction::kTaskSchedule,
         task->name + " at=" + sim::format_time(at));
 
   // Self-reference through a weak_ptr: the pending simulation event is the
@@ -291,7 +290,7 @@ DriverLoadResult Host::load_driver(const Path& image_path,
   const auto verdict = pki::verify_image(image, certs_, trust_, sim_.now());
   if (driver_policy_ == DriverPolicy::kRequireValidSignature &&
       !verdict.valid()) {
-    trace(sim::TraceCategory::kDriver, "driver.rejected",
+    trace(sim::TraceAction::kDriverRejected,
           driver_name + " (" + verdict.describe() + ")");
     log_event("kernel", "driver load rejected: " + driver_name);
     return verdict.status == pki::SignatureStatus::kUnsigned
@@ -305,7 +304,7 @@ DriverLoadResult Host::load_driver(const Path& image_path,
   driver.capabilities = capabilities;
   driver.signer_subject = verdict.signer_subject;
   driver.signature_status = verdict.status;
-  trace(sim::TraceCategory::kDriver, "driver.load",
+  trace(sim::TraceAction::kDriverLoad,
         driver.name + " signer=\"" + driver.signer_subject + "\" status=" +
             pki::to_string(driver.signature_status));
   drivers_.push_back(std::move(driver));
@@ -330,12 +329,12 @@ bool Host::has_capability(DriverCapability cap) const {
 
 bool Host::raw_overwrite_mbr(common::Bytes data, const std::string& actor) {
   if (!has_capability(kCapRawDiskAccess)) {
-    trace(sim::TraceCategory::kDriver, "rawdisk.denied",
+    trace(sim::TraceAction::kRawdiskDenied,
           actor + " attempted MBR write without a raw-disk driver");
     return false;
   }
   disk_.overwrite_mbr(std::move(data));
-  trace(sim::TraceCategory::kDriver, "rawdisk.mbr-overwrite", actor);
+  trace(sim::TraceAction::kRawdiskMbrOverwrite, actor);
   log_event("disk", "MBR overwritten by " + actor);
   return true;
 }
@@ -346,7 +345,7 @@ bool Host::raw_overwrite_active_partition(common::Bytes data,
   Partition* p = disk_.active_partition();
   if (p == nullptr) return false;
   p->boot_sector = std::move(data);
-  trace(sim::TraceCategory::kDriver, "rawdisk.partition-overwrite", actor);
+  trace(sim::TraceAction::kRawdiskPartitionOverwrite, actor);
   return true;
 }
 
@@ -368,8 +367,7 @@ std::vector<std::string> Host::visible_dir_entries(const Path& dir) const {
 void Host::boot() {
   if (!disk_.mbr_intact() || !disk_.active_partition_intact()) {
     state_ = HostState::kUnbootable;
-    trace(sim::TraceCategory::kProcess, "host.boot-failed",
-          "MBR/boot sector destroyed");
+    trace(sim::TraceAction::kHostBootFailed, "MBR/boot sector destroyed");
     return;
   }
   state_ = HostState::kRunning;
@@ -380,7 +378,7 @@ void Host::boot() {
 }
 
 void Host::reboot() {
-  trace(sim::TraceCategory::kProcess, "host.reboot", "");
+  trace(sim::TraceAction::kHostReboot);
   while (!processes_.empty()) kill_process(processes_.front()->pid);
   for (auto& [name, service] : services_) {
     service.running = false;
@@ -400,7 +398,7 @@ bool Host::plug_usb(UsbDrive& drive) {
   drive.visited_.insert(name_);
   if (internet_access_) drive.seen_internet_ = true;
   usb_.push_back(&drive);
-  trace(sim::TraceCategory::kUsb, "usb.plug",
+  trace(sim::TraceAction::kUsbPlug,
         drive.id() + " as " + std::string{*letter, ':'});
   for (const UsbObserver& observer : usb_observers_) observer.fn(drive);
   run_autoplay(drive);
@@ -411,7 +409,7 @@ bool Host::unplug_usb(UsbDrive& drive) {
   if (drive.host_ != this) return false;
   fs_.unmount(drive.letter_);
   std::erase(usb_, &drive);
-  trace(sim::TraceCategory::kUsb, "usb.unplug", drive.id());
+  trace(sim::TraceAction::kUsbUnplug, drive.id());
   drive.host_ = nullptr;
   drive.letter_ = '\0';
   return true;
@@ -429,7 +427,7 @@ void Host::run_autoplay(UsbDrive& drive) {
         if (const auto eol = target.find('\n'); eol != std::string::npos) {
           target = target.substr(0, eol);
         }
-        trace(sim::TraceCategory::kUsb, "usb.autorun", target);
+        trace(sim::TraceAction::kUsbAutorun, target);
         ExecContext ctx;
         ctx.launched_by = "autorun";
         ctx.from_autoplay = true;
@@ -450,14 +448,14 @@ void Host::explorer_open(const Path& dir) {
     const auto content = fs_.read_file(full);
     if (!content || content->rfind(kLnkExploitMagic, 0) != 0) continue;
     if (!vulnerable_to(exploits::VulnId::kMs10_046_Lnk)) {
-      trace(sim::TraceCategory::kUsb, "lnk.render-benign", full.str());
+      trace(sim::TraceAction::kLnkRenderBenign, full.str());
       continue;
     }
     Path target(content->substr(kLnkExploitMagic.size()));
     // Relative targets resolve against the shortcut's own folder, so a stick
     // works no matter which drive letter the victim assigns it.
     if (target.drive() == '\0') target = dir.join(target.str());
-    trace(sim::TraceCategory::kUsb, "lnk.exploit-trigger",
+    trace(sim::TraceAction::kLnkExploitTrigger,
           full.str() + " -> " + target.str());
     ExecContext ctx;
     ctx.launched_by = "explorer-lnk";

@@ -106,6 +106,8 @@ class Host {
 
   // --- identity & substrate access ---
   const std::string& name() const { return name_; }
+  /// The id this host's trace events carry as their actor.
+  sim::StringId actor_id() const { return actor_; }
   OsVersion os() const { return os_; }
   /// Template image this host was stamped from; nullptr only for a
   /// materialized host (the tests' reference).
@@ -272,10 +274,8 @@ class Host {
   void set_event_log_cap(std::size_t cap) { event_log_cap_ = cap; }
   /// Entries discarded so far by the cap.
   std::size_t event_log_dropped() const { return event_log_dropped_; }
-  /// Trace helper attributed to this host. Allocation-free: the log interns
-  /// the strings, so nothing is copied on the hot path.
-  void trace(sim::TraceCategory category, std::string_view action,
-             std::string_view detail = {});
+  /// Records `action` with this host as its actor.
+  void trace(sim::TraceAction action, std::string_view detail = {});
 
  private:
   void run_autoplay(UsbDrive& drive);
@@ -283,6 +283,7 @@ class Host {
   sim::Simulation& sim_;
   ProgramRegistry& programs_;
   std::string name_;
+  sim::StringId actor_ = sim_.trace().intern_actor(name_);
   OsVersion os_;
   HostState state_ = HostState::kRunning;
 

@@ -293,6 +293,10 @@ TEST(ScenarioBuilderTest, AramcoWipesEveryHostAndEveryReportIsComplete) {
     EXPECT_GT(report.files_overwritten, 0);
     EXPECT_NE(report.f1_listing.find("report-0.docx"), std::string::npos);
   }
+  // The whole event stream, pinned: any change to what is traced, when, by
+  // whom or under which category moves these.
+  EXPECT_EQ(world.sim().trace().size(), 189u);
+  EXPECT_EQ(world.sim().trace().fingerprint(), 0x49e99e1c14c74651ull);
 }
 
 TEST(ScenarioBuilderTest, DeadDropFlameBeaconsToItsOwnServer) {
@@ -309,6 +313,8 @@ TEST(ScenarioBuilderTest, DeadDropFlameBeaconsToItsOwnServer) {
   ASSERT_TRUE(flame->infect(*fleet[0], "targeted-drop"));
   world.sim().run_for(config.beacon_period);
   EXPECT_GT(server->get_news_count(), 0u);
+  EXPECT_EQ(world.sim().trace().size(), 5u);
+  EXPECT_EQ(world.sim().trace().fingerprint(), 0x681ea2b6f38f6892ull);
 }
 
 TEST(ScenarioBuilderTest, NatanzStickCarriesTheDropperToTheLaptop) {
@@ -326,6 +332,8 @@ TEST(ScenarioBuilderTest, NatanzStickCarriesTheDropperToTheLaptop) {
   world.sim().run_for(sim::days(1));
   EXPECT_TRUE(stick->visited_hosts().contains(site.eng_laptop->name()));
   EXPECT_NE(malware::stuxnet::Stuxnet::find(*site.eng_laptop), nullptr);
+  EXPECT_EQ(world.sim().trace().size(), 93u);
+  EXPECT_EQ(world.sim().trace().fingerprint(), 0x028403aac622759bull);
 }
 
 }  // namespace

@@ -322,7 +322,7 @@ TEST(SimulationTest, CancelledPeriodicStopsReschedulingEntirely) {
   simulation.run_all(/*max_events=*/1000);
   EXPECT_EQ(fires, 2);
   EXPECT_EQ(simulation.queue().pending(), 0u);
-  EXPECT_EQ(simulation.trace().count_action("queue.truncated"), 0u);
+  EXPECT_EQ(simulation.trace().count_action(TraceAction::kQueueTruncated), 0u);
 }
 
 TEST(SimulationTest, RunAllLogsTruncationWarning) {
@@ -330,9 +330,9 @@ TEST(SimulationTest, RunAllLogsTruncationWarning) {
   simulation.every(minutes(1), [] {});  // never-ending periodic series
   const auto executed = simulation.run_all(/*max_events=*/25);
   EXPECT_EQ(executed, 25u);
-  ASSERT_EQ(simulation.trace().count_action("queue.truncated"), 1u);
+  ASSERT_EQ(simulation.trace().count_action(TraceAction::kQueueTruncated), 1u);
   simulation.trace().for_each_action(
-      "queue.truncated", [](const TraceEventRef& warning) {
+      TraceAction::kQueueTruncated, [](const TraceEventRef& warning) {
         EXPECT_EQ(warning.category(), TraceCategory::kSim);
         EXPECT_NE(warning.detail().find("25"), std::string_view::npos);
       });
@@ -585,7 +585,8 @@ TEST(EventQueueTest, BenchWorkloadsMatchGoldenChecksums) {
 TEST(SimulationTest, LogStampsCurrentTime) {
   Simulation simulation;
   simulation.after(seconds(42), [&] {
-    simulation.log(TraceCategory::kSim, "test", "tick");
+    simulation.log(simulation.trace().intern_actor("test"),
+                   TraceAction::kHostReboot);
   });
   simulation.run_all();
   ASSERT_EQ(simulation.trace().size(), 1u);

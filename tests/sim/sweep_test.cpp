@@ -27,13 +27,15 @@ namespace {
 /// string content changes it.
 std::uint64_t scenario_fingerprint(std::uint64_t seed) {
   Simulation simulation(seed);
+  const StringId generator = simulation.trace().intern_actor("generator");
+  const StringId implant = simulation.trace().intern_actor("implant");
   auto noisy = simulation.every(minutes(7), [&] {
-    simulation.log(TraceCategory::kSim, "generator", "tick",
+    simulation.log(generator, TraceAction::kProcessStart,
                    std::to_string(simulation.rng().next_u64() & 0xffff));
   });
   simulation.every(minutes(11), [&] {
     if (simulation.rng().bernoulli(0.2)) {
-      simulation.log(TraceCategory::kMalware, "implant", "beacon");
+      simulation.log(implant, TraceAction::kHttpInternet);
     }
   });
   simulation.after(hours(2), [&] { noisy.cancel(); });
@@ -71,8 +73,9 @@ TEST(SweepTest, SameSeedGivesByteIdenticalSerialTraces) {
   Simulation a(0x5eed);
   Simulation b(0x5eed);
   for (Simulation* s : {&a, &b}) {
-    s->every(minutes(3), [s] {
-      s->log(TraceCategory::kSim, "w", "tick",
+    const StringId worker = s->trace().intern_actor("w");
+    s->every(minutes(3), [s, worker] {
+      s->log(worker, TraceAction::kProcessStart,
              std::to_string(s->rng().next_u64() % 100));
     });
     s->run_until(hours(1));
