@@ -1,10 +1,7 @@
 #include "pki/certificate.hpp"
 
-#include <cassert>
 #include <stdexcept>
 #include <utility>
-
-#include "common/cow_merge.hpp"
 
 namespace cyd::pki {
 
@@ -127,45 +124,17 @@ std::optional<Certificate> Certificate::parse(std::string_view bytes) {
   }
 }
 
-void CertStore::set_base(std::shared_ptr<const CertStore> base) {
-  assert(base == nullptr || base->base_ == nullptr);
-  base_ = std::move(base);
-}
-
-void CertStore::add(const Certificate& cert) { certs_[cert.serial] = cert; }
-
-const Certificate* CertStore::find(std::uint64_t serial) const {
-  auto it = certs_.find(serial);
-  if (it != certs_.end()) return &it->second;
-  if (base_ != nullptr) {
-    auto bit = base_->certs_.find(serial);
-    if (bit != base_->certs_.end()) return &bit->second;
-  }
-  return nullptr;
-}
-
-template <typename Fn>
-void CertStore::walk(Fn&& fn) const {
-  using Entry = decltype(certs_)::value_type;
-  // A base-less store walks an empty base range.
-  const auto b = base_ != nullptr ? base_->certs_.begin() : certs_.end();
-  const auto b_end = base_ != nullptr ? base_->certs_.end() : certs_.end();
-  common::merge_layers(certs_.begin(), certs_.end(), b, b_end,
-                       [&](const Entry* delta, const Entry* base) {
-                         fn(delta != nullptr ? delta->second : base->second);
-                       });
-}
-
 std::size_t CertStore::size() const {
   std::size_t total = 0;
-  walk([&total](const Certificate&) { ++total; });
+  certs_.for_each([&total](std::uint64_t, const Certificate&) { ++total; });
   return total;
 }
 
 std::vector<const Certificate*> CertStore::all() const {
   std::vector<const Certificate*> out;
-  out.reserve(certs_.size());
-  walk([&out](const Certificate& cert) { out.push_back(&cert); });
+  certs_.for_each([&out](std::uint64_t, const Certificate& cert) {
+    out.push_back(&cert);
+  });
   return out;
 }
 

@@ -17,7 +17,6 @@
 // pki/forgery.hpp.
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -25,6 +24,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/layered.hpp"
 #include "sim/time.hpp"
 
 namespace cyd::pki {
@@ -99,29 +99,28 @@ struct Certificate {
 /// issuers against one of these (hosts carry their own store).
 ///
 /// Optionally layered over an immutable shared base (the template image's
-/// certificate landscape): find() consults delta -> base, add() writes the
-/// delta only, and a serial present in both resolves to the delta copy —
-/// the same last-wins rule a materialized store's add() applies.
+/// certificate landscape) as one common::Layered layer: find() consults
+/// delta -> base, add() writes the delta only, and a serial present in both
+/// resolves to the delta copy — the same last-wins rule a materialized
+/// store's add() applies.
 class CertStore {
  public:
-  /// Single-level copy-on-write layering; nullptr detaches.
-  void set_base(std::shared_ptr<const CertStore> base);
-  const CertStore* base() const { return base_.get(); }
+  /// Copy-on-write layering over a base-less store; nullptr detaches.
+  void set_base(const std::shared_ptr<const CertStore>& base) {
+    certs_.set_base(base, &CertStore::certs_);
+  }
 
-  void add(const Certificate& cert);
-  const Certificate* find(std::uint64_t serial) const;
+  void add(const Certificate& cert) { certs_.put(cert.serial, cert); }
+  const Certificate* find(std::uint64_t serial) const {
+    return certs_.find(serial);
+  }
   /// Distinct visible serials across delta and base.
   std::size_t size() const;
   /// Visible certificates in serial order (delta shadows base).
   std::vector<const Certificate*> all() const;
 
  private:
-  /// fn(const Certificate&) for each visible certificate in serial order.
-  template <typename Fn>
-  void walk(Fn&& fn) const;
-
-  std::map<std::uint64_t, Certificate> certs_;
-  std::shared_ptr<const CertStore> base_;
+  common::Layered<std::uint64_t, Certificate> certs_;
 };
 
 /// An issuing authority: owns a certificate and the matching private key.

@@ -6,13 +6,11 @@
 // Certificate Store") is modelled by mark_untrusted(), and the post-Flame
 // hardening of rejecting weak-hash signatures by `reject_weak_hash`.
 
-#include <cassert>
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <set>
 #include <string>
 
+#include "common/layered.hpp"
 #include "pki/certificate.hpp"
 
 namespace cyd::pki {
@@ -40,45 +38,41 @@ struct ChainResult {
 };
 
 /// Optionally layered over an immutable shared base (the template image's
-/// trust policy): queries see delta ∪ base. There is no un-trust /
-/// re-trust API, so no whiteouts are needed — per-host changes only ever
-/// add serials or override the weak-hash policy.
+/// trust policy): the trusted roots and the untrusted serials are two
+/// common::Layered set layers, so queries see delta ∪ base.
 class TrustStore {
  public:
-  /// Single-level copy-on-write layering; nullptr detaches.
-  void set_base(std::shared_ptr<const TrustStore> base) {
-    assert(base == nullptr || base->base_ == nullptr);
-    base_ = std::move(base);
+  /// Copy-on-write layering over a base-less store; nullptr detaches. The
+  /// base's weak-hash policy becomes this store's own: an image never
+  /// changes after it is built, and hosts set their base when they are.
+  void set_base(const std::shared_ptr<const TrustStore>& base) {
+    trusted_roots_.set_base(base, &TrustStore::trusted_roots_);
+    untrusted_.set_base(base, &TrustStore::untrusted_);
+    if (base != nullptr) reject_weak_hash_ = base->reject_weak_hash_;
   }
-  const TrustStore* base() const { return base_.get(); }
 
-  void trust_root(std::uint64_t serial) { trusted_roots_.insert(serial); }
+  void trust_root(std::uint64_t serial) { trusted_roots_.put(serial, {}); }
   /// Moves a certificate into the Untrusted store (revocation analogue).
-  void mark_untrusted(std::uint64_t serial) { untrusted_.insert(serial); }
+  void mark_untrusted(std::uint64_t serial) { untrusted_.put(serial, {}); }
 
   bool is_trusted_root(std::uint64_t serial) const {
-    return trusted_roots_.contains(serial) ||
-           (base_ != nullptr && base_->trusted_roots_.contains(serial));
+    return trusted_roots_.contains(serial);
   }
   bool is_untrusted(std::uint64_t serial) const {
-    return untrusted_.contains(serial) ||
-           (base_ != nullptr && base_->untrusted_.contains(serial));
+    return untrusted_.contains(serial);
   }
 
   /// When set, any weak-hash issuer signature anywhere in a chain fails
   /// validation (modern policy; off by default, matching the 2010-2012 era).
-  /// On a layered store the per-host setting overrides the base's.
   void set_reject_weak_hash(bool v) { reject_weak_hash_ = v; }
-  bool reject_weak_hash() const {
-    if (reject_weak_hash_.has_value()) return *reject_weak_hash_;
-    return base_ != nullptr && base_->reject_weak_hash();
-  }
+  bool reject_weak_hash() const { return reject_weak_hash_; }
 
  private:
-  std::shared_ptr<const TrustStore> base_;
-  std::set<std::uint64_t> trusted_roots_;
-  std::set<std::uint64_t> untrusted_;
-  std::optional<bool> reject_weak_hash_;
+  using Serials = common::Layered<std::uint64_t, common::Present>;
+
+  Serials trusted_roots_;
+  Serials untrusted_;
+  bool reject_weak_hash_ = false;
 };
 
 /// Validates `cert` up to a trusted root, resolving issuers in `store`.

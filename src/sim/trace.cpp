@@ -24,8 +24,6 @@ void fnv_mix(std::uint64_t& h, std::uint64_t value) {
 
 const char* to_string(TraceCategory c) {
   switch (c) {
-    case TraceCategory::kFile: return "file";
-    case TraceCategory::kRegistry: return "registry";
     case TraceCategory::kProcess: return "process";
     case TraceCategory::kDriver: return "driver";
     case TraceCategory::kNetwork: return "network";

@@ -29,9 +29,8 @@ namespace cyd::sim {
 /// Category of a trace event; categories mirror the instrumentation points a
 /// real sandbox hooks.
 enum class TraceCategory : std::uint8_t {
-  kFile,       // filesystem mutation (create/write/delete/rename)
-  kRegistry,   // registry mutation
-  kProcess,    // process / service / task lifecycle
+  // Explicit: fingerprint() hashes category values, so they never shift.
+  kProcess = 2,  // process / service / task lifecycle
   kDriver,     // kernel driver load/unload
   kNetwork,    // packets, DNS lookups, HTTP exchanges
   kUsb,        // removable-media plug/unplug and autoplay

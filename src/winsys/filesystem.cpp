@@ -6,10 +6,9 @@ namespace cyd::winsys {
 
 std::size_t Volume::used_bytes() const {
   std::size_t total = 0;
-  for_each_file(
-      [&total](const std::string&, const FileNode& node) {
-        total += node.data.size();
-      });
+  files_.for_each([&total](const std::string&, const FileNode& node) {
+    total += node.data.size();
+  });
   return total;
 }
 
@@ -91,10 +90,10 @@ bool FileSystem::mkdirs(const Path& dir) {
   std::string current;
   for (const auto& comp : dir.components()) {
     current = current.empty() ? comp : current + "\\" + comp;
-    if (vol->has_file(current)) return false;  // file in the way
+    if (vol->files().contains(current)) return false;  // file in the way
     chain.push_back(current);
   }
-  for (auto& c : chain) vol->add_dir(std::move(c));
+  for (const auto& c : chain) vol->dirs().put(c, {});
   return true;
 }
 
@@ -104,12 +103,12 @@ bool FileSystem::exists(const Path& p) const {
 
 bool FileSystem::is_dir(const Path& p) const {
   const Volume* vol = volume_of(p);
-  return vol != nullptr && vol->has_dir(rel(p));
+  return vol != nullptr && vol->dirs().contains(rel(p));
 }
 
 bool FileSystem::is_file(const Path& p) const {
   const Volume* vol = volume_of(p);
-  return vol != nullptr && vol->has_file(rel(p));
+  return vol != nullptr && vol->files().contains(rel(p));
 }
 
 bool FileSystem::write_file(const Path& p, common::Bytes data,
@@ -117,19 +116,19 @@ bool FileSystem::write_file(const Path& p, common::Bytes data,
   Volume* vol = volume_of(p);
   if (vol == nullptr || p.is_root()) return false;
   const std::string r = rel(p);
-  if (vol->has_dir(r)) return false;  // directory in the way
+  if (vol->dirs().contains(r)) return false;  // directory in the way
   if (!mkdirs(p.parent())) return false;
 
-  if (const FileNode* existing = vol->find_file(r); existing == nullptr) {
+  if (const FileNode* existing = vol->files().find(r); existing == nullptr) {
     FileNode node;
     node.data = data;
     node.attr = attr;
     node.created = now;
     node.modified = now;
-    vol->put_file(r, std::move(node));
+    vol->files().put(r, std::move(node));
   } else {
     if (existing->attr.readonly) return false;
-    FileNode* node = vol->materialize_file(r);
+    FileNode* node = vol->files().materialize(r);
     ++node->overwrite_count;
     node->data = data;
     node->modified = now;
@@ -141,7 +140,7 @@ bool FileSystem::write_file(const Path& p, common::Bytes data,
 std::optional<common::Bytes> FileSystem::read_file(const Path& p) const {
   const Volume* vol = volume_of(p);
   if (vol == nullptr) return std::nullopt;
-  const FileNode* node = vol->find_file(rel(p));
+  const FileNode* node = vol->files().find(rel(p));
   if (node == nullptr) return std::nullopt;
   notify(FsEvent{FsEvent::Kind::kRead, p, nullptr});
   return node->data;
@@ -149,14 +148,14 @@ std::optional<common::Bytes> FileSystem::read_file(const Path& p) const {
 
 const FileNode* FileSystem::stat(const Path& p) const {
   const Volume* vol = volume_of(p);
-  return vol == nullptr ? nullptr : vol->find_file(rel(p));
+  return vol == nullptr ? nullptr : vol->files().find(rel(p));
 }
 
 bool FileSystem::delete_file(const Path& p, sim::TimePoint now, bool shred) {
   Volume* vol = volume_of(p);
   if (vol == nullptr) return false;
   const std::string r = rel(p);
-  const FileNode* node = vol->find_file(r);
+  const FileNode* node = vol->files().find(r);
   if (node == nullptr) return false;
   Tombstone stone;
   stone.rel_path = r;
@@ -166,7 +165,7 @@ bool FileSystem::delete_file(const Path& p, sim::TimePoint now, bool shred) {
   // recoverable (which is why wipers overwrite *before* deleting).
   stone.data = shred ? common::Bytes() : node->data;
   vol->tombstones().push_back(std::move(stone));
-  vol->erase_file(r);
+  vol->files().erase(r);
   notify(FsEvent{FsEvent::Kind::kDelete, p, nullptr});
   return true;
 }
@@ -182,7 +181,8 @@ std::size_t FileSystem::delete_tree(const Path& dir, sim::TimePoint now,
   // Drop the directory entries at and below dir, except the root itself.
   const std::string r = rel(dir);
   std::vector<std::string> doomed;
-  vol->for_each_dir_under(r, [&](const std::string& d) {
+  vol->dirs().for_each_with_prefix(r, [&](const std::string& d,
+                                          common::Present) {
     const bool below =
         !r.empty()
             ? (d == r || (d.size() > r.size() && d.compare(0, r.size(), r) == 0 &&
@@ -190,7 +190,7 @@ std::size_t FileSystem::delete_tree(const Path& dir, sim::TimePoint now,
             : !d.empty();
     if (below) doomed.push_back(d);
   });
-  for (const auto& d : doomed) vol->erase_dir(d);
+  for (const auto& d : doomed) vol->dirs().erase(d);
   return removed;
 }
 
@@ -199,17 +199,17 @@ bool FileSystem::rename(const Path& from, const Path& to, sim::TimePoint now) {
   Volume* dst = volume_of(to);
   if (src == nullptr || dst == nullptr) return false;
   const std::string from_rel = rel(from);
-  const FileNode* src_node = src->find_file(from_rel);
+  const FileNode* src_node = src->files().find(from_rel);
   if (src_node == nullptr) return false;
   const std::string to_rel = rel(to);
-  if (dst->has_file(to_rel) || dst->has_dir(to_rel)) {
+  if (dst->files().contains(to_rel) || dst->dirs().contains(to_rel)) {
     return false;
   }
   if (!mkdirs(to.parent())) return false;
   FileNode node = *src_node;
   node.modified = now;
-  src->erase_file(from_rel);
-  dst->put_file(to_rel, std::move(node));
+  src->files().erase(from_rel);
+  dst->files().put(to_rel, std::move(node));
   notify(FsEvent{FsEvent::Kind::kRename, to, nullptr});
   return true;
 }
@@ -217,7 +217,7 @@ bool FileSystem::rename(const Path& from, const Path& to, sim::TimePoint now) {
 std::vector<std::string> FileSystem::list_dir(const Path& dir) const {
   std::vector<std::string> out;
   const Volume* vol = volume_of(dir);
-  if (vol == nullptr || !vol->has_dir(rel(dir))) return out;
+  if (vol == nullptr || !vol->dirs().contains(rel(dir))) return out;
   const std::string r = rel(dir);
   const std::string prefix = r.empty() ? "" : r + "\\";
   auto collect = [&](const std::string& entry) {
@@ -230,8 +230,9 @@ std::vector<std::string> FileSystem::list_dir(const Path& dir) const {
       out.push_back(rest);
     }
   };
-  vol->for_each_dir_under(prefix, collect);
-  vol->for_each_file_under(
+  vol->dirs().for_each_with_prefix(
+      prefix, [&](const std::string& path, common::Present) { collect(path); });
+  vol->files().for_each_with_prefix(
       prefix, [&](const std::string& path, const FileNode&) { collect(path); });
   std::sort(out.begin(), out.end());
   return out;
@@ -253,11 +254,11 @@ std::vector<Path> FileSystem::all_files() const {
   return out;
 }
 
-// Volume keys are canonical: put_file and add_dir are only reached through
-// this class, with rel() of a canonical Path.
+// Volume keys are canonical: this class writes them, with rel() of a
+// canonical Path.
 void FileSystem::for_each_file(const FileVisitor& fn) const {
   for (const auto& [letter, vol] : volumes_) {
-    vol->for_each_file(
+    vol->files().for_each(
         [&](const std::string& path, const FileNode&) { fn(letter, path); });
   }
 }
@@ -268,7 +269,8 @@ void FileSystem::for_each_file_under(const Path& dir,
   if (vol == nullptr) return;
   const char letter = dir.drive();
   const std::string r = rel(dir);
-  vol->for_each_file_under(r, [&](const std::string& path, const FileNode&) {
+  vol->files().for_each_with_prefix(r, [&](const std::string& path,
+                                            const FileNode&) {
     const bool within =
         r.empty() || path == r ||
         (path.size() > r.size() && path.compare(0, r.size(), r) == 0 &&

@@ -10,13 +10,13 @@
 // module uses to measure what SUICIDE/LogWiper/Shamoon leave behind.
 //
 // A Volume is either self-contained or layered copy-on-write over an
-// immutable base (the golden template image of winsys/host_image.hpp): reads
-// consult delta -> base, writes and deletes materialize only the touched
-// paths into the delta plus whiteout sets. A fleet of ten thousand hosts
-// stamped from one image then costs one image plus ten thousand small deltas
-// instead of ten thousand full filesystem trees.
+// immutable base (the golden template image of winsys/host_image.hpp)
+// through common::Layered: reads consult delta -> base, writes and deletes
+// materialize only the touched paths, deletes of base paths as whiteouts.
+// A fleet of ten thousand hosts stamped from one image then costs one image
+// plus ten thousand small deltas instead of ten thousand full filesystem
+// trees.
 
-#include <cassert>
 #include <functional>
 #include <map>
 #include <memory>
@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
-#include "common/cow_merge.hpp"
+#include "common/layered.hpp"
 #include "sim/time.hpp"
 #include "winsys/path.hpp"
 
@@ -59,172 +59,38 @@ struct Tombstone {
 /// One disk or stick's contents, independent of any mount point. Paths are
 /// drive-relative canonical strings; "" denotes the root directory.
 ///
-/// Optionally layered over an immutable base volume (set_base): the visible
-/// state is then delta ∪ (base − whiteouts), with delta entries shadowing
-/// base entries of the same path. files()/dirs()/tombstones() expose the
-/// *delta layer only* — use the query/traversal API below for the merged
-/// view. A base-less volume behaves exactly as before the layering existed.
+/// Its files and directories are two common::Layered layers, optionally
+/// over an immutable base volume (set_base): the layers' lookups and walks
+/// give the merged view, a delete of a base path leaves a whiteout in the
+/// delta, and delta_size() counts what this volume adds over its base.
+/// Tombstones are this volume's own. A base-less volume is the whole truth.
 class Volume {
  public:
-  Volume() { dirs_.insert(""); }
+  using Files = common::Layered<std::string, FileNode>;  // rel path -> node
+  using Dirs = common::Layered<std::string, common::Present>;  // "" = root
 
-  /// Layers this volume copy-on-write over an immutable base. Single-level
-  /// by construction (the base must itself be base-less) so every query
-  /// stays a two-map lookup. Pass nullptr to detach.
-  void set_base(std::shared_ptr<const Volume> base) {
-    assert(base == nullptr || base->base_ == nullptr);
-    base_ = std::move(base);
+  Volume() { dirs_.put("", {}); }
+
+  /// Layers this volume copy-on-write over an immutable base volume, which
+  /// must itself be base-less. Pass nullptr to detach.
+  void set_base(const std::shared_ptr<const Volume>& base) {
+    files_.set_base(base, &Volume::files_);
+    dirs_.set_base(base, &Volume::dirs_);
   }
-  const Volume* base() const { return base_.get(); }
 
-  // Delta-layer accessors. Writing through these on a layered volume edits
-  // the delta (shadowing, not erasing, base entries); on a base-less volume
-  // they are the whole truth, as they always were.
-  std::map<std::string, FileNode>& files() { return files_; }
-  const std::map<std::string, FileNode>& files() const { return files_; }
-  std::set<std::string>& dirs() { return dirs_; }
-  const std::set<std::string>& dirs() const { return dirs_; }
+  Files& files() { return files_; }
+  const Files& files() const { return files_; }
+  Dirs& dirs() { return dirs_; }
+  const Dirs& dirs() const { return dirs_; }
   std::vector<Tombstone>& tombstones() { return tombstones_; }
   const std::vector<Tombstone>& tombstones() const { return tombstones_; }
-  const std::set<std::string>& deleted_files() const { return deleted_files_; }
-  const std::set<std::string>& deleted_dirs() const { return deleted_dirs_; }
-
-  // --- merged (delta -> base) queries; `rel` is a drive-relative path ---
-  bool has_file(const std::string& rel) const {
-    if (files_.contains(rel)) return true;
-    if (deleted_files_.contains(rel)) return false;
-    return base_ != nullptr && base_->files_.contains(rel);
-  }
-  bool has_dir(const std::string& rel) const {
-    if (dirs_.contains(rel)) return true;
-    if (deleted_dirs_.contains(rel)) return false;
-    return base_ != nullptr && base_->dirs_.contains(rel);
-  }
-  /// Visible node for `rel`, or nullptr. May point into the base image —
-  /// callers must not mutate through it (use materialize_file for that).
-  const FileNode* find_file(const std::string& rel) const {
-    auto it = files_.find(rel);
-    if (it != files_.end()) return &it->second;
-    if (deleted_files_.contains(rel)) return nullptr;
-    if (base_ != nullptr) {
-      auto bit = base_->files_.find(rel);
-      if (bit != base_->files_.end()) return &bit->second;
-    }
-    return nullptr;
-  }
-  /// Mutable node for `rel`, copying it up from the base into the delta on
-  /// first touch. nullptr when the path is not visible.
-  FileNode* materialize_file(const std::string& rel) {
-    auto it = files_.find(rel);
-    if (it != files_.end()) return &it->second;
-    if (deleted_files_.contains(rel)) return nullptr;
-    if (base_ != nullptr) {
-      auto bit = base_->files_.find(rel);
-      if (bit != base_->files_.end()) {
-        return &files_.emplace(rel, bit->second).first->second;
-      }
-    }
-    return nullptr;
-  }
-  /// Creates or replaces the delta entry (clearing any whiteout).
-  void put_file(const std::string& rel, FileNode node) {
-    deleted_files_.erase(rel);
-    files_.insert_or_assign(rel, std::move(node));
-  }
-  /// Removes `rel` from view; a base-backed path gets a whiteout. Returns
-  /// false when the path was not visible.
-  bool erase_file(const std::string& rel) {
-    const bool in_delta = files_.erase(rel) > 0;
-    if (base_ != nullptr && base_->files_.contains(rel)) {
-      deleted_files_.insert(rel);
-      return true;
-    }
-    return in_delta;
-  }
-  void add_dir(const std::string& rel) {
-    deleted_dirs_.erase(rel);
-    dirs_.insert(rel);
-  }
-  bool erase_dir(const std::string& rel) {
-    const bool in_delta = dirs_.erase(rel) > 0;
-    if (base_ != nullptr && base_->dirs_.contains(rel)) {
-      deleted_dirs_.insert(rel);
-      return true;
-    }
-    return in_delta;
-  }
-
-  /// Visits every visible file in path order (delta shadows base, whiteouts
-  /// skipped). fn(const std::string& rel, const FileNode&).
-  template <typename Fn>
-  void for_each_file(Fn&& fn) const {
-    for_each_file_under(std::string{}, std::forward<Fn>(fn));
-  }
-  /// Same, restricted to rel paths with the given string prefix (callers
-  /// layer their own component-boundary filtering on top).
-  template <typename Fn>
-  void for_each_file_under(const std::string& prefix, Fn&& fn) const {
-    using Entry = std::pair<const std::string, FileNode>;
-    walk_under(&Volume::files_, prefix,
-               [&](const Entry* delta, const Entry* base) {
-                 if (delta != nullptr) {
-                   fn(delta->first, delta->second);
-                 } else if (!deleted_files_.contains(base->first)) {
-                   fn(base->first, base->second);
-                 }
-               });
-  }
-  /// Visits every visible directory with the given string prefix, in path
-  /// order ("" = root included). fn(const std::string& rel).
-  template <typename Fn>
-  void for_each_dir_under(const std::string& prefix, Fn&& fn) const {
-    walk_under(&Volume::dirs_, prefix,
-               [&](const std::string* delta, const std::string* base) {
-                 if (delta != nullptr) {
-                   fn(*delta);
-                 } else if (!deleted_dirs_.contains(*base)) {
-                   fn(*base);
-                 }
-               });
-  }
 
   std::size_t used_bytes() const;
 
  private:
-  /// common::merge_layers over the keys with `prefix` of one layer member
-  /// (files_ or dirs_), delta side and base side.
-  template <typename Sorted, typename Fn>
-  void walk_under(Sorted Volume::*layer, const std::string& prefix,
-                  Fn&& fn) const {
-    // The smallest string above every key with the prefix, shared by both
-    // layers: drop trailing 0xff bytes, then bump the last one ("" means no
-    // upper bound).
-    std::string past = prefix;
-    while (!past.empty() && static_cast<unsigned char>(past.back()) == 0xff) {
-      past.pop_back();
-    }
-    if (!past.empty()) ++past.back();
-    const auto [d, d_end] = prefix_range(this->*layer, prefix, past);
-    // A base-less volume walks an empty base range.
-    const auto [b, b_end] =
-        base_ != nullptr ? prefix_range(base_.get()->*layer, prefix, past)
-                         : std::pair{d_end, d_end};
-    common::merge_layers(d, d_end, b, b_end, fn);
-  }
-  /// The keys of `keys` in [prefix, past), as an iterator range.
-  template <typename Sorted>
-  static auto prefix_range(const Sorted& keys, const std::string& prefix,
-                           const std::string& past) {
-    return std::pair{keys.lower_bound(prefix),
-                     past.empty() ? keys.end() : keys.lower_bound(past)};
-  }
-
-  std::shared_ptr<const Volume> base_;     // immutable template image layer
-  std::map<std::string, FileNode> files_;  // rel path -> node (delta)
-  std::set<std::string> dirs_;             // rel dir paths ("" = root)
+  Files files_;
+  Dirs dirs_;
   std::vector<Tombstone> tombstones_;
-  std::set<std::string> deleted_files_;  // whiteouts over base files
-  std::set<std::string> deleted_dirs_;   // whiteouts over base dirs
 };
 
 /// Observer invoked on file operations, reads included; the AV on-access

@@ -83,7 +83,7 @@ class HostImage {
     return trust_;
   }
   /// Files in the image tree (for bench reporting).
-  std::size_t file_count() const { return volume_->files().size(); }
+  std::size_t file_count() const { return volume_->files().delta_size(); }
 
  private:
   HostImage() = default;

@@ -7,21 +7,21 @@
 // and the IOC extractor walks it.
 //
 // Like winsys::Volume, a Registry can be layered copy-on-write over an
-// immutable base hive (set_base): reads consult delta -> base per *value*
-// (setting one value under a base key does not hide the key's other base
-// values), remove_value/remove_key leave whiteouts, and a base-less Registry
-// behaves exactly as before the layering existed.
+// immutable base hive (set_base). It is two common::Layered layers, one of
+// keys and one of (key, value name) pairs, so reads consult delta -> base
+// per *value* (setting one value under a base key does not hide the key's
+// other base values), and remove_value/remove_key leave whiteouts in the
+// delta.
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
-#include "common/bytes.hpp"
+#include "common/layered.hpp"
 
 namespace cyd::winsys {
 
@@ -29,10 +29,9 @@ using RegValue = std::variant<std::string, std::uint32_t>;
 
 class Registry {
  public:
-  /// Layers this registry copy-on-write over an immutable base hive.
-  /// Single-level (the base must itself be base-less). nullptr detaches.
-  void set_base(std::shared_ptr<const Registry> base);
-  const Registry* base() const { return base_.get(); }
+  /// Layers this registry copy-on-write over an immutable base hive, which
+  /// must itself be base-less. nullptr detaches.
+  void set_base(const std::shared_ptr<const Registry>& base);
 
   /// Sets (creating intermediate keys implicitly) key\value = data.
   void set(std::string_view key, std::string_view value, RegValue data);
@@ -45,7 +44,7 @@ class Registry {
                                          std::string_view value) const;
 
   bool remove_value(std::string_view key, std::string_view value);
-  /// Deletes a key and every subkey.
+  /// Deletes a key and every subkey; returns how many visible keys went.
   std::size_t remove_key(std::string_view key);
 
   bool key_exists(std::string_view key) const;
@@ -55,14 +54,13 @@ class Registry {
   std::vector<std::pair<std::string, std::string>> all_entries() const;
 
  private:
+  /// (canonical key, canonical value name)
+  using ValueName = std::pair<std::string, std::string>;
+
   static std::string canon(std::string_view s);
 
-  // canonical key -> (canonical value name -> data)
-  std::map<std::string, std::map<std::string, RegValue>> keys_;
-  std::shared_ptr<const Registry> base_;  // immutable template hive layer
-  std::set<std::string> deleted_keys_;    // whole-key whiteouts over base
-  // per-value whiteouts over base, canonical key -> value names
-  std::map<std::string, std::set<std::string>> deleted_values_;
+  common::Layered<std::string, common::Present> keys_;
+  common::Layered<ValueName, RegValue> values_;
 };
 
 }  // namespace cyd::winsys

@@ -63,10 +63,10 @@ TEST(WorldTest, AddHostStampsOneStockImagePerOs) {
   for (winsys::Host* host : {&a, &b, &xp}) {
     // Nothing of the stock install lives in the host's own deltas...
     const winsys::Volume& delta = *host->fs().volume('c');
-    EXPECT_TRUE(delta.files().empty()) << host->name();
+    EXPECT_EQ(delta.files().delta_size(), 0u) << host->name();
     EXPECT_TRUE(delta.tombstones().empty()) << host->name();
-    ASSERT_NE(host->cert_store().base(), nullptr);
-    EXPECT_EQ(host->cert_store().size(), host->cert_store().base()->size())
+    // Same slots, not copies: every visible certificate is the image's own.
+    EXPECT_EQ(host->cert_store().all(), host->image()->cert_store()->all())
         << host->name();
     // ...and the merged view is a materialized host's of the same OS.
     winsys::Host mat(simulation, programs, "mat", host->os());
@@ -315,6 +315,16 @@ TEST(ScenarioBuilderTest, DeadDropFlameBeaconsToItsOwnServer) {
   EXPECT_GT(server->get_news_count(), 0u);
   EXPECT_EQ(world.sim().trace().size(), 5u);
   EXPECT_EQ(world.sim().trace().fingerprint(), 0x681ea2b6f38f6892ull);
+
+  // Two days in all: four collections and eight beacons. JIMMY walks the
+  // image-backed volume and stages the host's seeded documents, the beacons
+  // upload them, and the server files each upload as a new entry.
+  world.sim().run_for(sim::days(2) - config.beacon_period);
+  const auto& trace = world.sim().trace();
+  EXPECT_GE(trace.count_action(sim::TraceAction::kFlameCollect), 1u);
+  EXPECT_GE(trace.count_action(sim::TraceAction::kCncAddEntry), 1u);
+  EXPECT_EQ(trace.size(), 37u);
+  EXPECT_EQ(trace.fingerprint(), 0x5134c99d7ef7ed51ull);
 }
 
 TEST(ScenarioBuilderTest, NatanzStickCarriesTheDropperToTheLaptop) {
@@ -323,7 +333,8 @@ TEST(ScenarioBuilderTest, NatanzStickCarriesTheDropperToTheLaptop) {
   auto [site, stuxnet, stick] = build_natanz_campaign(world);
   ASSERT_NE(stick, nullptr);
   const auto* payload =
-      stick->volume()->find_file(malware::stuxnet::Stuxnet::kUsbPayloadName);
+      stick->volume()->files().find(
+          malware::stuxnet::Stuxnet::kUsbPayloadName);
   ASSERT_NE(payload, nullptr);
   EXPECT_EQ(payload->data, stuxnet->build_dropper().serialize());
 

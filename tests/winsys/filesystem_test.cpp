@@ -17,6 +17,14 @@ class FileSystemTest : public ::testing::Test {
   FileSystem fs_;
 };
 
+/// The volume's visible directories, in path order.
+std::vector<std::string> dir_list(const Volume& vol) {
+  std::vector<std::string> out;
+  vol.dirs().for_each(
+      [&out](const std::string& dir, common::Present) { out.push_back(dir); });
+  return out;
+}
+
 TEST_F(FileSystemTest, WriteCreatesParentsAndReadsBack) {
   EXPECT_TRUE(fs_.write_file("c:\\users\\eng\\report.docx", "secret", 100));
   EXPECT_TRUE(fs_.is_dir("c:\\users\\eng"));
@@ -62,35 +70,35 @@ TEST_F(FileSystemTest, CannotMkdirOverFile) {
 }
 
 TEST_F(FileSystemTest, FailedMkdirsLeavesDirectoryTreeUntouched) {
-  // A file dropped straight onto the volume (the USB/infection modules write
-  // through Volume::files() directly) blocks a mid-chain component. The
+  // A file dropped straight onto the volume (put into Volume::files(), past
+  // the FileSystem's checks) blocks a mid-chain component. The
   // pre-fix loop had already inserted the fresh ancestor "a" by the time it
   // saw the blocking file, mutating the tree on a failed call.
   Volume* vol = fs_.volume('c');
-  vol->files()["a\\blocker"] = FileNode{};
-  const auto before = vol->dirs();
+  vol->files().put("a\\blocker", FileNode{});
+  const auto before = dir_list(*vol);
   EXPECT_FALSE(fs_.mkdirs("c:\\a\\blocker\\deep\\er"));
-  EXPECT_EQ(vol->dirs(), before);
+  EXPECT_EQ(dir_list(*vol), before);
   EXPECT_FALSE(fs_.is_dir("c:\\a"));
 }
 
 TEST_F(FileSystemTest, FailedWriteLeavesNoPhantomDirs) {
   Volume* vol = fs_.volume('c');
-  vol->files()["a\\blocker"] = FileNode{};
-  const auto before = vol->dirs();
+  vol->files().put("a\\blocker", FileNode{});
+  const auto before = dir_list(*vol);
   EXPECT_FALSE(fs_.write_file("c:\\a\\blocker\\sub\\f.txt", "data", 7));
-  EXPECT_EQ(vol->dirs(), before);
+  EXPECT_EQ(dir_list(*vol), before);
   EXPECT_FALSE(fs_.is_file("c:\\a\\blocker\\sub\\f.txt"));
 }
 
 TEST_F(FileSystemTest, FailedRenameLeavesNoPhantomDirs) {
   fs_.write_file("c:\\src.txt", "content", 0);
   Volume* vol = fs_.volume('c');
-  vol->files()["a\\blocker"] = FileNode{};
-  const auto before = vol->dirs();
+  vol->files().put("a\\blocker", FileNode{});
+  const auto before = dir_list(*vol);
   EXPECT_FALSE(
       fs_.rename("c:\\src.txt", "c:\\a\\blocker\\sub\\dst.txt", 1));
-  EXPECT_EQ(vol->dirs(), before);
+  EXPECT_EQ(dir_list(*vol), before);
   EXPECT_EQ(fs_.read_file("c:\\src.txt"), "content");
 }
 
@@ -324,8 +332,12 @@ TEST(FileVisitorTest, VisitorsYieldExactlyTheListedPaths) {
                   6);
     fs.write_file(Path(std::string{e, ':'}).join("docs\\plan.dwg"), "cad", 6);
   }
-  ASSERT_FALSE(cow.fs().volume('c')->deleted_files().empty());
-  ASSERT_FALSE(cow.fs().volume('c')->deleted_dirs().empty());
+  // The script hid base entries, which only whiteouts in the delta do.
+  const Volume& image = *cow.image()->system_volume();
+  ASSERT_TRUE(image.files().contains("windows\\fonts\\font000.ttf"));
+  ASSERT_FALSE(cow.fs().is_file("c:\\windows\\fonts\\font000.ttf"));
+  ASSERT_TRUE(image.dirs().contains("program files\\office12"));
+  ASSERT_FALSE(cow.fs().is_dir("c:\\program files\\office12"));
 
   for (const Host* host : {&cow, &mat}) {
     const FileSystem& fs = host->fs();

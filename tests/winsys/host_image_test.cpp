@@ -29,7 +29,7 @@ class HostImageTest : public ::testing::Test {
 
 TEST_F(HostImageTest, ReadsImageContentThroughEmptyDelta) {
   // The image tree is visible without a single delta entry.
-  ASSERT_TRUE(host_.fs().volume('c')->files().empty());
+  ASSERT_EQ(host_.fs().volume('c')->files().delta_size(), 0u);
   const auto bytes =
       host_.fs().read_file(Path("c:\\windows\\system32\\ntdll.dll"));
   ASSERT_TRUE(bytes.has_value());
@@ -45,13 +45,13 @@ TEST_F(HostImageTest, WritesMaterializeOnlyTouchedPaths) {
                         2 * sim::kHour);
 
   // Exactly the two touched paths live in the delta; the rest stays shared.
-  EXPECT_EQ(host_.fs().volume('c')->files().size(), 2u);
+  EXPECT_EQ(host_.fs().volume('c')->files().delta_size(), 2u);
   EXPECT_EQ(*host_.fs().read_file(Path("c:\\users\\staff\\notes.txt")),
             "draft");
   // The delta copy shadows the image's win.ini...
   EXPECT_EQ(*host_.fs().read_file(Path("c:\\windows\\win.ini")), "; edited");
   // ...without disturbing the image itself or its other files.
-  EXPECT_EQ(image_->system_volume()->find_file("windows\\win.ini")->data,
+  EXPECT_EQ(image_->system_volume()->files().find("windows\\win.ini")->data,
             "; for 16-bit app support");
   EXPECT_TRUE(
       host_.fs().exists(Path("c:\\windows\\system32\\kernel32.dll")));
@@ -123,7 +123,7 @@ TEST(HostImageFleetTest, ArchetypeFleetCostsOneDeltaPerHost) {
       // Every host shares the one template object and starts with an empty
       // delta — the O(delta) property that makes 10⁵-host fleets affordable.
       EXPECT_EQ(host.image(), image.get());
-      EXPECT_TRUE(host.fs().volume('c')->files().empty());
+      EXPECT_EQ(host.fs().volume('c')->files().delta_size(), 0u);
       EXPECT_TRUE(host.fs().volume('c')->tombstones().empty());
       EXPECT_EQ(host.os(), default_os(archetype));
     }

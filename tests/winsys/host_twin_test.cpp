@@ -2,9 +2,10 @@
 // seeded random script of filesystem, registry and certificate edits runs
 // against a fully materialized host and its copy-on-write twin, and after
 // every operation the two merged views must be indistinguishable — file
-// list and bytes, directory listings, tombstones, registry entries and
-// values, and the certificate store. Each failure names the seed and the
-// operation log, so a divergence replays from the script alone.
+// list and bytes, directory listings, tombstones, registry entries, values
+// and keys, the certificate store and the trust store. Each failure names
+// the seed and the operation log, so a divergence replays from the script
+// alone.
 
 #include <gtest/gtest.h>
 
@@ -26,10 +27,11 @@ constexpr HostArchetype kArchetype = HostArchetype::kOfficePc;
 constexpr int kOpsPerScript = 160;
 
 /// Extra base content beyond the archetype tree: multi-value registry keys
-/// (so per-value whiteouts and key shadowing both get exercised) and a
-/// certificate landscape. Written identically into the image builder and
-/// the materialized host.
-void add_base_content(Registry& registry, pki::CertStore& certs) {
+/// (so per-value whiteouts and key shadowing both get exercised), a
+/// certificate landscape and a trust policy. Written identically into the
+/// image builder and the materialized host.
+void add_base_content(Registry& registry, pki::CertStore& certs,
+                      pki::TrustStore& trust) {
   for (int k = 0; k < 4; ++k) {
     const std::string key = "hklm\\software\\twin\\base" + std::to_string(k);
     for (int v = 0; v < 4; ++v) {
@@ -49,25 +51,32 @@ void add_base_content(Registry& registry, pki::CertStore& certs) {
     cert.subject = "base-" + std::to_string(serial);
     certs.add(cert);
   }
+  for (const std::uint64_t serial : {10u, 30u, 50u}) trust.trust_root(serial);
+  for (const std::uint64_t serial : {20u, 50u}) trust.mark_untrusted(serial);
+  trust.set_reject_weak_hash(true);
 }
 
 struct Twins {
   Twins() {
     HostImage::Builder builder(default_os(kArchetype));
     populate_archetype(kArchetype, builder.fs(), builder.registry());
-    add_base_content(builder.registry(), builder.cert_store());
+    add_base_content(builder.registry(), builder.cert_store(),
+                     builder.trust_store());
     cow = std::make_unique<Host>(simulation, programs, "twin-cow",
                                  builder.build());
     mat = std::make_unique<Host>(simulation, programs, "twin-mat",
                                  default_os(kArchetype));
     populate_archetype(kArchetype, mat->fs(), mat->registry());
-    add_base_content(mat->registry(), mat->cert_store());
+    add_base_content(mat->registry(), mat->cert_store(), mat->trust_store());
   }
 
   sim::Simulation simulation;
   ProgramRegistry programs;
   std::unique_ptr<Host> cow;
   std::unique_ptr<Host> mat;
+  /// Every registry key either twin has shown, removed ones included, so
+  /// key_exists is compared on whited-out keys too.
+  std::set<std::string> keys_seen;
 };
 
 /// Every directory that holds a visible file, plus the root.
@@ -77,8 +86,10 @@ std::set<std::string> visible_dirs(const FileSystem& fs) {
   return dirs;
 }
 
-/// Empty when the merged views agree, else the first difference.
-std::string diff_views(Host& cow, Host& mat) {
+/// Empty when the merged views agree, else the first difference. Adds the
+/// keys both registries show, and their ancestors, to `keys_seen`.
+std::string diff_views(Host& cow, Host& mat,
+                       std::set<std::string>& keys_seen) {
   const auto files = cow.fs().all_files();
   if (files != mat.fs().all_files()) return "file lists differ";
   for (const Path& file : files) {
@@ -117,6 +128,20 @@ std::string diff_views(Host& cow, Host& mat) {
       return "data differs at " + key + "\\" + value;
     }
   }
+  for (Host* host : {&cow, &mat}) {
+    for (const auto& [key, value] : host->registry().all_entries()) {
+      for (auto sep = key.find('\\'); sep != key.npos;
+           sep = key.find('\\', sep + 1)) {
+        keys_seen.insert(key.substr(0, sep));
+      }
+      keys_seen.insert(key);
+    }
+  }
+  for (const std::string& key : keys_seen) {
+    if (cow.registry().key_exists(key) != mat.registry().key_exists(key)) {
+      return "key_exists differs at " + key;
+    }
+  }
   const auto cow_certs = cow.cert_store().all();
   const auto mat_certs = mat.cert_store().all();
   if (cow.cert_store().size() != mat.cert_store().size() ||
@@ -128,6 +153,19 @@ std::string diff_views(Host& cow, Host& mat) {
     if (cow_certs[i]->serial != mat_certs[i]->serial ||
         cow_certs[i]->subject != mat_certs[i]->subject) {
       return "cert " + std::to_string(i) + " differs";
+    }
+  }
+  const pki::TrustStore& cow_trust = cow.trust_store();
+  const pki::TrustStore& mat_trust = mat.trust_store();
+  if (cow_trust.reject_weak_hash() != mat_trust.reject_weak_hash()) {
+    return "reject_weak_hash differs";
+  }
+  // Script serials are 1..90.
+  for (std::uint64_t serial = 0; serial <= 100; ++serial) {
+    if (cow_trust.is_trusted_root(serial) !=
+            mat_trust.is_trusted_root(serial) ||
+        cow_trust.is_untrusted(serial) != mat_trust.is_untrusted(serial)) {
+      return "trust differs at serial " + std::to_string(serial);
     }
   }
   return {};
@@ -153,7 +191,8 @@ std::string apply_random_op(sim::Rng& rng, Host& cow, Host& mat, int step) {
     const auto b = op(mat);
     return a == b ? std::string{} : std::string(" [results differ]");
   };
-  const auto roll = rng.uniform_int(0, 99);
+  // Trust ops take 90-95 and certificate adds 96-105, ten rolls as before.
+  const auto roll = rng.uniform_int(0, 105);
   if (roll < 20 || files.empty()) {
     const Path p = Path(pick(dirs)).join(fresh + ".dat");
     const std::string bytes = "new " + fresh;
@@ -224,6 +263,34 @@ std::string apply_random_op(sim::Rng& rng, Host& cow, Host& mat, int step) {
              return h.registry().remove_key(key);
            });
   }
+  if (roll < 96) {
+    // Base trust holds roots 10, 30, 50 and untrusted 20, 50, and rejects
+    // weak hashes; these ops add to the delta or override the policy.
+    const auto serial = static_cast<std::uint64_t>(rng.uniform_int(1, 90));
+    switch (rng.uniform_int(0, 2)) {
+      case 0:
+        both([&](Host& h) {
+          h.trust_store().trust_root(serial);
+          return true;
+        });
+        return "trust_root " + std::to_string(serial);
+      case 1:
+        both([&](Host& h) {
+          h.trust_store().mark_untrusted(serial);
+          return true;
+        });
+        return "mark_untrusted " + std::to_string(serial);
+      default: {
+        const bool reject = rng.bernoulli(0.5);
+        both([&](Host& h) {
+          h.trust_store().set_reject_weak_hash(reject);
+          return true;
+        });
+        return std::string("set_reject_weak_hash ") +
+               (reject ? "true" : "false");
+      }
+    }
+  }
   pki::Certificate cert;
   // Base serials are 10..70; the delta copy must shadow the base copy.
   cert.serial = static_cast<std::uint64_t>(rng.uniform_int(1, 90));
@@ -238,14 +305,16 @@ std::string apply_random_op(sim::Rng& rng, Host& cow, Host& mat, int step) {
 TEST(HostTwinTest, RandomScriptsKeepMergedViewsEqual) {
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
     Twins twins;
-    ASSERT_EQ(diff_views(*twins.cow, *twins.mat), "") << "seed " << seed;
+    ASSERT_EQ(diff_views(*twins.cow, *twins.mat, twins.keys_seen), "")
+        << "seed " << seed;
     sim::Rng rng(seed);
     std::string log;
     for (int step = 0; step < kOpsPerScript; ++step) {
       const std::string op =
           apply_random_op(rng, *twins.cow, *twins.mat, step);
       log += "  " + std::to_string(step) + ": " + op + "\n";
-      const std::string diff = diff_views(*twins.cow, *twins.mat);
+      const std::string diff =
+          diff_views(*twins.cow, *twins.mat, twins.keys_seen);
       ASSERT_TRUE(diff.empty() && op.find("[results differ]") == op.npos)
           << "seed " << seed << ", step " << step << ": "
           << (diff.empty() ? "operation results differ" : diff)
