@@ -58,10 +58,12 @@ std::optional<EncryptedBlob> EncryptedBlob::parse(std::string_view bytes) {
 }
 
 std::optional<EncryptedBlobView> parse_blob_view(std::string_view bytes) {
-  if (bytes.size() < 12 || bytes.substr(0, 4) != "ENC1") return std::nullopt;
+  common::ByteReader in(bytes);
+  in.magic("ENC1");
   EncryptedBlobView view;
-  view.key_id = common::get_u64(bytes, 4);
-  view.ciphertext = bytes.substr(12);
+  view.key_id = in.u64();
+  view.ciphertext = in.rest();
+  if (!in.ok()) return std::nullopt;
   return view;
 }
 

@@ -84,18 +84,9 @@ net::HttpResponse RequestEngine::do_get_news(const DecodedRequest& d,
   // delivered exactly once, matching the seed's ordering byte for byte.
   common::Bytes body("PLS1");
   common::put_u32(body, static_cast<std::uint32_t>(ads_n + news_n));
-  for (const Payload& p : s.ads) {
-    common::put_u32(body, static_cast<std::uint32_t>(p.name.size()));
-    body.append(p.name);
-    common::put_u32(body, static_cast<std::uint32_t>(p.data.size()));
-    body.append(p.data);
-  }
+  for (const Payload& p : s.ads) append_payload(body, p);
   for (auto it = news_begin; it != news_.end(); ++it) {
-    const Payload& p = it->second;
-    common::put_u32(body, static_cast<std::uint32_t>(p.name.size()));
-    body.append(p.name);
-    common::put_u32(body, static_cast<std::uint32_t>(p.data.size()));
-    body.append(p.data);
+    append_payload(body, it->second);
   }
 
   counters_.pending_ads -= ads_n;

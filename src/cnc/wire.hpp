@@ -3,13 +3,16 @@
 //
 // Two framings travel over the C&C HTTP endpoint: PLS1 (a counted list of
 // named payloads, the GET_NEWS response) and UPL1 (one named encrypted blob,
-// the ADD_ENTRY request body). Both exist in an owned form (Payload — what
-// clients and the attack center hold on to) and a view form (PayloadView /
-// EntryUploadView — string_view slices over the wire buffer, valid only as
-// long as it is). The server's request pipeline validates and dispatches
-// entirely on views; bytes are copied exactly once, when an accepted upload
-// is stored as an Entry. The view parsers accept exactly the same inputs as
-// the owned parsers retained from the malformed-input hardening pass — the
+// the ADD_ENTRY request body). Both use the record layout of
+// common/bytes.hpp; append_payload is the one writer of a PLS1 entry, used
+// by serialize_payloads and by the server's GET_NEWS body alike. Both
+// framings exist in an owned form (Payload — what clients and the attack
+// center hold on to) and a view form (PayloadView / EntryUploadView —
+// string_view slices over the wire buffer, valid only as long as it is). The
+// server's request pipeline validates and dispatches entirely on views;
+// bytes are copied exactly once, when an accepted upload is stored as an
+// Entry. The view parsers accept exactly the same inputs as the owned
+// parsers retained from the malformed-input hardening pass — the
 // equivalence is property-tested over that corpus.
 
 #include <cstdint>
@@ -58,6 +61,8 @@ struct Entry {
 };
 
 // --- PLS1: counted payload list ---
+/// Appends one PLS1 entry (the name field, then the data field) to `out`.
+void append_payload(common::Bytes& out, const Payload& p);
 common::Bytes serialize_payloads(const std::vector<Payload>& payloads);
 /// Owned parse; empty vector on any malformed input (and for a valid empty
 /// list — the callers treat both as "nothing delivered").

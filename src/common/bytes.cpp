@@ -149,26 +149,9 @@ void put_u64(Bytes& out, std::uint64_t v) {
   }
 }
 
-std::uint32_t get_u32(std::string_view data, std::size_t offset) {
-  if (offset + 4 > data.size()) {
-    throw std::out_of_range("get_u32: truncated buffer");
-  }
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(data[offset + static_cast<std::size_t>(i)]);
-  }
-  return v;
-}
-
-std::uint64_t get_u64(std::string_view data, std::size_t offset) {
-  if (offset + 8 > data.size()) {
-    throw std::out_of_range("get_u64: truncated buffer");
-  }
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(data[offset + static_cast<std::size_t>(i)]);
-  }
-  return v;
+void put_field(Bytes& out, std::string_view field) {
+  put_u32(out, static_cast<std::uint32_t>(field.size()));
+  out.append(field);
 }
 
 }  // namespace cyd::common

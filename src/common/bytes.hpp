@@ -64,10 +64,64 @@ std::string to_lower(std::string_view s);
 /// For numbers that arrive from the network or a script.
 std::optional<int> parse_int(std::string_view text);
 
-/// Little-endian fixed-width integer append/read used by the PE serializer.
+/// The one record layout every binary format here shares (SPE1 images, CRT1
+/// certificates, SIG1 signatures, PLS1 payload lists, UPL1 uploads, ENC1
+/// blobs, DOC1 documents): a 4-byte magic, then single bytes, little-endian
+/// u32/u64 integers and fields, each a u32 length followed by that many
+/// bytes. put_* write it; ByteReader reads it.
 void put_u32(Bytes& out, std::uint32_t v);
 void put_u64(Bytes& out, std::uint64_t v);
-std::uint32_t get_u32(std::string_view data, std::size_t offset);
-std::uint64_t get_u64(std::string_view data, std::size_t offset);
+void put_field(Bytes& out, std::string_view field);
+
+/// Bounds-checked cursor over one record. The first read that runs past the
+/// end fails the reader: that read and every later one return 0 or an empty
+/// view, and ok() stays false. A parser reads its whole record and checks
+/// ok() (or done()) once. Views alias the buffer.
+class ByteReader {
+ public:
+  explicit ByteReader(std::string_view data) : data_(data) {}
+
+  /// Consumes `m` when the record starts with it; fails the reader otherwise.
+  bool magic(std::string_view m) {
+    if (take(m.size()) != m) ok_ = false;
+    return ok_;
+  }
+  std::uint8_t u8() {
+    const std::string_view b = take(1);
+    return ok_ ? static_cast<std::uint8_t>(b[0]) : 0;
+  }
+  std::uint32_t u32() { return static_cast<std::uint32_t>(le(take(4))); }
+  std::uint64_t u64() { return le(take(8)); }
+  /// A u32 length, then that many bytes.
+  std::string_view field() { return take(u32()); }
+  /// Every byte not yet read.
+  std::string_view rest() { return take(data_.size() - off_); }
+
+  bool ok() const { return ok_; }
+  /// ok(), and every byte of the record read.
+  bool done() const { return ok_ && off_ == data_.size(); }
+
+ private:
+  std::string_view take(std::size_t n) {
+    if (!ok_ || n > data_.size() - off_) {
+      ok_ = false;
+      return {};
+    }
+    const std::string_view out = data_.substr(off_, n);
+    off_ += n;
+    return out;
+  }
+  static std::uint64_t le(std::string_view b) {
+    std::uint64_t v = 0;
+    for (std::size_t i = b.size(); i-- > 0;) {
+      v = (v << 8) | static_cast<unsigned char>(b[i]);
+    }
+    return v;
+  }
+
+  std::string_view data_;
+  std::size_t off_ = 0;
+  bool ok_ = true;
+};
 
 }  // namespace cyd::common

@@ -6,28 +6,11 @@ namespace cyd::pe {
 namespace {
 
 using common::Bytes;
-using common::get_u32;
-using common::get_u64;
+using common::put_field;
 using common::put_u32;
 using common::put_u64;
 
 constexpr std::string_view kMagic = "SPE1";
-
-void put_string(Bytes& out, std::string_view s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.append(s);
-}
-
-std::string get_string(std::string_view data, std::size_t& offset) {
-  const std::uint32_t len = get_u32(data, offset);
-  offset += 4;
-  if (offset + len > data.size()) {
-    throw ParseError("SPE: truncated string field");
-  }
-  std::string s(data.substr(offset, len));
-  offset += len;
-  return s;
-}
 
 }  // namespace
 
@@ -44,14 +27,14 @@ common::Bytes Image::signed_region() const {
   out.append(kMagic);
   out.push_back(static_cast<char>(machine));
   put_u64(out, static_cast<std::uint64_t>(build_timestamp));
-  put_string(out, program_id);
-  put_string(out, original_filename);
-  put_string(out, version_info);
+  put_field(out, program_id);
+  put_field(out, original_filename);
+  put_field(out, version_info);
 
   put_u32(out, static_cast<std::uint32_t>(sections.size()));
   for (const auto& s : sections) {
-    put_string(out, s.name);
-    put_string(out, s.data);
+    put_field(out, s.name);
+    put_field(out, s.data);
     out.push_back(static_cast<char>((s.executable ? 1 : 0) |
                                     (s.writable ? 2 : 0)));
   }
@@ -59,116 +42,90 @@ common::Bytes Image::signed_region() const {
   put_u32(out, static_cast<std::uint32_t>(resources.size()));
   for (const auto& r : resources) {
     put_u32(out, r.id);
-    put_string(out, r.name);
-    put_string(out, r.data);
+    put_field(out, r.name);
+    put_field(out, r.data);
     out.push_back(static_cast<char>(r.xor_encrypted ? 1 : 0));
     out.push_back(static_cast<char>(r.xor_key));
   }
 
   put_u32(out, static_cast<std::uint32_t>(imports.size()));
   for (const auto& imp : imports) {
-    put_string(out, imp.dll);
+    put_field(out, imp.dll);
     put_u32(out, static_cast<std::uint32_t>(imp.functions.size()));
-    for (const auto& f : imp.functions) put_string(out, f);
+    for (const auto& f : imp.functions) put_field(out, f);
   }
   return out;
 }
 
 common::Bytes Image::serialize() const {
   Bytes out = signed_region();
-  put_string(out, signature);
+  put_field(out, signature);
   return out;
 }
 
 bool Image::looks_like_pe(std::string_view bytes) {
-  return bytes.size() >= kMagic.size() &&
-         bytes.substr(0, kMagic.size()) == kMagic;
+  return bytes.starts_with(kMagic);
 }
 
 Image Image::parse(std::string_view data) {
-  try {
-    return parse_impl(data);
-  } catch (const std::out_of_range&) {
-    // get_u32/get_u64 signal truncation with out_of_range; normalize.
-    throw ParseError("SPE: truncated image");
-  }
-}
+  common::ByteReader in(data);
+  if (!in.magic(kMagic)) throw ParseError("SPE: bad magic");
 
-Image Image::parse_impl(std::string_view data) {
-  if (!looks_like_pe(data)) throw ParseError("SPE: bad magic");
-  std::size_t off = kMagic.size();
-
-  auto need = [&](std::size_t n) {
-    if (off + n > data.size()) throw ParseError("SPE: truncated image");
-  };
-
+  // A failed read returns 0, so no count check below can fire after the
+  // image ran short; truncation is reported once, at the end.
   Image img;
-  need(1);
-  const auto machine_byte = static_cast<unsigned char>(data[off++]);
+  const std::uint8_t machine_byte = in.u8();
   if (machine_byte > 1) throw ParseError("SPE: unknown machine type");
   img.machine = static_cast<Machine>(machine_byte);
-  need(8);
-  img.build_timestamp = static_cast<std::int64_t>(get_u64(data, off));
-  off += 8;
-  img.program_id = get_string(data, off);
-  img.original_filename = get_string(data, off);
-  img.version_info = get_string(data, off);
+  img.build_timestamp = static_cast<std::int64_t>(in.u64());
+  img.program_id = in.field();
+  img.original_filename = in.field();
+  img.version_info = in.field();
 
-  need(4);
-  const std::uint32_t n_sections = get_u32(data, off);
-  off += 4;
+  const std::uint32_t n_sections = in.u32();
   if (n_sections > 10'000) throw ParseError("SPE: implausible section count");
   img.sections.reserve(n_sections);
-  for (std::uint32_t i = 0; i < n_sections; ++i) {
+  for (std::uint32_t i = 0; i < n_sections && in.ok(); ++i) {
     Section s;
-    s.name = get_string(data, off);
-    s.data = get_string(data, off);
-    need(1);
-    const auto flags = static_cast<unsigned char>(data[off++]);
+    s.name = in.field();
+    s.data = in.field();
+    const std::uint8_t flags = in.u8();
     s.executable = (flags & 1) != 0;
     s.writable = (flags & 2) != 0;
     img.sections.push_back(std::move(s));
   }
 
-  need(4);
-  const std::uint32_t n_resources = get_u32(data, off);
-  off += 4;
+  const std::uint32_t n_resources = in.u32();
   if (n_resources > 10'000) throw ParseError("SPE: implausible resource count");
   img.resources.reserve(n_resources);
-  for (std::uint32_t i = 0; i < n_resources; ++i) {
+  for (std::uint32_t i = 0; i < n_resources && in.ok(); ++i) {
     Resource r;
-    need(4);
-    r.id = get_u32(data, off);
-    off += 4;
-    r.name = get_string(data, off);
-    r.data = get_string(data, off);
-    need(2);
-    r.xor_encrypted = data[off++] != 0;
-    r.xor_key = static_cast<std::uint8_t>(data[off++]);
+    r.id = in.u32();
+    r.name = in.field();
+    r.data = in.field();
+    r.xor_encrypted = in.u8() != 0;
+    r.xor_key = in.u8();
     img.resources.push_back(std::move(r));
   }
 
-  need(4);
-  const std::uint32_t n_imports = get_u32(data, off);
-  off += 4;
+  const std::uint32_t n_imports = in.u32();
   if (n_imports > 10'000) throw ParseError("SPE: implausible import count");
   img.imports.reserve(n_imports);
-  for (std::uint32_t i = 0; i < n_imports; ++i) {
+  for (std::uint32_t i = 0; i < n_imports && in.ok(); ++i) {
     Import imp;
-    imp.dll = get_string(data, off);
-    need(4);
-    const std::uint32_t n_funcs = get_u32(data, off);
-    off += 4;
+    imp.dll = in.field();
+    const std::uint32_t n_funcs = in.u32();
     if (n_funcs > 100'000) throw ParseError("SPE: implausible import count");
     imp.functions.reserve(n_funcs);
-    for (std::uint32_t j = 0; j < n_funcs; ++j) {
-      imp.functions.push_back(get_string(data, off));
+    for (std::uint32_t j = 0; j < n_funcs && in.ok(); ++j) {
+      imp.functions.emplace_back(in.field());
     }
     img.imports.push_back(std::move(imp));
   }
 
-  img.signature = get_string(data, off);
-  if (off != data.size()) throw ParseError("SPE: trailing bytes");
+  img.signature = in.field();
+  if (!in.ok()) throw ParseError("SPE: truncated image");
+  if (!in.done()) throw ParseError("SPE: trailing bytes");
   return img;
 }
 

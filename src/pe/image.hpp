@@ -99,9 +99,6 @@ class Image {
 
   /// Total payload size across sections and (stored) resources.
   std::size_t payload_size() const;
-
- private:
-  static Image parse_impl(std::string_view bytes);
 };
 
 /// Fluent builder so specimen factories read like a linker script.

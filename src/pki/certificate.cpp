@@ -1,6 +1,5 @@
 #include "pki/certificate.hpp"
 
-#include <stdexcept>
 #include <utility>
 
 namespace cyd::pki {
@@ -63,20 +62,16 @@ common::Bytes Certificate::tbs_bytes() const {
 
 common::Bytes Certificate::serialize() const {
   common::Bytes out("CRT1");
-  auto put_str = [&](std::string_view s) {
-    common::put_u32(out, static_cast<std::uint32_t>(s.size()));
-    out.append(s);
-  };
   common::put_u64(out, serial);
-  put_str(subject);
-  put_str(issuer_subject);
+  common::put_field(out, subject);
+  common::put_field(out, issuer_subject);
   common::put_u64(out, issuer_serial);
   common::put_u64(out, public_key_id);
   common::put_u32(out, usage);
   out.push_back(static_cast<char>(hash_alg));
   common::put_u64(out, static_cast<std::uint64_t>(not_before));
   common::put_u64(out, static_cast<std::uint64_t>(not_after));
-  put_str(collision_padding);
+  common::put_field(out, collision_padding);
   common::put_u64(out, issuer_sig.tbs_digest);
   out.push_back(static_cast<char>(issuer_sig.alg));
   common::put_u64(out, issuer_sig.issuer_key_id);
@@ -84,44 +79,26 @@ common::Bytes Certificate::serialize() const {
 }
 
 std::optional<Certificate> Certificate::parse(std::string_view bytes) {
-  if (bytes.size() < 4 || bytes.substr(0, 4) != "CRT1") return std::nullopt;
-  std::size_t off = 4;
-  try {
-    Certificate c;
-    auto get_str = [&]() -> std::string {
-      const std::uint32_t len = common::get_u32(bytes, off);
-      off += 4;
-      if (off + len > bytes.size()) throw std::out_of_range("cert string");
-      std::string s(bytes.substr(off, len));
-      off += len;
-      return s;
-    };
-    auto get_byte = [&]() -> unsigned char {
-      if (off >= bytes.size()) throw std::out_of_range("cert byte");
-      return static_cast<unsigned char>(bytes[off++]);
-    };
-    c.serial = common::get_u64(bytes, off); off += 8;
-    c.subject = get_str();
-    c.issuer_subject = get_str();
-    c.issuer_serial = common::get_u64(bytes, off); off += 8;
-    c.public_key_id = common::get_u64(bytes, off); off += 8;
-    c.usage = common::get_u32(bytes, off); off += 4;
-    const auto alg1 = get_byte();
-    if (alg1 > 1) return std::nullopt;
-    c.hash_alg = static_cast<HashAlgorithm>(alg1);
-    c.not_before = static_cast<sim::TimePoint>(common::get_u64(bytes, off)); off += 8;
-    c.not_after = static_cast<sim::TimePoint>(common::get_u64(bytes, off)); off += 8;
-    c.collision_padding = get_str();
-    c.issuer_sig.tbs_digest = common::get_u64(bytes, off); off += 8;
-    const auto alg2 = get_byte();
-    if (alg2 > 1) return std::nullopt;
-    c.issuer_sig.alg = static_cast<HashAlgorithm>(alg2);
-    c.issuer_sig.issuer_key_id = common::get_u64(bytes, off); off += 8;
-    if (off != bytes.size()) return std::nullopt;
-    return c;
-  } catch (const std::out_of_range&) {
-    return std::nullopt;
-  }
+  common::ByteReader in(bytes);
+  if (!in.magic("CRT1")) return std::nullopt;
+  Certificate c;
+  c.serial = in.u64();
+  c.subject = in.field();
+  c.issuer_subject = in.field();
+  c.issuer_serial = in.u64();
+  c.public_key_id = in.u64();
+  c.usage = in.u32();
+  const std::uint8_t alg = in.u8();
+  c.not_before = static_cast<sim::TimePoint>(in.u64());
+  c.not_after = static_cast<sim::TimePoint>(in.u64());
+  c.collision_padding = in.field();
+  c.issuer_sig.tbs_digest = in.u64();
+  const std::uint8_t sig_alg = in.u8();
+  c.issuer_sig.issuer_key_id = in.u64();
+  if (!in.done() || alg > 1 || sig_alg > 1) return std::nullopt;
+  c.hash_alg = static_cast<HashAlgorithm>(alg);
+  c.issuer_sig.alg = static_cast<HashAlgorithm>(sig_alg);
+  return c;
 }
 
 std::size_t CertStore::size() const {

@@ -11,48 +11,28 @@ common::Bytes CodeSignature::serialize() const {
   common::put_u64(out, signer_serial);
   common::put_u64(out, signer_key_id);
   common::put_u32(out, static_cast<std::uint32_t>(chain.size()));
-  for (const auto& cert : chain) {
-    const auto encoded = cert.serialize();
-    common::put_u32(out, static_cast<std::uint32_t>(encoded.size()));
-    out.append(encoded);
-  }
+  for (const auto& cert : chain) common::put_field(out, cert.serialize());
   return out;
 }
 
 std::optional<CodeSignature> CodeSignature::parse(std::string_view bytes) {
-  constexpr std::size_t kFixed = 4 + 8 + 1 + 8 + 8 + 4;
-  if (bytes.size() < kFixed || bytes.substr(0, 4) != "SIG1") {
-    return std::nullopt;
+  common::ByteReader in(bytes);
+  if (!in.magic("SIG1")) return std::nullopt;
+  CodeSignature sig;
+  sig.image_digest = in.u64();
+  const std::uint8_t alg_byte = in.u8();
+  sig.signer_serial = in.u64();
+  sig.signer_key_id = in.u64();
+  const std::uint32_t n_certs = in.u32();
+  if (alg_byte > 1 || n_certs > 64) return std::nullopt;
+  sig.alg = static_cast<HashAlgorithm>(alg_byte);
+  for (std::uint32_t i = 0; i < n_certs; ++i) {
+    auto cert = Certificate::parse(in.field());
+    if (!cert) return std::nullopt;
+    sig.chain.push_back(std::move(*cert));
   }
-  try {
-    CodeSignature sig;
-    std::size_t off = 4;
-    sig.image_digest = common::get_u64(bytes, off);
-    off += 8;
-    const auto alg_byte = static_cast<unsigned char>(bytes[off++]);
-    if (alg_byte > 1) return std::nullopt;
-    sig.alg = static_cast<HashAlgorithm>(alg_byte);
-    sig.signer_serial = common::get_u64(bytes, off);
-    off += 8;
-    sig.signer_key_id = common::get_u64(bytes, off);
-    off += 8;
-    const std::uint32_t n_certs = common::get_u32(bytes, off);
-    off += 4;
-    if (n_certs > 64) return std::nullopt;
-    for (std::uint32_t i = 0; i < n_certs; ++i) {
-      const std::uint32_t len = common::get_u32(bytes, off);
-      off += 4;
-      if (off + len > bytes.size()) return std::nullopt;
-      auto cert = Certificate::parse(bytes.substr(off, len));
-      if (!cert) return std::nullopt;
-      sig.chain.push_back(std::move(*cert));
-      off += len;
-    }
-    if (off != bytes.size()) return std::nullopt;
-    return sig;
-  } catch (const std::out_of_range&) {
-    return std::nullopt;
-  }
+  if (!in.done()) return std::nullopt;
+  return sig;
 }
 
 const char* to_string(SignatureStatus s) {

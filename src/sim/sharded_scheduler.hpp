@@ -196,7 +196,8 @@ class ShardedScheduler {
   Duration lookahead_ = ShardPlan::kUnbounded;
   std::map<std::uint64_t, Duration> channel_latency_;  // (from<<32|to) -> min
   std::vector<std::unique_ptr<ShardState>> states_;
-  std::unique_ptr<SweepRunner> runner_;  // built on first sharded run
+  // Built by the constructor in kSharded mode; null in kSingleQueue.
+  std::unique_ptr<SweepRunner> runner_;
   bool running_ = false;
   std::uint32_t serial_current_ = kNoShard;  // kSingleQueue: executing shard
   std::size_t rounds_ = 0;

@@ -82,18 +82,26 @@ const Volume* FileSystem::volume_of(const Path& p) const {
 bool FileSystem::mkdirs(const Path& dir) {
   Volume* vol = volume_of(dir);
   if (vol == nullptr) return false;
-  // Validate the whole component chain before touching the volume: a file
-  // blocking a deeper component must not leave freshly inserted ancestors
-  // behind (callers like write_file/rename treat a false return as "nothing
-  // happened").
   std::vector<std::string> chain;
   std::string current;
   for (const auto& comp : dir.components()) {
     current = current.empty() ? comp : current + "\\" + comp;
-    if (vol->files().contains(current)) return false;  // file in the way
     chain.push_back(current);
   }
-  for (const auto& c : chain) vol->dirs().put(c, {});
+  // Every ancestor of a directory is a directory (only this puts them, and
+  // delete_tree drops whole subtrees), so the chain exists down to the
+  // deepest directory the volume holds and only the tail below it is new.
+  // All-or-nothing: a file blocking any new component must not leave freshly
+  // inserted ancestors behind (callers like write_file/rename treat a false
+  // return as "nothing happened").
+  auto missing = chain.end();
+  while (missing != chain.begin() && !vol->dirs().contains(*(missing - 1))) {
+    --missing;
+  }
+  for (auto it = missing; it != chain.end(); ++it) {
+    if (vol->files().contains(*it)) return false;  // file in the way
+  }
+  for (auto it = missing; it != chain.end(); ++it) vol->dirs().put(*it, {});
   return true;
 }
 

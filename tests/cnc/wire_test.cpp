@@ -10,11 +10,26 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "cnc/crypto.hpp"
 #include "sim/rng.hpp"
 
 namespace cyd::cnc {
 namespace {
+
+// The seed's throwing little-endian read, kept here so the reference parser
+// below keeps its exact accept/reject semantics.
+std::uint32_t get_u32(std::string_view data, std::size_t offset) {
+  if (offset + 4 > data.size()) {
+    throw std::out_of_range("get_u32: truncated buffer");
+  }
+  std::uint32_t v = 0;
+  for (int i = 3; i >= 0; --i) {
+    v = (v << 8) | static_cast<unsigned char>(data[offset + static_cast<std::size_t>(i)]);
+  }
+  return v;
+}
 
 // The seed's parse_payloads, kept verbatim as the reference implementation
 // the zero-copy parser must agree with input-for-input.
@@ -23,16 +38,16 @@ std::vector<Payload> seed_parse_payloads(std::string_view bytes) {
   if (bytes.size() < 8 || bytes.substr(0, 4) != "PLS1") return out;
   try {
     std::size_t off = 4;
-    const std::uint32_t count = common::get_u32(bytes, off);
+    const std::uint32_t count = get_u32(bytes, off);
     off += 4;
     for (std::uint32_t i = 0; i < count; ++i) {
       Payload p;
-      const std::uint32_t name_len = common::get_u32(bytes, off);
+      const std::uint32_t name_len = get_u32(bytes, off);
       off += 4;
       if (off + name_len > bytes.size()) return {};
       p.name = std::string(bytes.substr(off, name_len));
       off += name_len;
-      const std::uint32_t data_len = common::get_u32(bytes, off);
+      const std::uint32_t data_len = get_u32(bytes, off);
       off += 4;
       if (off + data_len > bytes.size()) return {};
       p.data = common::Bytes(bytes.substr(off, data_len));

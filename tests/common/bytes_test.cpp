@@ -136,29 +136,95 @@ TEST(BytesTest, ToLowerAscii) {
   EXPECT_EQ(to_lower("TrkSvr.EXE"), "trksvr.exe");
 }
 
-TEST(BytesTest, U32RoundTrip) {
+TEST(ByteReaderTest, U32RoundTrip) {
   Bytes buf;
   put_u32(buf, 0xdeadbeef);
-  EXPECT_EQ(buf.size(), 4u);
-  EXPECT_EQ(get_u32(buf, 0), 0xdeadbeefu);
+  EXPECT_EQ(buf, Bytes("\xef\xbe\xad\xde", 4));
+  ByteReader in(buf);
+  EXPECT_EQ(in.u32(), 0xdeadbeefu);
+  EXPECT_TRUE(in.done());
 }
 
-TEST(BytesTest, U64RoundTrip) {
+TEST(ByteReaderTest, U64RoundTrip) {
   Bytes buf;
   put_u64(buf, 0x0123456789abcdefULL);
   EXPECT_EQ(buf.size(), 8u);
-  EXPECT_EQ(get_u64(buf, 0), 0x0123456789abcdefULL);
+  ByteReader in(buf);
+  EXPECT_EQ(in.u64(), 0x0123456789abcdefULL);
+  EXPECT_TRUE(in.done());
 }
 
-TEST(BytesTest, GetU32ThrowsOnTruncation) {
-  Bytes buf = "abc";
-  EXPECT_THROW(get_u32(buf, 0), std::out_of_range);
-  EXPECT_THROW(get_u32(buf, 1), std::out_of_range);
+TEST(ByteReaderTest, ShortU32FailsTheReader) {
+  ByteReader in("abc");
+  EXPECT_EQ(in.u32(), 0u);
+  EXPECT_FALSE(in.ok());
+  EXPECT_FALSE(in.done());
 }
 
-TEST(BytesTest, GetU64ThrowsOnTruncation) {
-  Bytes buf = "abcdefg";
-  EXPECT_THROW(get_u64(buf, 0), std::out_of_range);
+TEST(ByteReaderTest, ShortU64FailsTheReader) {
+  ByteReader in("abcdefg");
+  EXPECT_EQ(in.u64(), 0u);
+  EXPECT_FALSE(in.ok());
+}
+
+TEST(ByteReaderTest, FirstShortReadFailsEveryLaterRead) {
+  // After the u64 runs short, 6 bytes remain: every later read would fit,
+  // yet each returns 0 or empty and the reader stays failed.
+  Bytes buf("RECD", 4);
+  put_u32(buf, 2);
+  buf.append("xy");
+  ByteReader in(buf);
+  EXPECT_TRUE(in.magic("RECD"));
+  EXPECT_EQ(in.u64(), 0u);
+  EXPECT_FALSE(in.ok());
+  EXPECT_EQ(in.u8(), 0u);
+  EXPECT_EQ(in.u32(), 0u);
+  EXPECT_EQ(in.field(), "");
+  EXPECT_EQ(in.rest(), "");
+  EXPECT_FALSE(in.ok());
+  EXPECT_FALSE(in.done());
+}
+
+TEST(ByteReaderTest, FieldReadsLengthThenBytes) {
+  Bytes buf;
+  put_field(buf, "name");
+  put_field(buf, "");
+  buf.push_back('\x07');
+  EXPECT_EQ(buf.size(), 4u + 4u + 4u + 1u);
+  ByteReader in(buf);
+  EXPECT_EQ(in.field(), "name");
+  EXPECT_EQ(in.field(), "");
+  EXPECT_EQ(in.u8(), 7u);
+  EXPECT_TRUE(in.done());
+}
+
+TEST(ByteReaderTest, FieldLengthPastTheEndFailsTheReader) {
+  for (const std::uint32_t len : {5u, 0xffffffffu}) {
+    Bytes buf;
+    put_u32(buf, len);
+    buf.append("four");
+    ByteReader in(buf);
+    EXPECT_EQ(in.field(), "") << len;
+    EXPECT_FALSE(in.ok()) << len;
+  }
+}
+
+TEST(ByteReaderTest, MagicMismatchFailsTheReader) {
+  EXPECT_FALSE(ByteReader("SPE1rest").magic("SIG1"));
+  EXPECT_FALSE(ByteReader("SP").magic("SPE1"));
+  ByteReader in("SPE1rest");
+  EXPECT_TRUE(in.magic("SPE1"));
+  EXPECT_EQ(in.rest(), "rest");
+  EXPECT_TRUE(in.done());
+}
+
+TEST(ByteReaderTest, DoneNeedsEveryByteRead) {
+  ByteReader in("abcde");
+  EXPECT_EQ(in.u32(), 0x64636261u);
+  EXPECT_TRUE(in.ok());
+  EXPECT_FALSE(in.done());
+  EXPECT_EQ(in.u8(), 'e');
+  EXPECT_TRUE(in.done());
 }
 
 TEST(BytesTest, ParseIntAcceptsTheWholeStringOrNothing) {

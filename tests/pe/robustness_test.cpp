@@ -8,6 +8,7 @@
 #include "analysis/yara.hpp"
 #include "cnc/crypto.hpp"
 #include "cnc/server.hpp"
+#include "cnc/wire.hpp"
 #include "pe/image.hpp"
 #include "pki/signing.hpp"
 #include "sim/rng.hpp"
@@ -72,6 +73,165 @@ TEST_P(PeRoundTripSweep, EveryTruncationRejectsCleanly) {
        cut += std::max<std::size_t>(1, bytes.size() / 37)) {
     EXPECT_THROW(pe::Image::parse(bytes.substr(0, cut)), pe::ParseError)
         << "prefix " << cut << " of " << bytes.size();
+  }
+}
+
+// The other record formats get the same sweep at every prefix length, plus
+// a 0xffffffff in each length field: a lying length must reject, never read
+// past the buffer.
+
+/// `bytes` with the little-endian u32 at `offset` replaced by `v`.
+common::Bytes with_u32(common::Bytes bytes, std::size_t offset,
+                       std::uint32_t v) {
+  common::Bytes le;
+  common::put_u32(le, v);
+  bytes.replace(offset, 4, le);
+  return bytes;
+}
+
+/// Checks that `offsets` hold the u32 `lengths` (so the sweep below really
+/// hits length fields) and returns `bytes` with each, in turn, at 0xffffffff.
+std::vector<common::Bytes> overlong(const common::Bytes& bytes,
+                                    const std::vector<std::size_t>& offsets,
+                                    const std::vector<std::size_t>& lengths) {
+  std::vector<common::Bytes> out;
+  for (std::size_t i = 0; i < offsets.size(); ++i) {
+    EXPECT_EQ(with_u32(bytes, offsets[i],
+                       static_cast<std::uint32_t>(lengths[i])),
+              bytes)
+        << "no length " << lengths[i] << " at " << offsets[i];
+    out.push_back(with_u32(bytes, offsets[i], 0xffffffffu));
+  }
+  return out;
+}
+
+pki::Certificate sample_certificate(std::uint64_t seed) {
+  auto ca = pki::CertificateAuthority::create_root(
+      "Root CA", pki::HashAlgorithm::kStrong64, 0, sim::days(30000), seed);
+  auto cert = ca.issue("Vendor", pki::kUsageCodeSigning,
+                       pki::HashAlgorithm::kWeakSum, 0, sim::days(30000),
+                       pki::KeyPair::generate(seed ^ 0x5));
+  cert.collision_padding = "padding";
+  return cert;
+}
+
+TEST(RecordTruncationTest, CertificateRejectsEveryPrefixAndOverlongLength) {
+  const auto cert = sample_certificate(1);
+  const auto bytes = cert.serialize();
+  ASSERT_TRUE(pki::Certificate::parse(bytes).has_value());
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    EXPECT_FALSE(pki::Certificate::parse(bytes.substr(0, cut)).has_value())
+        << "prefix " << cut << " of " << bytes.size();
+  }
+  // CRT1: magic, serial, subject, issuer subject, 37 fixed bytes, padding.
+  const std::size_t subject = 4 + 8;
+  const std::size_t issuer = subject + 4 + cert.subject.size();
+  const std::size_t padding = issuer + 4 + cert.issuer_subject.size() + 37;
+  for (const auto& bad :
+       overlong(bytes, {subject, issuer, padding},
+                {cert.subject.size(), cert.issuer_subject.size(),
+                 cert.collision_padding.size()})) {
+    EXPECT_FALSE(pki::Certificate::parse(bad).has_value());
+  }
+}
+
+TEST(RecordTruncationTest, SignatureRejectsEveryPrefixAndOverlongLength) {
+  pki::CodeSignature sig;
+  sig.image_digest = 0x1122334455667788ULL;
+  sig.alg = pki::HashAlgorithm::kWeakSum;
+  sig.signer_serial = 42;
+  sig.signer_key_id = 43;
+  sig.chain = {sample_certificate(2), sample_certificate(3)};
+  const auto bytes = sig.serialize();
+  ASSERT_TRUE(pki::CodeSignature::parse(bytes).has_value());
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    EXPECT_FALSE(pki::CodeSignature::parse(bytes.substr(0, cut)).has_value())
+        << "prefix " << cut << " of " << bytes.size();
+  }
+  // SIG1: magic, digest, alg, serial, key id, chain count, then each
+  // certificate as a field.
+  const std::size_t count = 4 + 8 + 1 + 8 + 8;
+  const std::size_t first = count + 4;
+  const std::size_t first_len = sig.chain[0].serialize().size();
+  const std::size_t second = first + 4 + first_len;
+  for (const auto& bad :
+       overlong(bytes, {count, first, second},
+                {2, first_len, sig.chain[1].serialize().size()})) {
+    EXPECT_FALSE(pki::CodeSignature::parse(bad).has_value());
+  }
+}
+
+TEST(RecordTruncationTest, PayloadListRejectsEveryPrefixAndOverlongLength) {
+  const std::vector<cnc::Payload> payloads = {
+      {"cmd:run", "lua source"}, {"", "data"}, {"empty-body", ""}};
+  const auto bytes = cnc::serialize_payloads(payloads);
+  std::vector<cnc::PayloadView> views;
+  ASSERT_TRUE(cnc::parse_payload_views(bytes, views));
+  ASSERT_EQ(views.size(), payloads.size());
+  const std::string_view body = bytes;  // the views alias the body
+  for (std::size_t cut = 0; cut < body.size(); ++cut) {
+    EXPECT_FALSE(cnc::parse_payload_views(body.substr(0, cut), views))
+        << "prefix " << cut << " of " << bytes.size();
+    EXPECT_TRUE(views.empty());
+  }
+  // PLS1: magic, count, then a name field and a data field per entry.
+  std::vector<std::size_t> offsets = {4};
+  std::vector<std::size_t> lengths = {payloads.size()};
+  std::size_t off = 8;
+  for (const auto& p : payloads) {
+    for (const auto& field : {p.name, p.data}) {
+      offsets.push_back(off);
+      lengths.push_back(field.size());
+      off += 4 + field.size();
+    }
+  }
+  for (const auto& bad : overlong(bytes, offsets, lengths)) {
+    EXPECT_FALSE(cnc::parse_payload_views(bad, views));
+  }
+}
+
+TEST(RecordTruncationTest, UploadRejectsPrefixesShortOfItsBlobHeader) {
+  const cnc::EncryptedBlob blob{0xfeedULL, "ciphertext"};
+  const auto bytes = cnc::serialize_entry_upload("loot.dat", blob);
+  // UPL1: magic, name field, then an ENC1 blob whose ciphertext runs to the
+  // end of the body, so a cut inside the ciphertext leaves a shorter one.
+  const std::size_t header = 4 + 4 + 8 + 4 + 8;
+  ASSERT_EQ(bytes.size(), header + blob.ciphertext.size());
+  const std::string_view body = bytes;  // the views alias the body
+  for (std::size_t cut = 0; cut < body.size(); ++cut) {
+    const auto view = cnc::parse_entry_upload_view(body.substr(0, cut));
+    if (cut < header) {
+      EXPECT_FALSE(view.has_value()) << "prefix " << cut;
+      continue;
+    }
+    ASSERT_TRUE(view.has_value()) << "prefix " << cut;
+    EXPECT_EQ(view->data_name, "loot.dat");
+    EXPECT_EQ(view->blob.key_id, blob.key_id);
+    EXPECT_EQ(view->blob.ciphertext, blob.ciphertext.substr(0, cut - header));
+  }
+  // With an empty ciphertext every proper prefix is short of the header.
+  const auto bare = cnc::serialize_entry_upload("loot.dat", {7, ""});
+  for (std::size_t cut = 0; cut < bare.size(); ++cut) {
+    EXPECT_FALSE(cnc::parse_entry_upload_view(bare.substr(0, cut)).has_value())
+        << "prefix " << cut;
+  }
+  for (const auto& bad : overlong(bytes, {4}, {8})) {
+    EXPECT_FALSE(cnc::parse_entry_upload_view(bad).has_value());
+  }
+}
+
+TEST(RecordTruncationTest, BlobPrefixesParseAsShorterCiphertext) {
+  const cnc::EncryptedBlob blob{0x0123456789abcdefULL, "ciphertext"};
+  const auto bytes = blob.serialize();
+  for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
+    const auto parsed = cnc::EncryptedBlob::parse(bytes.substr(0, cut));
+    if (cut < 12) {
+      EXPECT_FALSE(parsed.has_value()) << "prefix " << cut;
+      continue;
+    }
+    ASSERT_TRUE(parsed.has_value()) << "prefix " << cut;
+    EXPECT_EQ(parsed->key_id, blob.key_id);
+    EXPECT_EQ(parsed->ciphertext, blob.ciphertext.substr(0, cut - 12));
   }
 }
 

@@ -57,6 +57,23 @@ TEST_F(HostImageTest, WritesMaterializeOnlyTouchedPaths) {
       host_.fs().exists(Path("c:\\windows\\system32\\kernel32.dll")));
 }
 
+TEST_F(HostImageTest, WritesCopyOnlyMissingDirectoriesIntoTheDelta) {
+  // c:\users is in the image: a write under it adds no directory slot to the
+  // delta (which holds only the volume's own root), and a write under a new
+  // c:\users\new adds exactly that one.
+  const Volume& c = *host_.fs().volume('c');
+  ASSERT_TRUE(image_->system_volume()->dirs().contains("users"));
+  const std::size_t before = c.dirs().delta_size();
+  ASSERT_TRUE(host_.fs().write_file(Path("c:\\users\\notes.txt"), "draft",
+                                    sim::kHour));
+  EXPECT_EQ(c.dirs().delta_size(), before);
+  ASSERT_TRUE(host_.fs().write_file(Path("c:\\users\\new\\notes.txt"),
+                                    "draft", sim::kHour));
+  EXPECT_EQ(c.dirs().delta_size(), before + 1);
+  EXPECT_TRUE(host_.fs().is_dir(Path("c:\\users\\new")));
+  EXPECT_TRUE(host_.fs().is_dir(Path("c:\\users")));
+}
+
 TEST_F(HostImageTest, DeletingImageFileTombstonesWithoutTouchingImage) {
   const Path victim("c:\\windows\\system32\\ntdll.dll");
   ASSERT_TRUE(host_.fs().delete_file(victim, sim::kHour));
