@@ -12,6 +12,17 @@ std::size_t Volume::used_bytes() const {
   return total;
 }
 
+void Volume::append(std::string rel_path) {
+  if (journal_.size() >= kJournalCap) {
+    // Halving retention, as the C&C access log does: keep the newest half.
+    const std::size_t drop = journal_.size() / 2 + 1;
+    journal_.erase(journal_.begin(),
+                   journal_.begin() + static_cast<std::ptrdiff_t>(drop));
+    dropped_ += drop;
+  }
+  journal_.push_back(std::move(rel_path));
+}
+
 std::string FileSystem::rel(const Path& p) {
   const std::string& s = p.str();
   return s.size() > 3 ? s.substr(3) : std::string{};
@@ -123,7 +134,7 @@ bool FileSystem::write_file(const Path& p, common::Bytes data,
                             sim::TimePoint now, FileAttr attr) {
   Volume* vol = volume_of(p);
   if (vol == nullptr || p.is_root()) return false;
-  const std::string r = rel(p);
+  std::string r = rel(p);
   if (vol->dirs().contains(r)) return false;  // directory in the way
   if (!mkdirs(p.parent())) return false;
 
@@ -141,6 +152,7 @@ bool FileSystem::write_file(const Path& p, common::Bytes data,
     node->data = data;
     node->modified = now;
   }
+  vol->journal(std::move(r));
   notify(FsEvent{FsEvent::Kind::kWrite, p, &data});
   return true;
 }
@@ -162,7 +174,7 @@ const FileNode* FileSystem::stat(const Path& p) const {
 bool FileSystem::delete_file(const Path& p, sim::TimePoint now, bool shred) {
   Volume* vol = volume_of(p);
   if (vol == nullptr) return false;
-  const std::string r = rel(p);
+  std::string r = rel(p);
   const FileNode* node = vol->files().find(r);
   if (node == nullptr) return false;
   Tombstone stone;
@@ -174,6 +186,7 @@ bool FileSystem::delete_file(const Path& p, sim::TimePoint now, bool shred) {
   stone.data = shred ? common::Bytes() : node->data;
   vol->tombstones().push_back(std::move(stone));
   vol->files().erase(r);
+  vol->journal(std::move(r));
   notify(FsEvent{FsEvent::Kind::kDelete, p, nullptr});
   return true;
 }
@@ -206,10 +219,10 @@ bool FileSystem::rename(const Path& from, const Path& to, sim::TimePoint now) {
   Volume* src = volume_of(from);
   Volume* dst = volume_of(to);
   if (src == nullptr || dst == nullptr) return false;
-  const std::string from_rel = rel(from);
+  std::string from_rel = rel(from);
   const FileNode* src_node = src->files().find(from_rel);
   if (src_node == nullptr) return false;
-  const std::string to_rel = rel(to);
+  std::string to_rel = rel(to);
   if (dst->files().contains(to_rel) || dst->dirs().contains(to_rel)) {
     return false;
   }
@@ -218,6 +231,8 @@ bool FileSystem::rename(const Path& from, const Path& to, sim::TimePoint now) {
   node.modified = now;
   src->files().erase(from_rel);
   dst->files().put(to_rel, std::move(node));
+  src->journal(std::move(from_rel));
+  dst->journal(std::move(to_rel));
   notify(FsEvent{FsEvent::Kind::kRename, to, nullptr});
   return true;
 }

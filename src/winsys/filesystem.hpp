@@ -16,13 +16,22 @@
 // A fleet of ten thousand hosts stamped from one image then costs one image
 // plus ten thousand small deltas instead of ten thousand full filesystem
 // trees.
+//
+// Each Volume also keeps a change journal, the simulated NTFS $UsnJrnl: a
+// monotone generation and the drive-relative paths FileSystem wrote,
+// deleted or renamed (both ends), newest last. A reader keeps a
+// JournalCursor (volume id, generation) and later visits only what changed
+// past it; Flame's JIMMY and FLASK read it instead of walking the volume.
 
+#include <atomic>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -56,6 +65,15 @@ struct Tombstone {
   bool shredded = false;
 };
 
+/// Where a reader of one volume's change journal stands: the volume's id and
+/// its generation at the last read. Volume ids start at 1, so the default
+/// cursor matches no volume.
+struct JournalCursor {
+  std::uint64_t volume = 0;
+  std::uint64_t generation = 0;
+  bool operator==(const JournalCursor&) const = default;
+};
+
 /// One disk or stick's contents, independent of any mount point. Paths are
 /// drive-relative canonical strings; "" denotes the root directory.
 ///
@@ -64,12 +82,30 @@ struct Tombstone {
 /// give the merged view, a delete of a base path leaves a whiteout in the
 /// delta, and delta_size() counts what this volume adds over its base.
 /// Tombstones are this volume's own. A base-less volume is the whole truth.
+///
+/// The change journal holds at most kJournalCap entries; when full it drops
+/// its oldest half, and a cursor older than what it still holds must walk
+/// the volume instead. It keeps entries only once some reader has taken a
+/// cursor: a reader without one walks the volume, so no one can ask for
+/// an earlier change, and a volume nobody reads (a fleet disk before any
+/// infection, a wiper's target) pays one counter increment per change.
+/// Files of the base image sit at generation 0. Every volume gets an id no
+/// other volume in the process ever had (a copy is a new volume: fresh id,
+/// empty journal), so a cursor cannot mistake a stick for one that was
+/// freed at the same address.
 class Volume {
  public:
   using Files = common::Layered<std::string, FileNode>;  // rel path -> node
   using Dirs = common::Layered<std::string, common::Present>;  // "" = root
 
+  static constexpr std::size_t kJournalCap = 1024;
+
   Volume() { dirs_.put("", {}); }
+  Volume(const Volume& other)
+      : files_(other.files_),
+        dirs_(other.dirs_),
+        tombstones_(other.tombstones_) {}
+  Volume& operator=(const Volume&) = delete;
 
   /// Layers this volume copy-on-write over an immutable base volume, which
   /// must itself be base-less. Pass nullptr to detach.
@@ -87,10 +123,50 @@ class Volume {
 
   std::size_t used_bytes() const;
 
+  std::uint64_t id() const { return id_; }
+  /// Changes journaled over the volume's life (dropped ones included).
+  std::uint64_t generation() const { return dropped_ + journal_.size(); }
+  /// Where a reader that has seen every change so far stands. From the
+  /// first call on, the journal keeps its entries.
+  JournalCursor cursor() const {
+    keep_journal_ = true;
+    return {id_, generation()};
+  }
+  /// Records a change of `rel_path`; FileSystem calls it on every write,
+  /// delete and (for both ends) rename.
+  void journal(std::string&& rel_path) {
+    if (keep_journal_) {
+      append(std::move(rel_path));
+    } else {
+      ++dropped_;
+    }
+  }
+  /// Calls fn(rel_path) for each change past `from`, oldest first, and
+  /// returns true. Returns false, visiting nothing, when `from` is another
+  /// volume's cursor or the changes past it were dropped.
+  template <typename Fn>
+  bool for_each_change_since(const JournalCursor& from, Fn&& fn) const {
+    if (from.volume != id_ || from.generation < dropped_) return false;
+    for (auto i = from.generation - dropped_; i < journal_.size(); ++i) {
+      fn(journal_[i]);
+    }
+    return true;
+  }
+
  private:
+  void append(std::string rel_path);
+
+  /// Worlds are built on several threads (sim::SweepRunner).
+  inline static std::atomic<std::uint64_t> last_id_{0};
+
   Files files_;
   Dirs dirs_;
   std::vector<Tombstone> tombstones_;
+  std::uint64_t id_ = last_id_.fetch_add(1, std::memory_order_relaxed) + 1;
+  /// Entry i has generation dropped_ + i + 1.
+  std::vector<std::string> journal_;
+  std::uint64_t dropped_ = 0;
+  mutable bool keep_journal_ = false;
 };
 
 /// Observer invoked on file operations, reads included; the AV on-access
@@ -117,6 +193,11 @@ class FileSystem {
   Volume* volume(char letter);
   const Volume* volume(char letter) const;
   std::vector<char> mounted_letters() const;
+  /// fn(letter, volume) for every mounted volume, in letter order.
+  template <typename Fn>
+  void for_each_volume(Fn&& fn) const {
+    for (const auto& [letter, vol] : volumes_) fn(letter, std::as_const(*vol));
+  }
   std::vector<char> removable_letters() const;
 
   // --- file operations (paths must be absolute) ---

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <thread>
 
 #include "winsys/host.hpp"
 #include "winsys/host_image.hpp"
@@ -366,6 +368,151 @@ TEST(FileVisitorTest, VisitorsYieldExactlyTheListedPaths) {
             (std::vector<std::string>{"c:\\users\\amb\\cookies\\ie.txt",
                                       "c:\\users\\amb\\makefile",
                                       "c:\\users\\amb\\report.docx"}));
+}
+
+// The paths journaled past `from`, oldest first; {"<gone>"} when the
+// journal cannot say (another volume's cursor, or entries dropped).
+std::vector<std::string> changes(const Volume& vol, const JournalCursor& from) {
+  std::vector<std::string> out;
+  if (!vol.for_each_change_since(
+          from, [&out](const std::string& rel) { out.push_back(rel); })) {
+    return {"<gone>"};
+  }
+  return out;
+}
+
+TEST(VolumeJournalTest, WritesDeletesAndRenamesJournalEachPathTouched) {
+  FileSystem fs;
+  const Volume& c = fs.add_volume('c');
+  const JournalCursor start = c.cursor();
+  EXPECT_EQ(start.generation, 0u);
+  fs.write_file("c:\\a.docx", "1", 0);
+  fs.write_file("c:\\dir\\b.txt", "2", 0);
+  fs.write_file("c:\\a.docx", "3", 0);  // an overwrite is a change too
+  fs.delete_file("c:\\dir\\b.txt", 1);
+  fs.rename("c:\\a.docx", "c:\\moved\\a.pdf", 2);
+  EXPECT_EQ(changes(c, start),
+            (std::vector<std::string>{"a.docx", "dir\\b.txt", "a.docx",
+                                      "dir\\b.txt", "a.docx",
+                                      "moved\\a.pdf"}));
+  EXPECT_EQ(c.generation(), 6u);
+
+  // Failed operations change nothing and journal nothing.
+  const JournalCursor before = c.cursor();
+  FileAttr readonly;
+  readonly.readonly = true;
+  fs.write_file("c:\\locked.txt", "x", 3, readonly);
+  const JournalCursor locked = c.cursor();
+  EXPECT_FALSE(fs.write_file("c:\\locked.txt", "y", 3));
+  EXPECT_FALSE(fs.delete_file("c:\\nothere.txt", 3));
+  EXPECT_FALSE(fs.rename("c:\\nothere.txt", "c:\\x.txt", 3));
+  EXPECT_FALSE(fs.write_file("c:\\moved", "a directory is in the way", 3));
+  EXPECT_EQ(c.cursor(), locked);
+  EXPECT_EQ(changes(c, before), (std::vector<std::string>{"locked.txt"}));
+
+  // A tree delete journals each file it removes.
+  fs.write_file("c:\\tree\\x", "", 4);
+  fs.write_file("c:\\tree\\sub\\y", "", 4);
+  const JournalCursor trees = c.cursor();
+  EXPECT_EQ(fs.delete_tree("c:\\tree", 5), 2u);
+  EXPECT_EQ(changes(c, trees),
+            (std::vector<std::string>{"tree\\sub\\y", "tree\\x"}));
+}
+
+TEST(VolumeJournalTest, RenameAcrossVolumesJournalsOnEach) {
+  FileSystem fs;
+  const Volume& c = fs.add_volume('c');
+  auto stick = std::make_shared<Volume>();
+  ASSERT_TRUE(fs.mount('e', stick));
+  fs.write_file("c:\\loot\\plan.dwg", "cad", 0);
+  const JournalCursor c_at = c.cursor();
+  const JournalCursor e_at = stick->cursor();
+  ASSERT_TRUE(fs.rename("c:\\loot\\plan.dwg", "e:\\out\\plan.dwg", 1));
+  EXPECT_EQ(changes(c, c_at), (std::vector<std::string>{"loot\\plan.dwg"}));
+  EXPECT_EQ(changes(*stick, e_at),
+            (std::vector<std::string>{"out\\plan.dwg"}));
+}
+
+TEST(VolumeJournalTest, CursorOfAnotherVolumeReadsNothing) {
+  Volume one, two;
+  EXPECT_NE(one.id(), two.id());
+  EXPECT_EQ(changes(two, one.cursor()), (std::vector<std::string>{"<gone>"}));
+  EXPECT_EQ(changes(one, JournalCursor{}),
+            (std::vector<std::string>{"<gone>"}));
+
+  // A copy is a new volume: a fresh id and nothing journaled yet.
+  FileSystem fs;
+  fs.add_volume('c');
+  fs.write_file("c:\\a.txt", "", 0);
+  const Volume copy(*fs.volume('c'));
+  EXPECT_NE(copy.id(), fs.volume('c')->id());
+  EXPECT_EQ(copy.generation(), 0u);
+  EXPECT_TRUE(copy.files().contains("a.txt"));
+
+  // Image files sit at generation 0 of a host's volume.
+  sim::Simulation simulation;
+  ProgramRegistry programs;
+  Host host(simulation, programs, "journal-cow",
+            make_archetype_image(HostArchetype::kOfficePc));
+  const Volume& system = *host.fs().volume('c');
+  EXPECT_EQ(system.generation(), 0u);
+  EXPECT_NE(system.id(), host.image()->system_volume()->id());
+  EXPECT_FALSE(host.fs().all_files().empty());
+}
+
+TEST(VolumeJournalTest, ChangesBeforeTheFirstCursorAreCountedNotKept) {
+  FileSystem fs;
+  const Volume& c = fs.add_volume('c');
+  fs.write_file("c:\\early.docx", "", 0);
+  fs.write_file("c:\\early.docx", "again", 0);
+  EXPECT_EQ(c.generation(), 2u);
+  // No reader could ask for them: one without a cursor walks the volume.
+  EXPECT_EQ(changes(c, JournalCursor{c.id(), 0}),
+            (std::vector<std::string>{"<gone>"}));
+  const JournalCursor first = c.cursor();
+  EXPECT_EQ(changes(c, first), std::vector<std::string>{});
+  fs.write_file("c:\\late.docx", "", 1);
+  EXPECT_EQ(changes(c, first), (std::vector<std::string>{"late.docx"}));
+  EXPECT_EQ(c.generation(), 3u);
+}
+
+TEST(VolumeJournalTest, FullJournalDropsItsOldestHalf) {
+  FileSystem fs;
+  const Volume& c = fs.add_volume('c');
+  const JournalCursor start = c.cursor();
+  fs.write_file("c:\\first.docx", "", 0);
+  const JournalCursor after_first = c.cursor();
+  for (std::size_t i = 0; i < Volume::kJournalCap; ++i) {
+    fs.write_file("c:\\churn.txt", std::to_string(i), 1);
+  }
+  EXPECT_EQ(c.generation(), Volume::kJournalCap + 1);
+  // The cap was reached once: the entries past both cursors are partly
+  // gone, so neither can be read and a reader must walk the volume.
+  EXPECT_EQ(changes(c, start), (std::vector<std::string>{"<gone>"}));
+  EXPECT_EQ(changes(c, after_first), (std::vector<std::string>{"<gone>"}));
+  // A cursor inside what is kept still reads exactly the later changes.
+  const JournalCursor late = c.cursor();
+  fs.write_file("c:\\last.docx", "", 2);
+  EXPECT_EQ(changes(c, late), (std::vector<std::string>{"last.docx"}));
+  EXPECT_EQ(changes(c, JournalCursor{c.id(), c.generation() - 2}),
+            (std::vector<std::string>{"churn.txt", "last.docx"}));
+}
+
+TEST(VolumeJournalTest, IdsAreUniqueAcrossThreads) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 500;
+  std::vector<std::vector<std::uint64_t>> ids(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&ids, t] {
+      for (int i = 0; i < kPerThread; ++i) ids[t].push_back(Volume().id());
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  std::set<std::uint64_t> all;
+  for (const auto& some : ids) all.insert(some.begin(), some.end());
+  EXPECT_EQ(all.size(), static_cast<std::size_t>(kThreads * kPerThread));
+  EXPECT_EQ(all.count(0), 0u);
 }
 
 }  // namespace

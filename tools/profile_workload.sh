@@ -24,6 +24,13 @@ if command -v ninja >/dev/null 2>&1; then
 else
   set --
 fi
+# A cache configured for another checkout (a copied tree) would build that
+# checkout's sources; start over, as campaignbench/run.py does.
+if [ -f "$build/CMakeCache.txt" ] &&
+  ! grep -qxF "CMAKE_HOME_DIRECTORY:INTERNAL=$root/campaignbench" \
+    "$build/CMakeCache.txt"; then
+  rm -rf "$build"
+fi
 [ -f "$build/CMakeCache.txt" ] ||
   cmake -S "$root/campaignbench" -B "$build" "$@" \
     -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS="-pg -g" \
